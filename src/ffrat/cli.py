@@ -193,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_jobs = int(os.environ.get("FFRAT_JOBS", "1"))
-
     def add_budget(p):
         p.add_argument("--budget", type=int, default=DEFAULT_KEY_BUDGET,
                        help="enumeration budget (default %d)" % DEFAULT_KEY_BUDGET)
@@ -225,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="write the JSON report to a file")
     p_verify.add_argument("--strict", action="store_true",
                           help="treat budget-skipped cells as an error (exit 3)")
-    p_verify.add_argument("--jobs", type=int, default=default_jobs,
+    # argparse converts a string default, so a bad FFRAT_JOBS exits 2 too.
+    p_verify.add_argument("--jobs", type=int,
+                          default=os.environ.get("FFRAT_JOBS", "1"),
                           help="worker processes (env FFRAT_JOBS)")
     add_budget(p_verify)
     p_verify.set_defaults(func=cmd_verify)

@@ -4,7 +4,8 @@ Everything in ``counting`` has an independent enumeration mirror here:
 
 * conjugacy classes of the invertible 2x2 matrices over GF(q), with their
   centralizer orders, built directly from eigenvalue data;
-* per-class fixed-subfield counts by walking every subfield key;
+* per-class fixed-subfield counts by walking every subfield key, as fixed
+  points of the permutation a matrix induces on the indexed keys;
 * Burnside averages and explicit orbit closures for both the rational and
   the polynomial action;
 * direct enumerations of the coprime-pair and self-dual series.
@@ -16,10 +17,12 @@ enumeration would exceed the budget are skipped and counted, never failed.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from ffrat import classify, counting
 from ffrat.gf import (ExtFieldCtx, FieldCtx, field_of_order, make_ext,
@@ -27,8 +30,8 @@ from ffrat.gf import (ExtFieldCtx, FieldCtx, field_of_order, make_ext,
 from ffrat.polyring import (Poly, conj_reverse, gcd, monic_polys, polys_upto,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
-                          MoebiusTransform, SubfieldKey, enumerate_subfield_keys,
-                          key_image, normalize, subfield_key, substitution_matrix)
+                          KeyPermutations, MoebiusTransform, SubfieldKey,
+                          enumerate_subfield_keys, normalize, subfield_key)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
@@ -109,20 +112,11 @@ def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep,
     raise ValueError("unknown class kind %r" % rep.kind)
 
 
-def _key_list(F: FieldCtx, n: int, budget: int,
-              keys: list[SubfieldKey] | None) -> list[SubfieldKey]:
+def _engine(F: FieldCtx, n: int, budget: int,
+            keys: list[SubfieldKey] | None = None) -> KeyPermutations:
     if keys is None:
-        return list(enumerate_subfield_keys(F, n, budget))
-    return keys
-
-
-def _fix_count(F: FieldCtx, n: int, mat, keys: Iterable[SubfieldKey]) -> int:
-    M = substitution_matrix(F, mat, n)
-    count = 0
-    for key in keys:
-        if key_image(key, M, F) == key:
-            count += 1
-    return count
+        keys = list(enumerate_subfield_keys(F, n, budget))
+    return KeyPermutations(F, n, keys)
 
 
 def fix_count_bruteforce(F: FieldCtx, n: int, rep: ConjClassRep,
@@ -131,7 +125,17 @@ def fix_count_bruteforce(F: FieldCtx, n: int, rep: ConjClassRep,
     """Count the degree-n subfield keys fixed by a class representative by
     transforming every key.  ``keys`` may pass a pre-enumerated list so that
     several classes can share one enumeration."""
-    return _fix_count(F, n, rep.matrix, _key_list(F, n, budget, keys))
+    perm = _engine(F, n, budget, keys).image_perm(rep.matrix)
+    return sum(map(operator.eq, perm, range(len(perm))))
+
+
+def _burnside(engine: KeyPermutations) -> int:
+    total = Fraction(0)
+    for rep in enumerate_classes(engine.F):
+        total += Fraction(engine.fix_count(rep.matrix), rep.centralizer)
+    if total.denominator != 1:
+        raise ArithmeticError("Burnside average is not integral")
+    return int(total)
 
 
 def burnside_count_rational(F: FieldCtx, n: int,
@@ -139,13 +143,7 @@ def burnside_count_rational(F: FieldCtx, n: int,
                             keys: list[SubfieldKey] | None = None) -> int:
     """Class count as the centralizer-weighted sum of per-class fixed
     counts; must agree with counting.count_rational_classes."""
-    keys = _key_list(F, n, budget, keys)
-    total = Fraction(0)
-    for rep in enumerate_classes(F):
-        total += Fraction(_fix_count(F, n, rep.matrix, keys), rep.centralizer)
-    if total.denominator != 1:
-        raise ArithmeticError("Burnside average is not integral")
-    return int(total)
+    return _burnside(_engine(F, n, budget, keys))
 
 
 def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
@@ -155,78 +153,30 @@ def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
     Quadratically slower than burnside_count_rational; a debugging
     cross-check for tiny fields.
     """
-    keys = _key_list(F, n, budget, None)
-    q = F.q
+    engine = _engine(F, n, budget)
     total = 0
     group_order = 0
-    for a in F.elements:
-        for b in F.elements:
-            for c in F.elements:
-                for d in F.elements:
-                    if F.sub(F.mul(a, d), F.mul(b, c)) == 0:
-                        continue
-                    group_order += 1
-                    total += _fix_count(F, n, (a, b, c, d), keys)
-    if group_order != (q * q - 1) * (q * q - q):
+    for a, b, c, d in itertools.product(F.elements, repeat=4):
+        if F.sub(F.mul(a, d), F.mul(b, c)):
+            group_order += 1
+            total += engine.fix_count((a, b, c, d))
+    if group_order != (F.q ** 2 - 1) * (F.q ** 2 - F.q):
         raise AssertionError("group order mismatch")
     return counting.exact_div(total, group_order)
-
-
-def _gl_generators(F: FieldCtx) -> list[tuple[int, int, int, int]]:
-    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
-    if F.generator != 1:
-        gens.append((F.generator, 0, 0, 1))
-    return gens
 
 
 def orbit_count_rational(F: FieldCtx, n: int,
                          budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Number of orbits of subfield keys under the full substitution group,
     by closure under a generating set."""
-    keys = _key_list(F, n, budget, None)
-    mats = [substitution_matrix(F, g, n) for g in _gl_generators(F)]
-    seen: set[SubfieldKey] = set()
-    orbits = 0
-    for start in keys:
-        if start in seen:
-            continue
-        orbits += 1
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            cur = frontier.pop()
-            for M in mats:
-                img = key_image(cur, M, F)
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
-    if len(seen) != len(keys):
-        raise AssertionError("orbit closure escaped the key set")
-    return orbits
+    return max(_engine(F, n, budget).orbit_labels()) + 1
 
 
-def orbit_labels(F: FieldCtx, n: int,
-                 budget: int = DEFAULT_KEY_BUDGET) -> dict[SubfieldKey, int]:
+def orbit_labels(F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET,
+                 keys: list[SubfieldKey] | None = None) -> dict[SubfieldKey, int]:
     """Map each subfield key to an orbit index (order of first discovery)."""
-    keys = _key_list(F, n, budget, None)
-    mats = [substitution_matrix(F, g, n) for g in _gl_generators(F)]
-    label: dict[SubfieldKey, int] = {}
-    orbits = 0
-    for start in keys:
-        if start in label:
-            continue
-        idx = orbits
-        orbits += 1
-        frontier = [start]
-        label[start] = idx
-        while frontier:
-            cur = frontier.pop()
-            for M in mats:
-                img = key_image(cur, M, F)
-                if img not in label:
-                    label[img] = idx
-                    frontier.append(img)
-    return label
+    engine = _engine(F, n, budget, keys)
+    return dict(zip(engine.keys, engine.orbit_labels()))
 
 
 # -- polynomial action ------------------------------------------------------
@@ -392,7 +342,7 @@ class CheckResult:
     expected: int
     actual: int
     passed: bool
-    elapsed_ms: int
+    elapsed_ms: float
 
 
 @dataclass
@@ -424,31 +374,31 @@ class VerificationReport:
 def _timed(name: str, q: int, n: int, expected: int, actual_fn) -> CheckResult:
     start = time.perf_counter()
     actual = actual_fn()
-    ms = int((time.perf_counter() - start) * 1000)
+    ms = round((time.perf_counter() - start) * 1000, 3)
     return CheckResult(name, q, n, expected, actual, expected == actual, ms)
 
 
 def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
     F = field_of_order(q)
     ctx = make_ext(F)
-    keys = list(enumerate_subfield_keys(F, n, budget))
+    # The first check builds the engine, so check times add up to the cell's.
+    engine = functools.cache(lambda: _engine(F, n, budget))
     out = []
     for rep in enumerate_classes(F):
         want = expected_fix(F, n, rep, ctx)
         name = "fix-formulas/%s%r" % (rep.kind, rep.params)
         out.append(_timed(name, q, n, want,
-                          lambda rep=rep: _fix_count(F, n, rep.matrix, keys)))
+                          lambda rep=rep: engine().fix_count(rep.matrix)))
     return out
 
 
 def _cell_frak_n(q: int, n: int, budget: int) -> list[CheckResult]:
     F = field_of_order(q)
     want = counting.count_rational_classes(q, n)
-    keys = list(enumerate_subfield_keys(F, n, budget))
-    out = [_timed("frakN/burnside", q, n, want,
-                  lambda: burnside_count_rational(F, n, budget, keys)),
+    engine = functools.cache(lambda: _engine(F, n, budget))
+    out = [_timed("frakN/burnside", q, n, want, lambda: _burnside(engine())),
            _timed("frakN/orbit", q, n, want,
-                  lambda: orbit_count_rational(F, n, budget))]
+                  lambda: max(engine().orbit_labels()) + 1)]
     if n <= 4:
         out.append(_timed("frakN/lowdeg", q, n, want,
                           lambda: counting.count_rational_classes_lowdeg(q, n)))

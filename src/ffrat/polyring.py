@@ -239,9 +239,22 @@ def gcd(f: Poly, g: Poly) -> Poly:
     f._check_field(g)
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    F = f.field
+    add, mul = F.add, F.mul
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        # a mod b in place, keeping each remainder up to a unit factor.
+        db = len(b) - 1
+        scale = F.neg(F.inv(b[db]))
+        low = [(i, x) for i, x in enumerate(b[:db]) if x]
+        for base in range(len(a) - db - 1, -1, -1):
+            c = mul(a.pop(), scale)
+            for i, x in low:
+                a[base + i] = add(a[base + i], mul(c, x))
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return Poly._make(F, tuple(a)).monic()
 
 
 def compose(f: Poly, g: Poly) -> Poly:

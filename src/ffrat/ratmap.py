@@ -23,7 +23,9 @@ Q monic of degree m < n, gcd(P, Q) = 1 and the X^m coefficient of P zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Iterator, NamedTuple
 
 from ffrat.gf import FieldCtx
@@ -177,14 +179,14 @@ def _echelon2(F: FieldCtx, v0: list[int], v1: list[int]) -> tuple[tuple[int, ...
         j0 += 1
     if v0[j0] == 0:
         v0, v1 = v1, v0
-    mul, sub = F.mul, F.sub
+    add, mul = F.add, F.mul
     piv = v0[j0]
     if piv != 1:
         s = F.inv(piv)
         v0 = [mul(s, x) for x in v0]
     if v1[j0]:
-        c = v1[j0]
-        v1 = [sub(x, mul(c, y)) for x, y in zip(v1, v0)]
+        c = F.neg(v1[j0])
+        v1 = [add(x, mul(c, y)) if y else x for x, y in zip(v1, v0)]
     j1 = j0 + 1
     while j1 < width and v1[j1] == 0:
         j1 += 1
@@ -195,8 +197,8 @@ def _echelon2(F: FieldCtx, v0: list[int], v1: list[int]) -> tuple[tuple[int, ...
         s = F.inv(piv)
         v1 = [mul(s, x) for x in v1]
     if v0[j1]:
-        c = v0[j1]
-        v0 = [sub(x, mul(c, y)) for x, y in zip(v0, v1)]
+        c = F.neg(v0[j1])
+        v0 = [add(x, mul(c, y)) if y else x for x, y in zip(v0, v1)]
     return tuple(v0), tuple(v1)
 
 
@@ -300,22 +302,117 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
         raise BudgetExceededError(
             "q=%d n=%d needs %d keys, budget is %d" % (q, n, total, budget))
 
-    one = Poly.one(F)
+    one_row = (0,) * n + (1,)
     for m in range(n):
         free_positions = [i for i in range(n) if i != m]
+        q_pad = (0,) * (n - m)
         for p_low in itertools.product(range(q), repeat=n - 1):
             pc = [0] * (n + 1)
             pc[n] = 1
             for pos, val in zip(free_positions, p_low):
                 pc[pos] = val
-            P = Poly(F, pc)
+            p_row = tuple(reversed(pc))
             if m == 0:
                 # Q = 1 is coprime to everything.
-                yield SubfieldKey(n, (tuple(_descending(P, n)),
-                                      tuple(_descending(one, n))))
+                yield SubfieldKey(n, (p_row, one_row))
                 continue
+            P = Poly._make(F, tuple(pc))
             for q_low in itertools.product(range(q), repeat=m):
-                Q = Poly(F, q_low + (1,))
+                Q = Poly._make(F, q_low + (1,))
                 if gcd(P, Q).degree == 0:
-                    yield SubfieldKey(n, (tuple(_descending(P, n)),
-                                          tuple(_descending(Q, n))))
+                    yield SubfieldKey(n, (p_row, q_pad + Q.coeffs[::-1]))
+
+
+def _compose(first: list[int], then: list[int]) -> list[int]:
+    return list(map(then.__getitem__, first))
+
+
+def _row_times(F: FieldCtx, row: tuple[int, ...], M) -> list[int]:
+    out = [0] * len(row)
+    for c, mrow in zip(row, M):
+        if c:
+            out = [F.add(x, F.mul(c, m)) for x, m in zip(out, mrow)]
+    return out
+
+
+class KeyPermutations:
+    """Subfield keys indexed 0..N-1, and the index permutations induced by
+    invertible matrices: perm(A @ B)[i] == perm(B)[perm(A)[i]].
+
+    ``image_perm`` echelons the image of every key, multiplying each distinct
+    echelon row once; ``perm`` composes the images of D = (g, 0, 0, 1),
+    T = (1, 1, 0, 1) and S = (0, 1, 1, 0) along the matrix's Bruhat word.
+    """
+
+    def __init__(self, F: FieldCtx, n: int, keys: list[SubfieldKey]):
+        self.F, self.n, self.keys = F, n, keys
+        self.index = {key.rows: i for i, key in enumerate(keys)}
+
+    def image_perm(self, mat) -> list[int]:
+        F = self.F
+        M = substitution_matrix(F, mat, self.n)
+        images = {row: _row_times(F, row, M)
+                  for row in {row for key in self.keys for row in key.rows}}
+        perm = [self.index.get(_echelon2(F, images[r0], images[r1]))
+                for r0, r1 in (key.rows for key in self.keys)]
+        if None in perm:
+            raise AssertionError("orbit closure escaped the key set")
+        return perm
+
+    @functools.cached_property
+    def _generators(self) -> tuple[list[int], ...]:
+        return tuple(self.image_perm(m) for m in
+                     ((self.F.generator, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 0)))
+
+    @functools.cached_property
+    def _letters(self) -> dict[tuple[int, int, int, int], list[int]]:
+        # S, each D_a = (a, 0, 0, 1) as a power of D, each T_b as D_b T D_b^-1.
+        F = self.F
+        D, T, S = self._generators
+        letters = {(0, 1, 1, 0): S}
+        perm = list(range(len(self.keys)))
+        for k in range(F.q - 1):
+            letters[(F.pow(F.generator, k), 0, 0, 1)] = perm
+            perm = _compose(perm, D)
+        for b in F.units:
+            letters[(1, b, 0, 1)] = _compose(_compose(letters[(b, 0, 0, 1)], T),
+                                             letters[(F.inv(b), 0, 0, 1)])
+        return letters
+
+    def perm(self, mat) -> list[int]:
+        """The permutation of key indices that an invertible matrix induces."""
+        F = self.F
+        target = MoebiusTransform(F, mat)
+        a, b, c, d = mat
+        if c == 0:
+            word = [(1, F.div(b, d), 0, 1), (F.div(a, d), 0, 0, 1)]
+        else:
+            w = F.div(F.sub(F.mul(b, c), F.mul(a, d)), c)    # -det / c
+            word = [(1, F.div(a, c), 0, 1), (0, 1, 1, 0),
+                    (1, F.div(d, w), 0, 1), (F.div(c, w), 0, 0, 1)]
+        if functools.reduce(operator.matmul,
+                            [MoebiusTransform(F, m) for m in word]) != target:
+            raise AssertionError("Bruhat word %r does not give %r" % (word, mat))
+        return functools.reduce(_compose, [self._letters[m] for m in word])
+
+    def fix_count(self, mat) -> int:
+        """Number of keys that an invertible matrix fixes."""
+        perm = self.perm(mat)
+        return sum(map(operator.eq, perm, range(len(perm))))
+
+    def orbit_labels(self) -> list[int]:
+        """Orbit index of every key, numbered in order of first discovery."""
+        label = [-1] * len(self.keys)
+        orbits = 0
+        for start in range(len(label)):
+            if label[start] < 0:
+                label[start], stack = orbits, [start]
+                while stack:
+                    i = stack.pop()
+                    for g in self._generators:
+                        j = g[i]
+                        if label[j] < 0:
+                            label[j] = orbits
+                            stack.append(j)
+                orbits += 1
+        return label

@@ -179,6 +179,18 @@ def test_verify_jobs_default_comes_from_env(monkeypatch):
     assert build_parser().parse_args(["verify"]).jobs == 3
 
 
+def test_verify_bad_jobs_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FFRAT_JOBS", "abc")
+    code, _, err = run_cli(capsys, "verify", "--q", "2", "--n", "1")
+    assert code == EXIT_USAGE
+    assert "--jobs" in err and "'abc'" in err
+    # An explicit --jobs wins over the environment; other commands ignore it.
+    code, _, _ = run_cli(capsys, "verify", "--q", "2", "--n", "1",
+                         "--kinds", "frakN", "--jobs", "1")
+    assert code == EXIT_OK
+    assert run_cli(capsys, "count", "--q", "3", "--n", "3")[0] == EXIT_OK
+
+
 def test_verify_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "1",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 
@@ -20,7 +21,8 @@ from ffrat.oracle import (VERIFY_KINDS, burnside_count_poly,
                           nonsplit_twist_order, orbit_count_poly,
                           orbit_count_rational, orbit_labels,
                           poly_equivalence_partitions_agree, verify_grid)
-from ffrat.ratmap import BudgetExceededError, enumerate_subfield_keys
+from ffrat.ratmap import (BudgetExceededError, KeyPermutations,
+                          enumerate_subfield_keys, key_image, substitution_matrix)
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -126,6 +128,83 @@ def test_expected_fix_rejects_unknown_kind():
     bogus = type(rep)("twisted", rep.params, rep.matrix, rep.centralizer)
     with pytest.raises(ValueError):
         expected_fix(F2, 2, bogus)
+
+
+# -- the key-permutation engine against scalar key images ----------------------
+
+
+def _invertible(F):
+    return [m for m in itertools.product(F.elements, repeat=4)
+            if F.sub(F.mul(m[0], m[3]), F.mul(m[1], m[2]))]
+
+
+ENGINE_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)
+                if q ** (2 * n - 2) <= 2500]
+
+
+@pytest.mark.parametrize("q,n", ENGINE_CELLS)
+def test_engine_fix_counts_match_scalar_key_images(q, n):
+    # is_fixed, with the substitution matrix built once per class.
+    F = field_of_order(q)
+    keys = list(enumerate_subfield_keys(F, n))
+    engine = KeyPermutations(F, n, keys)
+    for rep in enumerate_classes(F):
+        M = substitution_matrix(F, rep.matrix, n)
+        scalar = sum(1 for key in keys if key_image(key, M, F) == key)
+        assert engine.fix_count(rep.matrix) == scalar, rep
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_engine_perm_matches_key_image_on_all_of_gl2(q):
+    F = field_of_order(q)
+    keys = list(enumerate_subfield_keys(F, 2))
+    engine = KeyPermutations(F, 2, keys)
+    for mat in _invertible(F):
+        M = substitution_matrix(F, mat, 2)
+        want = [engine.index[key_image(key, M, F).rows] for key in keys]
+        assert engine.perm(mat) == want, mat
+        assert engine.image_perm(mat) == want, mat
+
+
+def test_engine_rejects_singular_matrices():
+    engine = KeyPermutations(F3, 2, list(enumerate_subfield_keys(F3, 2)))
+    with pytest.raises(ValueError):
+        engine.perm((1, 2, 2, 1))
+    with pytest.raises(ValueError):
+        engine.perm((1, 1, 0, 0))
+
+
+def test_engine_rejects_a_key_set_not_closed_under_the_action():
+    keys = list(enumerate_subfield_keys(F3, 2))
+    with pytest.raises(AssertionError, match="escaped the key set"):
+        KeyPermutations(F3, 2, keys[1:]).image_perm((1, 1, 0, 1))
+
+
+def test_orbit_labels_match_scalar_closure():
+    F, n = F3, 3
+    keys = list(enumerate_subfield_keys(F, n))
+    mats = [substitution_matrix(F, g, n)
+            for g in ((1, 1, 0, 1), (1, 0, 1, 1), (F.generator, 0, 0, 1))]
+    orbits: list[set] = []
+    seen: set = set()
+    for start in keys:
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            cur = frontier.pop()
+            for M in mats:
+                img = key_image(cur, M, F)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        seen |= orbit
+        orbits.append(orbit)
+    labels = orbit_labels(F, n, keys=keys)
+    by_label: dict[int, set] = {}
+    for key, idx in labels.items():
+        by_label.setdefault(idx, set()).add(key)
+    assert sorted(map(sorted, by_label.values())) == sorted(map(sorted, orbits))
 
 
 # -- class counts three ways ---------------------------------------------------

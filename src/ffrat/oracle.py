@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +30,8 @@ from ffrat.polyring import (Poly, conj_reverse, gcd, monic_polys, polys_upto,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, MoebiusTransform, SubfieldKey,
-                          enumerate_subfield_keys, normalize, subfield_key)
+                          enumerate_subfield_keys, fixed_points, normalize,
+                          subfield_key)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
@@ -125,8 +125,7 @@ def fix_count_bruteforce(F: FieldCtx, n: int, rep: ConjClassRep,
     """Count the degree-n subfield keys fixed by a class representative by
     transforming every key.  ``keys`` may pass a pre-enumerated list so that
     several classes can share one enumeration."""
-    perm = _engine(F, n, budget, keys).image_perm(rep.matrix)
-    return sum(map(operator.eq, perm, range(len(perm))))
+    return fixed_points(_engine(F, n, budget, keys).image_perm(rep.matrix))
 
 
 def _burnside(engine: KeyPermutations) -> int:
@@ -169,13 +168,13 @@ def orbit_count_rational(F: FieldCtx, n: int,
                          budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Number of orbits of subfield keys under the full substitution group,
     by closure under a generating set."""
-    return max(_engine(F, n, budget).orbit_labels()) + 1
+    return _engine(F, n, budget).orbit_count()
 
 
-def orbit_labels(F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET,
-                 keys: list[SubfieldKey] | None = None) -> dict[SubfieldKey, int]:
+def orbit_labels(F: FieldCtx, n: int,
+                 budget: int = DEFAULT_KEY_BUDGET) -> dict[SubfieldKey, int]:
     """Map each subfield key to an orbit index (order of first discovery)."""
-    engine = _engine(F, n, budget, keys)
+    engine = _engine(F, n, budget)
     return dict(zip(engine.keys, engine.orbit_labels()))
 
 
@@ -398,7 +397,7 @@ def _cell_frak_n(q: int, n: int, budget: int) -> list[CheckResult]:
     engine = functools.cache(lambda: _engine(F, n, budget))
     out = [_timed("frakN/burnside", q, n, want, lambda: _burnside(engine())),
            _timed("frakN/orbit", q, n, want,
-                  lambda: max(engine().orbit_labels()) + 1)]
+                  lambda: engine().orbit_count())]
     if n <= 4:
         out.append(_timed("frakN/lowdeg", q, n, want,
                           lambda: counting.count_rational_classes_lowdeg(q, n)))

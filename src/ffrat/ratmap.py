@@ -229,28 +229,31 @@ def substitution_matrix(F: FieldCtx, mat, n: int) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(_descending(upow[n - i] * vpow[i], n)) for i in range(n + 1))
 
 
-def key_image(key: SubfieldKey, M, F: FieldCtx) -> SubfieldKey:
-    """Key of the substituted map, given a precomputed substitution matrix."""
-    width = key.n + 1
+def _row_times(F: FieldCtx, row, M) -> list[int]:
+    # The coefficient vector sum_i row[i] * M[i].
     add, mul = F.add, F.mul
-    new_rows = []
-    for vec in key.rows:
-        acc = [0] * width
-        for i, c in enumerate(vec):
-            if c:
-                mi = M[i]
-                if c == 1:
-                    for j in range(width):
-                        m = mi[j]
-                        if m:
-                            acc[j] = add(acc[j], m)
-                else:
-                    for j in range(width):
-                        m = mi[j]
-                        if m:
-                            acc[j] = add(acc[j], mul(c, m))
-        new_rows.append(acc)
-    return SubfieldKey(key.n, _echelon2(F, new_rows[0], new_rows[1]))
+    acc = [0] * len(row)
+    for c, mi in zip(row, M):
+        if c:
+            for j, m in enumerate(mi):
+                if m:
+                    acc[j] = add(acc[j], m if c == 1 else mul(c, m))
+    return acc
+
+
+def key_image(key: SubfieldKey, M, F: FieldCtx,
+              products: dict | None = None) -> SubfieldKey:
+    """Key of the substituted map, given a precomputed substitution matrix;
+    ``products`` keeps each row's product with M for later calls with M."""
+    if products is None:
+        products = {}
+    images = []
+    for row in key.rows:
+        image = products.get(row)
+        if image is None:
+            image = products[row] = _row_times(F, row, M)
+        images.append(image)
+    return SubfieldKey(key.n, _echelon2(F, *images))
 
 
 def act(f: RationalMap, A: MoebiusTransform) -> RationalMap:
@@ -327,20 +330,12 @@ def _compose(first: list[int], then: list[int]) -> list[int]:
     return list(map(then.__getitem__, first))
 
 
-def _row_times(F: FieldCtx, row: tuple[int, ...], M) -> list[int]:
-    out = [0] * len(row)
-    for c, mrow in zip(row, M):
-        if c:
-            out = [F.add(x, F.mul(c, m)) for x, m in zip(out, mrow)]
-    return out
-
-
 class KeyPermutations:
     """Subfield keys indexed 0..N-1, and the index permutations induced by
     invertible matrices: perm(A @ B)[i] == perm(B)[perm(A)[i]].
 
-    ``image_perm`` echelons the image of every key, multiplying each distinct
-    echelon row once; ``perm`` composes the images of D = (g, 0, 0, 1),
+    ``image_perm`` takes the ``key_image`` of every key, multiplying each
+    distinct echelon row once; ``perm`` composes the images of D = (g, 0, 0, 1),
     T = (1, 1, 0, 1) and S = (0, 1, 1, 0) along the matrix's Bruhat word.
     """
 
@@ -351,10 +346,9 @@ class KeyPermutations:
     def image_perm(self, mat) -> list[int]:
         F = self.F
         M = substitution_matrix(F, mat, self.n)
-        images = {row: _row_times(F, row, M)
-                  for row in {row for key in self.keys for row in key.rows}}
-        perm = [self.index.get(_echelon2(F, images[r0], images[r1]))
-                for r0, r1 in (key.rows for key in self.keys)]
+        products: dict = {}
+        perm = [self.index.get(key_image(key, M, F, products).rows)
+                for key in self.keys]
         if None in perm:
             raise AssertionError("orbit closure escaped the key set")
         return perm
@@ -397,8 +391,7 @@ class KeyPermutations:
 
     def fix_count(self, mat) -> int:
         """Number of keys that an invertible matrix fixes."""
-        perm = self.perm(mat)
-        return sum(map(operator.eq, perm, range(len(perm))))
+        return fixed_points(self.perm(mat))
 
     def orbit_labels(self) -> list[int]:
         """Orbit index of every key, numbered in order of first discovery."""
@@ -416,3 +409,10 @@ class KeyPermutations:
                             stack.append(j)
                 orbits += 1
         return label
+
+    def orbit_count(self) -> int:
+        return max(self.orbit_labels()) + 1
+
+
+def fixed_points(perm: list[int]) -> int:
+    return sum(map(operator.eq, perm, range(len(perm))))

@@ -200,7 +200,7 @@ def test_orbit_labels_match_scalar_closure():
                     frontier.append(img)
         seen |= orbit
         orbits.append(orbit)
-    labels = orbit_labels(F, n, keys=keys)
+    labels = orbit_labels(F, n)
     by_label: dict[int, set] = {}
     for key, idx in labels.items():
         by_label.setdefault(idx, set()).add(key)

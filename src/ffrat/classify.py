@@ -21,14 +21,15 @@ exhaust all classes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
 from ffrat import counting
-from ffrat.gf import FieldCtx, mult_order
-from ffrat.polyring import NEG_INFINITY, Poly, affine_substitute
-from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET, RationalMap,
-                          normalize)
+from ffrat.gf import FieldCtx
+from ffrat.polyring import Poly
+from ffrat.ratmap import (DEFAULT_KEY_BUDGET, RationalMap, check_budget,
+                          label_orbits, normalize)
 
 
 def left_normalize(f: Poly) -> Poly:
@@ -77,6 +78,30 @@ def normalized_polys(F: FieldCtx, n: int) -> list[tuple[int, ...]]:
     return [(0,) + mid + (1,) for mid in product(range(F.q), repeat=n - 1)]
 
 
+class PolyPermutations:
+    """The normalized degree-n polynomials indexed 0..N-1 in
+    ``normalized_polys`` order, and the index permutations that the
+    substitutions X -> aX + b induce.  ``generators`` are the images under
+    D = X -> gX (g the field generator) and T = X -> X + 1."""
+
+    def __init__(self, F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET):
+        if n < 1:
+            raise ValueError("degree must be at least 1")
+        check_budget(F.q, n, F.q ** (n - 1), "polynomials", budget)
+        self.F = F
+        self.polys = normalized_polys(F, n)
+        self.index = {f: i for i, f in enumerate(self.polys)}
+
+    def image_perm(self, a: int, b: int) -> list[int]:
+        F, index = self.F, self.index
+        return [index[_normalized_raw(F, _substitute_raw(F, f, a, b))]
+                for f in self.polys]
+
+    @functools.cached_property
+    def generators(self) -> tuple[list[int], ...]:
+        return self.image_perm(self.F.generator, 0), self.image_perm(1, 1)
+
+
 def canonical_poly(f: Poly) -> Poly:
     """Lexicographically least normalized member of the class of f,
     comparing coefficients from the top degree down."""
@@ -110,37 +135,24 @@ def classify_all(F: FieldCtx, n: int,
                  budget: int = DEFAULT_KEY_BUDGET) -> list[PolyClassRep]:
     """All classes of degree-n polynomials, sorted by canonical member.
 
-    Orbit sizes sum to q^(n-1).  Classes are found by orbit closure under
-    the generating substitutions X -> gX (g the field generator) and
-    X -> X+1, so each normalized polynomial is visited exactly once.
+    Orbit sizes sum to q^(n-1).  Classes are the orbits of ``PolyPermutations``;
+    for n <= 5 each family-table member costs a canonical form of q(q-1)
+    substitutions, and the budget covers those too.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     q = F.q
-    if q ** (n - 1) > budget:
-        raise BudgetExceededError(
-            "q=%d n=%d needs %d polynomials, budget is %d" % (q, n, q ** (n - 1), budget))
-    gens = [(F.generator, 0), (1, 1)]
-    seen: set[tuple[int, ...]] = set()
-    found: list[tuple[tuple[int, ...], int]] = []
-    for start in normalized_polys(F, n):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for a, b in gens:
-                img = _normalized_raw(F, _substitute_raw(F, cur, a, b))
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
-        found.append((min(tup[::-1] for tup in orbit)[::-1], len(orbit)))
+    if 1 <= n <= 5:
+        check_budget(q, n, q ** (n - 1) + counting.count_polynomial_classes(q, n)
+                     * q * (q - 1), "substitutions", budget)
+    engine = PolyPermutations(F, n, budget)
+    orbits: dict[int, list[tuple[int, ...]]] = {}
+    for f, label in zip(engine.polys, label_orbits(engine.generators)):
+        orbits.setdefault(label, []).append(f)
 
     tags = _family_tag_map(F, n) if n <= 5 else {}
-    reps = [PolyClassRep(Poly._make(F, canon), size, tags.get(canon))
-            for canon, size in found]
+    reps = []
+    for members in orbits.values():
+        canon = min(members, key=lambda cs: cs[::-1])
+        reps.append(PolyClassRep(Poly._make(F, canon), len(members), tags.get(canon)))
     reps.sort(key=lambda r: r.canon.coeffs[::-1])
     return reps
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 
+from ffrat.counting import char_and_degree, divisors
+
 DEFAULT_SIZE_BOUND = 1 << 20
 
 _TABLE_LIMIT = 512       # full q x q add/mul tables below this order
@@ -66,18 +68,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -330,7 +320,7 @@ def mult_order(F: FieldCtx, a: int) -> int:
     """Multiplicative order of a nonzero element; always divides q - 1."""
     if a == 0:
         raise ValueError("0 has no multiplicative order")
-    for d in _divisors(F.q - 1):
+    for d in divisors(F.q - 1):
         if F.pow(a, d) == 1:
             return d
     raise AssertionError("order of %d not found in GF(%d)" % (a, F.q))
@@ -391,22 +381,7 @@ def make_field(p: int, k: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx
 
 def field_of_order(q: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx:
     """Construct (and cache) the field with q elements; q must be a prime power."""
-    if not isinstance(q, int) or q < 2:
-        raise ValueError("%r is not a prime power" % (q,))
-    p = q
-    for d in range(2, q):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    m = q
-    while m % p == 0 and m > 1:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValueError("%d is not a prime power" % q)
+    p, k = char_and_degree(q)
     return make_field(p, k, size_bound)
 
 

@@ -7,7 +7,10 @@ Everything in ``counting`` has an independent enumeration mirror here:
 * per-class fixed-subfield counts by walking every subfield key, as fixed
   points of the permutation a matrix induces on the indexed keys;
 * Burnside averages and explicit orbit closures for both the rational and
-  the polynomial action;
+  the polynomial action, on index permutations of the subfield keys
+  (``ratmap.KeyPermutations``) or of the normalized polynomials
+  (``classify.PolyPermutations``), with one orbit search
+  (``ratmap.label_orbits``) for both;
 * direct enumerations of the coprime-pair and self-dual series.
 
 ``verify_grid`` packages the comparisons into a report of named checks, one
@@ -30,7 +33,8 @@ from ffrat.polyring import (Poly, conj_reverse, gcd, monic_polys, polys_upto,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, MoebiusTransform, SubfieldKey,
-                          enumerate_subfield_keys, fixed_points, normalize,
+                          check_budget, compose_perms, enumerate_subfield_keys,
+                          fixed_points, label_orbits, normalize, orbit_count,
                           subfield_key)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
@@ -168,14 +172,14 @@ def orbit_count_rational(F: FieldCtx, n: int,
                          budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Number of orbits of subfield keys under the full substitution group,
     by closure under a generating set."""
-    return _engine(F, n, budget).orbit_count()
+    return orbit_count(_engine(F, n, budget).generators)
 
 
 def orbit_labels(F: FieldCtx, n: int,
                  budget: int = DEFAULT_KEY_BUDGET) -> dict[SubfieldKey, int]:
     """Map each subfield key to an orbit index (order of first discovery)."""
     engine = _engine(F, n, budget)
-    return dict(zip(engine.keys, engine.orbit_labels()))
+    return dict(zip(engine.keys, label_orbits(engine.generators)))
 
 
 # -- polynomial action ------------------------------------------------------
@@ -185,94 +189,37 @@ def orbit_count_poly(F: FieldCtx, n: int,
                      budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Orbits of normalized degree-n polynomials under right substitution by
     invertible affine maps."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    if F.q ** (n - 1) > budget:
-        raise BudgetExceededError(
-            "q=%d n=%d needs %d polynomials, budget is %d"
-            % (F.q, n, F.q ** (n - 1), budget))
-    gens = [(F.generator, 0), (1, 1)]
-    seen: set[tuple[int, ...]] = set()
-    orbits = 0
-    for start in classify.normalized_polys(F, n):
-        if start in seen:
-            continue
-        orbits += 1
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for a, b in gens:
-                img = classify._normalized_raw(F, classify._substitute_raw(F, cur, a, b))
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
-    return orbits
+    return orbit_count(classify.PolyPermutations(F, n, budget).generators)
 
 
 def burnside_count_poly(F: FieldCtx, n: int,
                         budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Polynomial class count as a Burnside average over the q conjugacy
-    classes of invertible affine maps (identity, the scalings, X+1)."""
-    if F.q ** (n - 1) > budget:
-        raise BudgetExceededError(
-            "q=%d n=%d needs %d polynomials, budget is %d"
-            % (F.q, n, F.q ** (n - 1), budget))
+    classes of invertible affine maps (identity, the scalings, X+1).  The
+    scalings X -> g^k X are the powers of the generator D."""
+    D, T = classify.PolyPermutations(F, n, budget).generators
     q = F.q
-    omega = classify.normalized_polys(F, n)
-
-    def fixed_by(a: int, b: int) -> int:
-        return sum(1 for f in omega
-                   if classify._normalized_raw(F, classify._substitute_raw(F, f, a, b)) == f)
-
-    total = Fraction(len(omega), q * (q - 1))
-    for a in F.units:
-        if a != 1:
-            total += Fraction(fixed_by(a, 0), q - 1)
-    total += Fraction(fixed_by(1, 1), q)
-    if total.denominator != 1:
-        raise ArithmeticError("Burnside average is not integral")
-    return int(total)
+    # Class sizes: 1 for the identity, q per scaling, q - 1 for translations.
+    scalings = 0
+    power = D
+    for _ in range(q - 2):
+        scalings += fixed_points(power)
+        power = compose_perms(power, D)
+    fixed = len(D) + q * scalings + (q - 1) * fixed_points(T)
+    return counting.exact_div(fixed, q * (q - 1))
 
 
 def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
                                       budget: int = DEFAULT_KEY_BUDGET) -> bool:
     """Check that two normalized polynomials are affinely equivalent exactly
-    when their subfield keys lie in the same substitution orbit, by comparing
-    the two partitions of the normalized polynomials."""
-    omega = classify.normalized_polys(F, n)
-
-    affine: dict[tuple[int, ...], int] = {}
-    gens = [(F.generator, 0), (1, 1)]
-    orbits = 0
-    for start in omega:
-        if start in affine:
-            continue
-        idx = orbits
-        orbits += 1
-        affine[start] = idx
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for a, b in gens:
-                img = classify._normalized_raw(F, classify._substitute_raw(F, cur, a, b))
-                if img not in affine:
-                    affine[img] = idx
-                    frontier.append(img)
-
+    when their subfield keys lie in the same substitution orbit: each affine
+    orbit label pairs with one key orbit label, and back."""
+    engine = classify.PolyPermutations(F, n, budget)
     labels = orbit_labels(F, n, budget)
     one = Poly.one(F)
-    by_affine: dict[int, set[tuple[int, ...]]] = {}
-    by_key: dict[int, set[tuple[int, ...]]] = {}
-    for f in omega:
-        by_affine.setdefault(affine[f], set()).add(f)
-        key = subfield_key(normalize(Poly(F, f), one))
-        by_key.setdefault(labels[key], set())
-        by_key[labels[key]].add(f)
-
-    parts_affine = {frozenset(v) for v in by_affine.values()}
-    parts_key = {frozenset(v) for v in by_key.values()}
-    return parts_affine == parts_key
+    pairs = {(affine, labels[subfield_key(normalize(Poly(F, f), one))])
+             for f, affine in zip(engine.polys, label_orbits(engine.generators))}
+    return len(pairs) == len({a for a, _ in pairs}) == len({k for _, k in pairs})
 
 
 # -- direct enumerations of the counting series -----------------------------
@@ -397,7 +344,7 @@ def _cell_frak_n(q: int, n: int, budget: int) -> list[CheckResult]:
     engine = functools.cache(lambda: _engine(F, n, budget))
     out = [_timed("frakN/burnside", q, n, want, lambda: _burnside(engine())),
            _timed("frakN/orbit", q, n, want,
-                  lambda: engine().orbit_count())]
+                  lambda: orbit_count(engine().generators))]
     if n <= 4:
         out.append(_timed("frakN/lowdeg", q, n, want,
                           lambda: counting.count_rational_classes_lowdeg(q, n)))
@@ -418,6 +365,9 @@ def _cell_frak_m(q: int, n: int, budget: int) -> list[CheckResult]:
 
 
 def _cell_appendix(q: int, budget: int) -> list[CheckResult]:
+    # The largest enumerations are q^6: coprime pairs of cubics, and monic
+    # cubics over GF(q^2).
+    check_budget(q, 3, q ** 6, "polynomials", budget)
     F = field_of_order(q)
     ctx = make_ext(F)
     out = []

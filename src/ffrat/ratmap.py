@@ -38,6 +38,14 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
 
+def check_budget(q: int, n: int, cost: int, what: str, budget: int) -> None:
+    """Raise BudgetExceededError before an enumeration whose cost exceeds
+    the budget."""
+    if cost > budget:
+        raise BudgetExceededError("q=%d n=%d needs %d %s, budget is %d"
+                                  % (q, n, cost, what, budget))
+
+
 class MoebiusTransform:
     """An invertible fractional-linear substitution X -> (aX+b)/(cX+d)."""
 
@@ -300,10 +308,7 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
     if n < 1:
         raise ValueError("degree must be at least 1")
     q = F.q
-    total = q ** (2 * (n - 1))
-    if total > budget:
-        raise BudgetExceededError(
-            "q=%d n=%d needs %d keys, budget is %d" % (q, n, total, budget))
+    check_budget(q, n, q ** (2 * (n - 1)), "keys", budget)
 
     one_row = (0,) * n + (1,)
     for m in range(n):
@@ -326,7 +331,7 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
                     yield SubfieldKey(n, (p_row, q_pad + Q.coeffs[::-1]))
 
 
-def _compose(first: list[int], then: list[int]) -> list[int]:
+def compose_perms(first: list[int], then: list[int]) -> list[int]:
     return list(map(then.__getitem__, first))
 
 
@@ -335,8 +340,9 @@ class KeyPermutations:
     invertible matrices: perm(A @ B)[i] == perm(B)[perm(A)[i]].
 
     ``image_perm`` takes the ``key_image`` of every key, multiplying each
-    distinct echelon row once; ``perm`` composes the images of D = (g, 0, 0, 1),
-    T = (1, 1, 0, 1) and S = (0, 1, 1, 0) along the matrix's Bruhat word.
+    distinct echelon row once; ``generators`` are the images of
+    D = (g, 0, 0, 1), T = (1, 1, 0, 1) and S = (0, 1, 1, 0), which ``perm``
+    composes along the matrix's Bruhat word.
     """
 
     def __init__(self, F: FieldCtx, n: int, keys: list[SubfieldKey]):
@@ -354,7 +360,7 @@ class KeyPermutations:
         return perm
 
     @functools.cached_property
-    def _generators(self) -> tuple[list[int], ...]:
+    def generators(self) -> tuple[list[int], ...]:
         return tuple(self.image_perm(m) for m in
                      ((self.F.generator, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 0)))
 
@@ -362,15 +368,15 @@ class KeyPermutations:
     def _letters(self) -> dict[tuple[int, int, int, int], list[int]]:
         # S, each D_a = (a, 0, 0, 1) as a power of D, each T_b as D_b T D_b^-1.
         F = self.F
-        D, T, S = self._generators
+        D, T, S = self.generators
         letters = {(0, 1, 1, 0): S}
         perm = list(range(len(self.keys)))
         for k in range(F.q - 1):
             letters[(F.pow(F.generator, k), 0, 0, 1)] = perm
-            perm = _compose(perm, D)
+            perm = compose_perms(perm, D)
         for b in F.units:
-            letters[(1, b, 0, 1)] = _compose(_compose(letters[(b, 0, 0, 1)], T),
-                                             letters[(F.inv(b), 0, 0, 1)])
+            letters[(1, b, 0, 1)] = compose_perms(
+                compose_perms(letters[(b, 0, 0, 1)], T), letters[(F.inv(b), 0, 0, 1)])
         return letters
 
     def perm(self, mat) -> list[int]:
@@ -387,32 +393,36 @@ class KeyPermutations:
         if functools.reduce(operator.matmul,
                             [MoebiusTransform(F, m) for m in word]) != target:
             raise AssertionError("Bruhat word %r does not give %r" % (word, mat))
-        return functools.reduce(_compose, [self._letters[m] for m in word])
+        return functools.reduce(compose_perms, [self._letters[m] for m in word])
 
     def fix_count(self, mat) -> int:
         """Number of keys that an invertible matrix fixes."""
         return fixed_points(self.perm(mat))
 
-    def orbit_labels(self) -> list[int]:
-        """Orbit index of every key, numbered in order of first discovery."""
-        label = [-1] * len(self.keys)
-        orbits = 0
-        for start in range(len(label)):
-            if label[start] < 0:
-                label[start], stack = orbits, [start]
-                while stack:
-                    i = stack.pop()
-                    for g in self._generators:
-                        j = g[i]
-                        if label[j] < 0:
-                            label[j] = orbits
-                            stack.append(j)
-                orbits += 1
-        return label
-
-    def orbit_count(self) -> int:
-        return max(self.orbit_labels()) + 1
-
 
 def fixed_points(perm: list[int]) -> int:
     return sum(map(operator.eq, perm, range(len(perm))))
+
+
+def label_orbits(generators: tuple[list[int], ...]) -> list[int]:
+    """Orbit index of every point under the group that the index
+    permutations ``generators`` generate, numbered in order of first
+    discovery."""
+    label = [-1] * len(generators[0])
+    orbits = 0
+    for start in range(len(label)):
+        if label[start] < 0:
+            label[start], stack = orbits, [start]
+            while stack:
+                i = stack.pop()
+                for g in generators:
+                    j = g[i]
+                    if label[j] < 0:
+                        label[j] = orbits
+                        stack.append(j)
+            orbits += 1
+    return label
+
+
+def orbit_count(generators: tuple[list[int], ...]) -> int:
+    return max(label_orbits(generators)) + 1

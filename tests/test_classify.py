@@ -7,14 +7,15 @@ import math
 import pytest
 
 from ffrat import counting
-from ffrat.classify import (PolyClassRep, canonical_poly, classify_all,
+from ffrat.classify import (PolyClassRep, PolyPermutations, _normalized_raw,
+                            _substitute_raw, canonical_poly, classify_all,
                             coset_representatives, degree2_rational_reps,
                             least_nonsquare, left_normalize, normalized_polys,
                             table_families, verify_table)
 from ffrat.gf import field_of_order
 from ffrat.oracle import orbit_labels
 from ffrat.polyring import Poly, affine_substitute
-from ffrat.ratmap import BudgetExceededError, subfield_key
+from ffrat.ratmap import BudgetExceededError, compose_perms, subfield_key
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -135,6 +136,41 @@ def test_classify_all_budget_and_validation():
         classify_all(F5, 6, budget=100)
     with pytest.raises(ValueError):
         classify_all(F5, 0)
+
+
+def test_classify_all_budget_covers_family_canonical_forms():
+    # 125 polynomials, then 8 family members at q(q-1) = 20 substitutions each.
+    with pytest.raises(BudgetExceededError):
+        classify_all(F5, 4, budget=284)
+    assert len(classify_all(F5, 4, budget=285)) == 8
+
+
+# -- polynomial permutation engine ------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_poly_permutations_match_scalar_substitution(q):
+    F = field_of_order(q)
+    for n in range(1, 5):
+        engine = PolyPermutations(F, n)
+        for a in F.units:
+            for b in F.elements:
+                for f, i in zip(engine.polys, engine.image_perm(a, b)):
+                    want = _normalized_raw(F, _substitute_raw(F, f, a, b))
+                    assert engine.polys[i] == want
+                    assert want == left_normalize(affine_substitute(Poly(F, f), a, b)).coeffs
+
+
+@pytest.mark.parametrize("q,n", [(4, 3), (5, 3), (7, 3), (9, 2)])
+def test_poly_scalings_are_composed_powers_of_the_generator(q, n):
+    F = field_of_order(q)
+    engine = PolyPermutations(F, n)
+    D = engine.generators[0]
+    power = D
+    for k in range(1, q - 1):
+        assert power == engine.image_perm(F.pow(F.generator, k), 0)
+        power = compose_perms(power, D)
+    assert power == list(range(len(D)))
 
 
 # -- coset representatives ------------------------------------------------------

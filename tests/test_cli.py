@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -301,6 +302,12 @@ def test_classify_rejects_bad_input(capsys):
     code, _, _ = run_cli(capsys, "classify", "--kind", "poly", "--q", "5",
                          "--n", "6", "--budget", "100")
     assert code == EXIT_BUDGET
+    # 4096 polynomials pass the budget, the family tags' canonical forms do not.
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "classify", "--q", "4096", "--n", "2")
+    assert code == EXIT_BUDGET
+    assert "substitutions" in err
+    assert time.perf_counter() - start < 5
 
 
 # -- entry points -----------------------------------------------------------------

@@ -264,8 +264,12 @@ def test_poly_counts_agree(q):
 def test_orbit_count_poly_budget():
     with pytest.raises(BudgetExceededError):
         orbit_count_poly(F5, 6, budget=100)
+    with pytest.raises(BudgetExceededError):
+        burnside_count_poly(F5, 6, budget=100)
     with pytest.raises(ValueError):
         orbit_count_poly(F5, 0)
+    with pytest.raises(ValueError):
+        burnside_count_poly(F5, 0)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -335,6 +339,8 @@ def test_verify_grid_counts_skips():
     report = verify_grid([3], [3], kinds=("frakN",), budget=10)
     assert report.total == 0
     assert report.skipped == 1
+    appendix = verify_grid([2], [1], kinds=("appendix-lemmas",), budget=-1)
+    assert (appendix.total, appendix.skipped) == (0, 1)
 
 
 def test_verify_grid_rejects_bad_input():

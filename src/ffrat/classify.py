@@ -29,7 +29,7 @@ from ffrat import counting
 from ffrat.gf import FieldCtx
 from ffrat.polyring import Poly
 from ffrat.ratmap import (DEFAULT_KEY_BUDGET, RationalMap, check_budget,
-                          label_orbits, normalize)
+                          label_orbits, normalize, scaled_ranks)
 
 
 def left_normalize(f: Poly) -> Poly:
@@ -82,13 +82,15 @@ class PolyPermutations:
     """The normalized degree-n polynomials indexed 0..N-1 in
     ``normalized_polys`` order, and the index permutations that the
     substitutions X -> aX + b induce.  ``generators`` are the images under
-    D = X -> gX (g the field generator) and T = X -> X + 1."""
+    D = X -> gX (g the field generator) and T = X -> X + 1.  D scales the
+    coefficient of X^j by g^(j-n), so its permutation comes from digit
+    arithmetic (``ratmap.scaled_ranks``) with no substitution."""
 
     def __init__(self, F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET):
         if n < 1:
             raise ValueError("degree must be at least 1")
         check_budget(F.q, n, F.q ** (n - 1), "polynomials", budget)
-        self.F = F
+        self.F, self.n = F, n
         self.polys = normalized_polys(F, n)
         self.index = {f: i for i, f in enumerate(self.polys)}
 
@@ -99,7 +101,13 @@ class PolyPermutations:
 
     @functools.cached_property
     def generators(self) -> tuple[list[int], ...]:
-        return self.image_perm(self.F.generator, 0), self.image_perm(1, 1)
+        F, n = self.F, self.n
+        ginv = F.inv(F.generator)
+        # The ranks are looked up among the index's own ints, so that the
+        # permutation makes no int objects of its own.
+        ints = list(self.index.values())
+        scaling = scaled_ranks(F, [F.pow(ginv, n - j) for j in range(1, n)])
+        return list(map(ints.__getitem__, scaling)), self.image_perm(1, 1)
 
 
 def canonical_poly(f: Poly) -> Poly:
@@ -141,8 +149,7 @@ def classify_all(F: FieldCtx, n: int,
     """
     q = F.q
     if 1 <= n <= 5:
-        check_budget(q, n, q ** (n - 1) + counting.count_polynomial_classes(q, n)
-                     * q * (q - 1), "substitutions", budget)
+        check_budget(q, n, q ** (n - 1) + _table_cost(q, n), "substitutions", budget)
     engine = PolyPermutations(F, n, budget)
     orbits: dict[int, list[tuple[int, ...]]] = {}
     for f, label in zip(engine.polys, label_orbits(engine.generators)):
@@ -343,6 +350,12 @@ def table_families(F: FieldCtx, n: int) -> list[tuple[str, list[Poly]]]:
     raise ValueError("no representative table for degree %d" % n)
 
 
+def _table_cost(q: int, n: int) -> int:
+    # The family-table members are one per class, and the canonical form of
+    # each costs q(q-1) substitutions.
+    return counting.count_polynomial_classes(q, n) * q * (q - 1)
+
+
 def _family_tag_map(F: FieldCtx, n: int) -> dict[tuple[int, ...], str]:
     tags: dict[tuple[int, ...], str] = {}
     for tag, members in table_families(F, n):
@@ -351,9 +364,12 @@ def _family_tag_map(F: FieldCtx, n: int) -> dict[tuple[int, ...], str]:
     return tags
 
 
-def verify_table(F: FieldCtx, n: int) -> bool:
+def verify_table(F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET) -> bool:
     """Check the degree-n family table against the closed-form class count:
-    members must be pairwise inequivalent and exactly exhaust the classes."""
+    members must be pairwise inequivalent and exactly exhaust the classes.
+    The budget covers the q(q-1) substitutions of each member's canonical
+    form."""
+    check_budget(F.q, n, _table_cost(F.q, n), "substitutions", budget)
     families = table_families(F, n)
     canons = [canonical_poly(member).coeffs
               for _, members in families for member in members]

@@ -67,6 +67,13 @@ def _validated_q_list(text: str) -> list[int]:
     return qs
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _field_for(q: int):
     return field_of_order(q)
 
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--strict", action="store_true",
                           help="treat budget-skipped cells as an error (exit 3)")
     # argparse converts a string default, so a bad FFRAT_JOBS exits 2 too.
-    p_verify.add_argument("--jobs", type=int,
+    p_verify.add_argument("--jobs", type=positive_int,
                           default=os.environ.get("FFRAT_JOBS", "1"),
                           help="worker processes (env FFRAT_JOBS)")
     add_budget(p_verify)

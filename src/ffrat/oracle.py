@@ -430,9 +430,11 @@ def verify_grid(q_list, n_list, kinds=VERIFY_KINDS,
     """Run the named check kinds over a (q, n) grid.
 
     appendix-lemmas checks do not depend on n and run once per q.  With
-    jobs > 1 the cells run in a process pool; results keep the sequential
-    order either way.
+    jobs > 1 the cells run in a process pool of at most one worker per
+    cell; results keep the sequential order either way.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %d" % jobs)
     for kind in kinds:
         if kind not in VERIFY_KINDS:
             raise ValueError("unknown verification kind %r" % kind)
@@ -445,9 +447,10 @@ def verify_grid(q_list, n_list, kinds=VERIFY_KINDS,
             else:
                 tasks.extend((q, n, kind, budget) for n in n_list)
 
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, tasks))
     else:
         results = [_run_cell(t) for t in tasks]

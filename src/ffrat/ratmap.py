@@ -19,6 +19,10 @@ entry of (a, b, c, d) scaled to 1).
 ``enumerate_subfield_keys`` lists each of the q^(2(n-1)) keys exactly once by
 walking the canonical bases directly: pairs (P, Q) with P monic of degree n,
 Q monic of degree m < n, gcd(P, Q) = 1 and the X^m coefficient of P zero.
+The coprime pairs are sieved by their common factors, and the walk's order
+ranks every candidate pair by its digits, which ``KeyPermutations`` uses to
+index keys and to image them under scalings and translations without an
+echelon form.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import operator
 from typing import Iterator, NamedTuple
 
 from ffrat.gf import FieldCtx
-from ffrat.polyring import Poly, gcd, poly_str
+from ffrat.polyring import Poly, gcd, monic_polys, poly_str
 
 DEFAULT_KEY_BUDGET = 10 ** 7
 
@@ -302,33 +306,89 @@ def is_fixed(key: SubfieldKey, A: MoebiusTransform) -> bool:
     return key_image(key, M, A.field) == key
 
 
+def _horner(q: int, digits) -> int:
+    # The digits as one base-q number, the first digit most significant.
+    acc = 0
+    for d in digits:
+        acc = acc * q + d
+    return acc
+
+
+def _rank_offsets(q: int, n: int) -> list[int]:
+    # offsets[m]: the first rank of the degree-n keys whose Q has degree m;
+    # offsets[n] is the number of ranks.
+    return [q ** (n - 1) * (q ** m - 1) // (q - 1) for m in range(n + 1)]
+
+
+def _coprime_flags(F: FieldCtx, n: int, m: int) -> bytearray:
+    # flags[rank(P free digits) * q^m + rank(Q low digits)] is 1 exactly when
+    # gcd(P, Q) = 1, over the monic P of degree n with zero X^m coefficient
+    # and the monic Q of degree m.  A common factor contains a monic h of
+    # degree 1..m, so clearing every pair (h*A, h*B) clears the rest.
+    q = F.q
+    qm = q ** m
+    flags = bytearray(b"\x01") * (q ** (n - 1) * qm)
+    free_positions = [i for i in range(n) if i != m]
+    for d in range(1, m + 1):
+        for h in monic_polys(F, d):
+            q_ranks = [_horner(q, (h * B).coeffs[:m]) for B in monic_polys(F, m - d)]
+            for A in monic_polys(F, n - d):
+                P = (h * A).coeffs
+                if P[m] == 0:
+                    base = _horner(q, [P[i] for i in free_positions]) * qm
+                    for r in q_ranks:
+                        flags[base + r] = 0
+    return flags
+
+
 def enumerate_subfield_keys(F: FieldCtx, n: int,
                             budget: int = DEFAULT_KEY_BUDGET) -> Iterator[SubfieldKey]:
-    """All q^(2(n-1)) subfield keys of degree n, in deterministic order."""
+    """All q^(2(n-1)) subfield keys of degree n, in deterministic order: by
+    the degree m of Q, then the free digits of P, then the low digits of Q,
+    each in ``itertools.product`` order from the constant term up."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     q = F.q
     check_budget(q, n, q ** (2 * (n - 1)), "keys", budget)
 
-    one_row = (0,) * n + (1,)
     for m in range(n):
         free_positions = [i for i in range(n) if i != m]
         q_pad = (0,) * (n - m)
-        for p_low in itertools.product(range(q), repeat=n - 1):
+        q_rows = [q_pad + (1,) + q_low[::-1]
+                  for q_low in itertools.product(range(q), repeat=m)]
+        size = len(q_rows)
+        flags = _coprime_flags(F, n, m)
+        for i, p_low in enumerate(itertools.product(range(q), repeat=n - 1)):
             pc = [0] * (n + 1)
             pc[n] = 1
             for pos, val in zip(free_positions, p_low):
                 pc[pos] = val
             p_row = tuple(reversed(pc))
-            if m == 0:
-                # Q = 1 is coprime to everything.
-                yield SubfieldKey(n, (p_row, one_row))
-                continue
-            P = Poly._make(F, tuple(pc))
-            for q_low in itertools.product(range(q), repeat=m):
-                Q = Poly._make(F, q_low + (1,))
-                if gcd(P, Q).degree == 0:
-                    yield SubfieldKey(n, (p_row, q_pad + Q.coeffs[::-1]))
+            for q_row in itertools.compress(q_rows, flags[i * size:(i + 1) * size]):
+                yield SubfieldKey(n, (p_row, q_row))
+
+
+def scaled_ranks(F: FieldCtx, scales: list[int], base: int = 0) -> Iterator[int]:
+    """The permutation of digit-string ranks that multiplies digit k by the
+    unit scales[k]: item r is base plus the rank of the image of the r-th
+    string of ``itertools.product(range(q), repeat=len(scales))``, the first
+    digit most significant.  The last digit is added lazily, so that a
+    caller can look each rank up without holding a list of them all."""
+    q, mul = F.q, F.mul
+    vals, tab = [base], [0]
+    weight = q ** len(scales)
+    for s in scales:
+        vals = [v + t for v in vals for t in tab]
+        weight //= q
+        tab = [mul(s, v) * weight for v in range(q)]
+    return (v + t for v in vals for t in tab)
+
+
+def _closed(perm: list[int]) -> list[int]:
+    # -1 stands for an image that is not among the engine's points.
+    if -1 in perm:
+        raise AssertionError("orbit closure escaped the key set")
+    return perm
 
 
 def compose_perms(first: list[int], then: list[int]) -> list[int]:
@@ -339,30 +399,112 @@ class KeyPermutations:
     """Subfield keys indexed 0..N-1, and the index permutations induced by
     invertible matrices: perm(A @ B)[i] == perm(B)[perm(A)[i]].
 
-    ``image_perm`` takes the ``key_image`` of every key, multiplying each
-    distinct echelon row once; ``generators`` are the images of
-    D = (g, 0, 0, 1), T = (1, 1, 0, 1) and S = (0, 1, 1, 0), which ``perm``
-    composes along the matrix's Bruhat word.
+    Every key has a rank, offset[m] + rank(P free digits) * q^m +
+    rank(Q low digits), which orders ``enumerate_subfield_keys`` strictly;
+    a table maps ranks to indices, with -1 for the ranks of keys not given.
+    ``image_perm`` takes the ``key_image`` of every key.  ``generators`` are
+    the images of D = (g, 0, 0, 1), T = (1, 1, 0, 1) and S = (0, 1, 1, 0),
+    which ``perm`` composes along the matrix's Bruhat word; D and T keep both
+    pivots of a key, so their images are ranked from the rows directly.
     """
 
     def __init__(self, F: FieldCtx, n: int, keys: list[SubfieldKey]):
         self.F, self.n, self.keys = F, n, keys
-        self.index = {key.rows: i for i, key in enumerate(keys)}
+        self._offsets = _rank_offsets(F.q, n)
+        self._p_numbers: dict = {}    # r0 -> its digits X^0..X^(n-1) as one number
+        self._q_parts: dict = {}      # r1 -> (pivot, rank base, q^(pivot-1), q^m)
+        self._table = [-1] * self._offsets[n]
+        for i, key in enumerate(keys):
+            self._table[self.rank(key.rows)] = i
+
+    def _q_part(self, r1) -> tuple[int, int, int, int]:
+        # The pivot j1 of a second row, offset[m] + rank(Q low digits), and
+        # the weights q^(j1-1) and q^m.
+        part = self._q_parts.get(r1)
+        if part is None:
+            q, n = self.F.q, self.n
+            j1 = r1.index(1)
+            part = self._q_parts[r1] = (
+                j1, self._offsets[n - j1] + _horner(q, r1[n:j1:-1]),
+                q ** (j1 - 1), q ** (n - j1))
+        return part
+
+    def rank(self, rows) -> int:
+        """The rank of a degree-n key, from its echelon rows."""
+        r0, r1 = rows
+        j1, base, low, qm = self._q_part(r1)
+        number = self._p_numbers.get(r0)
+        if number is None:
+            number = self._p_numbers[r0] = _horner(self.F.q, r0[self.n:0:-1])
+        # Drop the zero digit of X^m, which sits at weight q^(j1-1).
+        return base + (number // (low * self.F.q) * low + number % low) * qm
+
+    def key_index(self, rows) -> int:
+        """The index of the key with these echelon rows, or -1."""
+        return self._table[self.rank(rows)]
 
     def image_perm(self, mat) -> list[int]:
-        F = self.F
+        F, table = self.F, self._table
         M = substitution_matrix(F, mat, self.n)
         products: dict = {}
-        perm = [self.index.get(key_image(key, M, F, products).rows)
-                for key in self.keys]
-        if None in perm:
-            raise AssertionError("orbit closure escaped the key set")
-        return perm
+        return _closed([table[self.rank(key_image(key, M, F, products).rows)]
+                        for key in self.keys])
+
+    def _scaling_perm(self) -> list[int]:
+        # D sends P to P(gX) / g^n and Q to Q(gX) / g^m: digit i of each
+        # row is scaled by g^(i-n) or g^(i-m), and the pivots stay.
+        F, n, table = self.F, self.n, self._table
+        ginv = F.inv(F.generator)
+        images: list[int] = []    # rank -> index of the image, or -1
+        for m in range(n):
+            scales = ([F.pow(ginv, n - i) for i in range(n) if i != m]
+                      + [F.pow(ginv, m - i) for i in range(m)])
+            images += map(table.__getitem__, scaled_ranks(F, scales, self._offsets[m]))
+        perm = [-1] * len(self.keys)
+        for i, j in zip(table, images):
+            if i >= 0:
+                perm[i] = j
+        return _closed(perm)
+
+    def _translation_perm(self) -> list[int]:
+        # T keeps the degrees of P and Q, so the image rows (a, b) keep their
+        # pivots 0 and j1, and the image key is (a - a[j1]*b, b).  Only the
+        # digits past j1 change, and they are the most significant of P's.
+        F, q, n, table = self.F, self.F.q, self.n, self._table
+        add, mul, neg = F.add, F.mul, F.neg
+        M = substitution_matrix(F, (1, 1, 0, 1), n)
+        p_parts: dict = {}    # r0 -> (a, a's digits X^0..X^(n-1) as one number)
+        q_parts: dict = {}    # r1 -> (b's _q_part, c -> -c * b's digits past j1)
+        perm = []
+        for key in self.keys:
+            r0, r1 = key.rows
+            pa = p_parts.get(r0)
+            if pa is None:
+                a = _row_times(F, r0, M)
+                pa = p_parts[r0] = (a, _horner(q, a[n:0:-1]))
+            qb = q_parts.get(r1)
+            if qb is None:
+                b = tuple(_row_times(F, r1, M))
+                part = self._q_part(b)
+                tail = b[n:part[0]:-1]
+                qb = q_parts[r1] = (part, [None] + [[mul(neg(c), y) for y in tail]
+                                                    for c in range(1, q)])
+            a, number = pa
+            (j1, base, low, qm), reducers = qb
+            c = a[j1]
+            if c:
+                high = 0
+                for x, y in zip(a[n:j1:-1], reducers[c]):
+                    high = high * q + add(x, y)
+            else:
+                high = number // (low * q)
+            perm.append(table[base + (high * low + number % low) * qm])
+        return _closed(perm)
 
     @functools.cached_property
     def generators(self) -> tuple[list[int], ...]:
-        return tuple(self.image_perm(m) for m in
-                     ((self.F.generator, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 0)))
+        return (self._scaling_perm(), self._translation_perm(),
+                self.image_perm((0, 1, 1, 0)))
 
     @functools.cached_property
     def _letters(self) -> dict[tuple[int, int, int, int], list[int]]:

@@ -88,6 +88,27 @@ def test_oracle_agreement_for_rational_classes():
     _finish("oracle agreement for rational classes", started, failures, 300.0)
 
 
+# Residue branches of count_rational_classes_lowdeg that the per-class grid
+# above does not reach: n=3 with q = 1 mod 6, n=4 with q = 7 and 8 mod 12.
+LOWDEG_BRANCH_CELLS = [(7, 3, "burnside"), (7, 3, "orbit"),
+                       (7, 4, "burnside"), (8, 4, "orbit")]
+
+
+def test_low_degree_branches_against_brute_force():
+    started = time.perf_counter()
+    failures: list[str] = []
+    methods = {"burnside": burnside_count_rational, "orbit": orbit_count_rational}
+    for q, n, method in LOWDEG_BRANCH_CELLS:
+        general = counting.count_rational_classes(q, n)
+        cases = counting.count_rational_classes_lowdeg(q, n)
+        brute = methods[method](field_of_order(q), n)
+        if not general == cases == brute:
+            failures.append("q=%d n=%d: general %d, case table %d, %s %d"
+                            % (q, n, general, cases, method, brute))
+
+    _finish("low-degree branches against brute force", started, failures, 60.0)
+
+
 def test_polynomial_class_counts_three_ways():
     started = time.perf_counter()
     failures: list[str] = []

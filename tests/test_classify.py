@@ -173,6 +173,15 @@ def test_poly_scalings_are_composed_powers_of_the_generator(q, n):
     assert power == list(range(len(D)))
 
 
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
+                         + [(4, 4), (5, 4)])
+def test_poly_scaling_generator_matches_substitution(q, n):
+    # generators[0] comes from digit arithmetic, image_perm from substitution.
+    F = field_of_order(q)
+    engine = PolyPermutations(F, n)
+    assert engine.generators[0] == engine.image_perm(F.generator, 0)
+
+
 # -- coset representatives ------------------------------------------------------
 
 
@@ -216,6 +225,13 @@ def test_least_nonsquare():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_verify_table_grid(q, n):
     assert verify_table(field_of_order(q), n)
+
+
+def test_verify_table_budget_covers_canonical_forms():
+    # 8 family members at q(q-1) = 20 substitutions each.
+    with pytest.raises(BudgetExceededError):
+        verify_table(F5, 4, budget=159)
+    assert verify_table(F5, 4, budget=160)
 
 
 def test_table_families_rejects_high_degree():

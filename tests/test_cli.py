@@ -192,6 +192,17 @@ def test_verify_bad_jobs_env_is_a_usage_error(capsys, monkeypatch):
     assert run_cli(capsys, "count", "--q", "3", "--n", "3")[0] == EXIT_OK
 
 
+def test_verify_jobs_below_one_is_a_usage_error(capsys, monkeypatch):
+    for jobs in ("0", "-3"):
+        code, _, err = run_cli(capsys, "verify", "--q", "2", "--n", "1", "--jobs", jobs)
+        assert code == EXIT_USAGE
+        assert "--jobs" in err and "at least 1" in err
+    monkeypatch.setenv("FFRAT_JOBS", "0")
+    code, _, err = run_cli(capsys, "verify", "--q", "2", "--n", "1")
+    assert code == EXIT_USAGE
+    assert "--jobs" in err
+
+
 def test_verify_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "1",

@@ -161,7 +161,7 @@ def test_engine_perm_matches_key_image_on_all_of_gl2(q):
     engine = KeyPermutations(F, 2, keys)
     for mat in _invertible(F):
         M = substitution_matrix(F, mat, 2)
-        want = [engine.index[key_image(key, M, F).rows] for key in keys]
+        want = [engine.key_index(key_image(key, M, F).rows) for key in keys]
         assert engine.perm(mat) == want, mat
         assert engine.image_perm(mat) == want, mat
 
@@ -178,6 +178,32 @@ def test_engine_rejects_a_key_set_not_closed_under_the_action():
     keys = list(enumerate_subfield_keys(F3, 2))
     with pytest.raises(AssertionError, match="escaped the key set"):
         KeyPermutations(F3, 2, keys[1:]).image_perm((1, 1, 0, 1))
+
+
+def test_engine_generators_reject_a_key_set_not_closed_under_the_action():
+    keys = list(enumerate_subfield_keys(F3, 2))
+    with pytest.raises(AssertionError, match="escaped the key set"):
+        KeyPermutations(F3, 2, keys[1:]).generators
+
+
+RANKED_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
+RANKED_CELLS += [(4, 4), (5, 4)]
+
+
+@pytest.mark.parametrize("q,n", RANKED_CELLS)
+def test_scaling_and_translation_generators_match_key_images(q, n):
+    # D and T are ranked from the rows directly; image_perm goes through
+    # key_image and an echelon form for every key.
+    F = field_of_order(q)
+    keys = list(enumerate_subfield_keys(F, n))
+    engine = KeyPermutations(F, n, keys)
+    ranks = [engine.rank(key.rows) for key in keys]
+    assert ranks == sorted(set(ranks))
+    assert all(engine.key_index(key.rows) == i for i, key in enumerate(keys))
+    D, T, S = engine.generators
+    assert D == engine.image_perm((F.generator, 0, 0, 1))
+    assert T == engine.image_perm((1, 1, 0, 1))
+    assert S == engine.image_perm((0, 1, 1, 0))
 
 
 def test_orbit_labels_match_scalar_closure():
@@ -356,6 +382,45 @@ def test_verify_grid_parallel_matches_sequential():
     assert par.total == seq.total
     assert par.failed == seq.failed == 0
     assert [c.name for c in par.checks] == [c.name for c in seq.checks]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, starting no worker."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_verify_grid_pool_is_capped_at_one_worker_per_cell(monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    report = verify_grid([2, 3], [1], kinds=("frakM",), jobs=100000)
+    assert _RecordingPool.sizes == [2]
+    assert (report.total, report.failed) == (6, 0)
+    verify_grid([2, 3], [1, 2], kinds=("frakM",), jobs=3)
+    assert _RecordingPool.sizes == [2, 3]
+    # One cell, or one job, runs in this process with no pool at all.
+    verify_grid([2], [1], kinds=("frakM",), jobs=100000)
+    verify_grid([2, 3], [1], kinds=("frakM",), jobs=1)
+    assert _RecordingPool.sizes == [2, 3]
+
+
+def test_verify_grid_rejects_fewer_than_one_job():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            verify_grid([2], [1], kinds=("frakM",), jobs=jobs)
 
 
 def test_report_json_shape():

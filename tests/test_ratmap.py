@@ -151,6 +151,30 @@ def test_enumerate_keys_complete(q, n):
     assert set(enumerate_subfield_keys(F, n)) == _brute_keys(F, n)
 
 
+def _gcd_filtered_keys(F, n):
+    # The keys in enumeration order, each candidate pair tested with gcd.
+    keys = []
+    for m in range(n):
+        free_positions = [i for i in range(n) if i != m]
+        for p_low in itertools.product(range(F.q), repeat=n - 1):
+            pc = [0] * n + [1]
+            for pos, val in zip(free_positions, p_low):
+                pc[pos] = val
+            for q_low in itertools.product(range(F.q), repeat=m):
+                Q = Poly(F, q_low + (1,))
+                if gcd(Poly(F, pc), Q).degree == 0:
+                    keys.append(SubfieldKey(n, (tuple(reversed(pc)),
+                                                (0,) * (n - m) + Q.coeffs[::-1])))
+    return keys
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
+                         + [(4, 4), (5, 4)])
+def test_sieved_enumeration_matches_gcd_filter(q, n):
+    F = field_of_order(q)
+    assert list(enumerate_subfield_keys(F, n)) == _gcd_filtered_keys(F, n)
+
+
 def test_key_rows_regenerate_the_key():
     for key in enumerate_subfield_keys(F3, 3):
         r0, r1 = key_rows_as_polys(F3, key)

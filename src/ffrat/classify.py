@@ -8,8 +8,10 @@ correspond to orbits of the q^(n-1) normalized polynomials under the right
 substitution action f -> normalize(f(aX+b)).
 
 ``canonical_poly`` picks the orbit member whose descending coefficient tuple
-is lexicographically least; ``classify_all`` walks all orbits and reports
-each canonical representative with its orbit size.
+is lexicographically least, the scalar reference.  ``classify_all`` labels
+the orbits on ``PolyPermutations``, which ranks the normalized polynomials in
+that same order and images them by digit arithmetic, and reports each
+orbit's least rank as its canonical representative, with its orbit size.
 
 For n <= 5 the classes organize into short parametric families (rows such as
 "X^4 + a*(X^2+X) for a nonzero", with a running through fixed coset
@@ -22,6 +24,7 @@ exhaust all classes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -29,7 +32,7 @@ from ffrat import counting
 from ffrat.gf import FieldCtx
 from ffrat.polyring import Poly
 from ffrat.ratmap import (DEFAULT_KEY_BUDGET, RationalMap, check_budget,
-                          label_orbits, normalize, scaled_ranks)
+                          label_orbits, normalize)
 
 
 def left_normalize(f: Poly) -> Poly:
@@ -72,42 +75,78 @@ def _substitute_raw(F: FieldCtx, coeffs, a: int, b: int) -> list[int]:
 
 
 def normalized_polys(F: FieldCtx, n: int) -> list[tuple[int, ...]]:
-    """Ascending coefficient tuples of the q^(n-1) normalized polynomials."""
+    """Ascending coefficient tuples of the q^(n-1) normalized polynomials,
+    in rank order: the i-th has the base-q digits of i as its coefficients
+    (c_{n-1}, ..., c_1), the top one most significant."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    return [(0,) + mid + (1,) for mid in product(range(F.q), repeat=n - 1)]
+    return [(0,) + mid[::-1] + (1,) for mid in product(range(F.q), repeat=n - 1)]
+
+
+def _poly_of_rank(q: int, n: int, rank: int) -> tuple[int, ...]:
+    cs = [0] * (n + 1)
+    cs[n] = 1
+    for k in range(1, n):
+        rank, cs[k] = divmod(rank, q)
+    return tuple(cs)
 
 
 class PolyPermutations:
-    """The normalized degree-n polynomials indexed 0..N-1 in
-    ``normalized_polys`` order, and the index permutations that the
-    substitutions X -> aX + b induce.  ``generators`` are the images under
-    D = X -> gX (g the field generator) and T = X -> X + 1.  D scales the
-    coefficient of X^j by g^(j-n), so its permutation comes from digit
-    arithmetic (``ratmap.scaled_ranks``) with no substitution."""
+    """The normalized polynomials X^n + c_{n-1}X^(n-1) + ... + c_1X indexed
+    by rank, the base-q number with digits (c_{n-1}, ..., c_1), and the index
+    permutations that the substitutions X -> aX + b induce.  Rank order is
+    ``normalized_polys`` order and the order in which ``canonical_poly``
+    compares, from the top coefficient down.
+
+    The normalized image of f under X -> aX + b has the coefficients
+
+        c'_k = a^(k-n) * sum_{j=k..n} C(j, k) b^(j-k) c_j    (c_n = 1),
+
+    so digit k of the image depends only on the digits c_j with j >= k.
+    ``image_perm`` walks the digits from c_{n-1} down, carrying for every
+    prefix its image's rank so far and the partial sums of the lower image
+    digits; each digit is a q-entry table row per partial sum, and the
+    permutation comes out in index order with no substitution.
+    ``generators`` are the images under D = X -> gX (g the field generator)
+    and T = X -> X + 1."""
 
     def __init__(self, F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET):
         if n < 1:
             raise ValueError("degree must be at least 1")
         check_budget(F.q, n, F.q ** (n - 1), "polynomials", budget)
         self.F, self.n = F, n
-        self.polys = normalized_polys(F, n)
-        self.index = {f: i for i, f in enumerate(self.polys)}
+        # Every permutation takes its entries from this one list, so that
+        # the engine holds one int object per point however many it builds.
+        self._points = list(range(F.q ** (n - 1)))
+
+    @property
+    def polys(self) -> list[tuple[int, ...]]:
+        return normalized_polys(self.F, self.n)
 
     def image_perm(self, a: int, b: int) -> list[int]:
-        F, index = self.F, self.index
-        return [index[_normalized_raw(F, _substitute_raw(F, f, a, b))]
-                for f in self.polys]
+        F, q, n, points = self.F, self.F.q, self.n, self._points
+        add, mul = F.add, F.mul
+        ainv = F.inv(a)
+
+        def weight(j: int, k: int) -> int:
+            # C(j, k) b^(j-k); the integers below p are the prime field.
+            return mul(math.comb(j, k) % F.p, F.pow(b, j - k))
+
+        ranks = [0]
+        # sums[k - 1][i]: the partial sum of image digit k for the i-th prefix.
+        sums = [[weight(n, k)] for k in range(1, n)]
+        for j in range(n - 1, 0, -1):
+            scale, place = F.pow(ainv, n - j), q ** (j - 1)
+            digit = [[mul(scale, add(s, c)) * place for c in range(q)] for s in range(q)]
+            ranks = [points[r + t] for r, s in zip(ranks, sums[j - 1]) for t in digit[s]]
+            steps = [[[add(s, mul(w, c)) for c in range(q)] for s in range(q)]
+                     for w in [weight(j, k) for k in range(1, j)]]
+            sums = [[x for s in col for x in step[s]] for col, step in zip(sums, steps)]
+        return ranks
 
     @functools.cached_property
     def generators(self) -> tuple[list[int], ...]:
-        F, n = self.F, self.n
-        ginv = F.inv(F.generator)
-        # The ranks are looked up among the index's own ints, so that the
-        # permutation makes no int objects of its own.
-        ints = list(self.index.values())
-        scaling = scaled_ranks(F, [F.pow(ginv, n - j) for j in range(1, n)])
-        return list(map(ints.__getitem__, scaling)), self.image_perm(1, 1)
+        return self.image_perm(self.F.generator, 0), self.image_perm(1, 1)
 
 
 def canonical_poly(f: Poly) -> Poly:
@@ -143,24 +182,30 @@ def classify_all(F: FieldCtx, n: int,
                  budget: int = DEFAULT_KEY_BUDGET) -> list[PolyClassRep]:
     """All classes of degree-n polynomials, sorted by canonical member.
 
-    Orbit sizes sum to q^(n-1).  Classes are the orbits of ``PolyPermutations``;
-    for n <= 5 each family-table member costs a canonical form of q(q-1)
-    substitutions, and the budget covers those too.
+    Orbit sizes sum to q^(n-1).  Classes are the orbits of ``PolyPermutations``,
+    which ``label_orbits`` numbers as it scans the ranks upward: each orbit's
+    first rank is its least member, the canonical one, so the classes come
+    out sorted.  For n <= 5 each family-table member costs a canonical form
+    of q(q-1) substitutions, and the budget covers those too.
     """
     q = F.q
     if 1 <= n <= 5:
         check_budget(q, n, q ** (n - 1) + _table_cost(q, n), "substitutions", budget)
     engine = PolyPermutations(F, n, budget)
-    orbits: dict[int, list[tuple[int, ...]]] = {}
-    for f, label in zip(engine.polys, label_orbits(engine.generators)):
-        orbits.setdefault(label, []).append(f)
+    firsts: list[int] = []
+    sizes: list[int] = []
+    for rank, label in enumerate(label_orbits(engine.generators)):
+        if label < len(sizes):
+            sizes[label] += 1
+        else:
+            firsts.append(rank)
+            sizes.append(1)
 
     tags = _family_tag_map(F, n) if n <= 5 else {}
     reps = []
-    for members in orbits.values():
-        canon = min(members, key=lambda cs: cs[::-1])
-        reps.append(PolyClassRep(Poly._make(F, canon), len(members), tags.get(canon)))
-    reps.sort(key=lambda r: r.canon.coeffs[::-1])
+    for rank, size in zip(firsts, sizes):
+        canon = _poly_of_rank(q, n, rank)
+        reps.append(PolyClassRep(Poly._make(F, canon), size, tags.get(canon)))
     return reps
 
 

@@ -28,6 +28,10 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# The most values one range of --q or --n may hold; longer ranges are usage
+# errors, refused before the range is expanded.
+MAX_RANGE_LENGTH = 10_000
+
 
 class UsageError(Exception):
     pass
@@ -48,6 +52,9 @@ def _parse_int_set(text: str) -> list[int]:
                 raise UsageError("bad range %r" % token)
             if hi_i < lo_i:
                 raise UsageError("empty range %r" % token)
+            if hi_i - lo_i >= MAX_RANGE_LENGTH:
+                raise UsageError("range %r holds more than %d values"
+                                 % (token, MAX_RANGE_LENGTH))
             out.update(range(lo_i, hi_i + 1))
         else:
             try:

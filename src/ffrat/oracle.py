@@ -117,19 +117,20 @@ def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep,
 
 
 def _engine(F: FieldCtx, n: int, budget: int,
-            keys: list[SubfieldKey] | None = None) -> KeyPermutations:
-    if keys is None:
-        keys = list(enumerate_subfield_keys(F, n, budget))
-    return KeyPermutations(F, n, keys)
+            engine: KeyPermutations | None = None) -> KeyPermutations:
+    if engine is None:
+        engine = KeyPermutations(F, n, list(enumerate_subfield_keys(F, n, budget)))
+    return engine
 
 
 def fix_count_bruteforce(F: FieldCtx, n: int, rep: ConjClassRep,
                          budget: int = DEFAULT_KEY_BUDGET,
-                         keys: list[SubfieldKey] | None = None) -> int:
+                         engine: KeyPermutations | None = None) -> int:
     """Count the degree-n subfield keys fixed by a class representative by
-    transforming every key.  ``keys`` may pass a pre-enumerated list so that
-    several classes can share one enumeration."""
-    return fixed_points(_engine(F, n, budget, keys).image_perm(rep.matrix))
+    transforming every key.  ``engine`` may pass a ``KeyPermutations`` over
+    all the degree-n keys, so that several classes share one enumeration
+    and one index."""
+    return fixed_points(_engine(F, n, budget, engine).image_perm(rep.matrix))
 
 
 def _burnside(engine: KeyPermutations) -> int:
@@ -143,10 +144,11 @@ def _burnside(engine: KeyPermutations) -> int:
 
 def burnside_count_rational(F: FieldCtx, n: int,
                             budget: int = DEFAULT_KEY_BUDGET,
-                            keys: list[SubfieldKey] | None = None) -> int:
+                            engine: KeyPermutations | None = None) -> int:
     """Class count as the centralizer-weighted sum of per-class fixed
-    counts; must agree with counting.count_rational_classes."""
-    return _burnside(_engine(F, n, budget, keys))
+    counts; must agree with counting.count_rational_classes.  ``engine``
+    may pass a shared ``KeyPermutations``, as for ``fix_count_bruteforce``."""
+    return _burnside(_engine(F, n, budget, engine))
 
 
 def burnside_count_rational_fullgroup(F: FieldCtx, n: int,

@@ -13,14 +13,15 @@ import time
 from ffrat import counting
 from ffrat.classify import verify_table
 from ffrat.gf import field_of_order, make_ext
-from ffrat.oracle import (burnside_count_rational, count_coprime_nonzero_const,
+from ffrat.oracle import (burnside_count_poly, burnside_count_rational,
+                          count_coprime_nonzero_const,
                           count_coprime_pairs, count_coprime_pairs_upto,
                           count_rational_functions, count_reversal_coprime,
                           count_self_dual, count_self_dual_coprime_pairs,
                           enumerate_classes, expected_fix, fix_count_bruteforce,
                           orbit_count_poly, orbit_count_rational,
                           poly_equivalence_partitions_agree)
-from ffrat.ratmap import enumerate_subfield_keys
+from ffrat.ratmap import KeyPermutations, enumerate_subfield_keys
 
 RATIONAL_ORACLE_CELLS = [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3)]
 RATIONAL_ORACLE_CELLS += [(2, 4), (3, 4), (4, 4), (5, 4)]
@@ -72,14 +73,15 @@ def test_oracle_agreement_for_rational_classes():
 
     for q, n in RATIONAL_ORACLE_CELLS:
         F = field_of_order(q)
-        keys = list(enumerate_subfield_keys(F, n))
+        # One engine per cell, shared by the Burnside count and every class.
+        engine = KeyPermutations(F, n, list(enumerate_subfield_keys(F, n)))
         want = counting.count_rational_classes(q, n)
-        check(burnside_count_rational(F, n, keys=keys) == want,
+        check(burnside_count_rational(F, n, engine=engine) == want,
               "burnside q=%d n=%d" % (q, n))
         check(orbit_count_rational(F, n) == want, "orbit q=%d n=%d" % (q, n))
         ctx = make_ext(F)
         for rep in enumerate_classes(F):
-            brute = fix_count_bruteforce(F, n, rep, keys=keys)
+            brute = fix_count_bruteforce(F, n, rep, engine=engine)
             closed = expected_fix(F, n, rep, ctx)
             check(brute == closed,
                   "fix q=%d n=%d %s%r: %d != %d"
@@ -107,6 +109,27 @@ def test_low_degree_branches_against_brute_force():
                             % (q, n, general, cases, method, brute))
 
     _finish("low-degree branches against brute force", started, failures, 60.0)
+
+
+# The n = 5 polynomial branches that POLY_GRID_Q does not reach: q = 11 mod 12,
+# q = 1 mod 12 with p != 5 and with p = 5, and q = 5 mod 12 with p != 5.
+POLY_LOWDEG_BRANCH_CELLS = [(11, 5), (13, 5), (25, 5), (17, 5)]
+
+
+def test_polynomial_low_degree_branches_against_brute_force():
+    started = time.perf_counter()
+    failures: list[str] = []
+    for q, n in POLY_LOWDEG_BRANCH_CELLS:
+        F = field_of_order(q)
+        formula = counting.count_polynomial_classes(q, n)
+        cases = counting.count_polynomial_classes_lowdeg(q, n)
+        orbit = orbit_count_poly(F, n)
+        burnside = burnside_count_poly(F, n)
+        if not formula == cases == orbit == burnside:
+            failures.append("q=%d n=%d: formula %d, case table %d, orbit %d, burnside %d"
+                            % (q, n, formula, cases, orbit, burnside))
+
+    _finish("polynomial low-degree branches against brute force", started, failures, 60.0)
 
 
 def test_polynomial_class_counts_three_ways():

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
 from ffrat import counting
 from ffrat.classify import (PolyClassRep, PolyPermutations, _normalized_raw,
-                            _substitute_raw, canonical_poly, classify_all,
-                            coset_representatives, degree2_rational_reps,
+                            _poly_of_rank, _substitute_raw, canonical_poly,
+                            classify_all, coset_representatives, degree2_rational_reps,
                             least_nonsquare, left_normalize, normalized_polys,
                             table_families, verify_table)
 from ffrat.gf import field_of_order
@@ -50,12 +51,17 @@ def test_left_normalize_rejects_constants():
 
 
 def test_normalized_polys_counts():
-    for q, n in [(2, 1), (2, 3), (3, 2), (4, 3), (5, 2)]:
-        polys = normalized_polys(field_of_order(q), n)
+    for q, n in [(2, 1), (2, 3), (3, 2), (4, 3), (5, 2), (8, 2), (9, 3)]:
+        F = field_of_order(q)
+        polys = normalized_polys(F, n)
         assert len(polys) == q ** (n - 1)
         assert len(set(polys)) == len(polys)
         for tup in polys:
             assert tup[0] == 0 and tup[-1] == 1 and len(tup) == n + 1
+        # Rank order: the order canonical_poly compares in, from the top down.
+        assert polys == sorted(polys, key=lambda cs: cs[::-1])
+        assert all(_poly_of_rank(q, n, r) == f for r, f in enumerate(polys))
+        assert PolyPermutations(F, n).polys == polys
     with pytest.raises(ValueError):
         normalized_polys(F2, 0)
 
@@ -148,16 +154,18 @@ def test_classify_all_budget_covers_family_canonical_forms():
 # -- polynomial permutation engine ------------------------------------------------
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_poly_permutations_match_scalar_substitution(q):
+    # q = 8 and 9 take the binomials C(j, k) mod p into extension fields.
     F = field_of_order(q)
     for n in range(1, 5):
         engine = PolyPermutations(F, n)
+        polys = engine.polys
         for a in F.units:
             for b in F.elements:
-                for f, i in zip(engine.polys, engine.image_perm(a, b)):
+                for f, i in zip(polys, engine.image_perm(a, b)):
                     want = _normalized_raw(F, _substitute_raw(F, f, a, b))
-                    assert engine.polys[i] == want
+                    assert polys[i] == want
                     assert want == left_normalize(affine_substitute(Poly(F, f), a, b)).coeffs
 
 
@@ -176,10 +184,26 @@ def test_poly_scalings_are_composed_powers_of_the_generator(q, n):
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
                          + [(4, 4), (5, 4)])
 def test_poly_scaling_generator_matches_substitution(q, n):
-    # generators[0] comes from digit arithmetic, image_perm from substitution.
+    # Both generators against the scalar substitution, polynomial by polynomial.
     F = field_of_order(q)
     engine = PolyPermutations(F, n)
-    assert engine.generators[0] == engine.image_perm(F.generator, 0)
+    polys = engine.polys
+    index = {f: i for i, f in enumerate(polys)}
+    for perm, (a, b) in zip(engine.generators, [(F.generator, 0), (1, 1)]):
+        assert perm == [index[_normalized_raw(F, _substitute_raw(F, f, a, b))]
+                        for f in polys]
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (5, 4), (7, 3),
+                                 (8, 3), (8, 4), (9, 3)])
+def test_classify_all_matches_grouping_by_canonical_poly(q, n):
+    # The canonical member read off the orbit search against the scalar
+    # canonical form of every normalized polynomial.
+    F = field_of_order(q)
+    sizes = Counter(canonical_poly(Poly(F, f)).coeffs for f in normalized_polys(F, n))
+    reps = classify_all(F, n)
+    assert {r.canon.coeffs: r.orbit_size for r in reps} == sizes
+    assert [r.canon.coeffs for r in reps] == sorted(sizes, key=lambda cs: cs[::-1])
 
 
 # -- coset representatives ------------------------------------------------------

@@ -11,7 +11,8 @@ import time
 import pytest
 
 from ffrat import counting
-from ffrat.cli import EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from ffrat.cli import (EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_RANGE_LENGTH,
+                       UsageError, _parse_int_set, build_parser, main)
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,19 @@ def test_table_rejects_bad_ranges(capsys):
     assert run_cli(capsys, "table", "--q", "2", "--n", "x")[0] == EXIT_USAGE
     assert run_cli(capsys, "table", "--q", "2,6", "--n", "1")[0] == EXIT_USAGE
     assert run_cli(capsys, "table", "--q", "2", "--n", "0..2")[0] == EXIT_USAGE
+
+
+def test_range_longer_than_the_cap_is_a_usage_error(capsys):
+    # A range is refused by its length, before it is expanded.
+    assert len(_parse_int_set("1..%d" % MAX_RANGE_LENGTH)) == MAX_RANGE_LENGTH
+    with pytest.raises(UsageError):
+        _parse_int_set("1..%d" % (MAX_RANGE_LENGTH + 1))
+    code, _, err = run_cli(capsys, "table", "--q", "2..%d" % (MAX_RANGE_LENGTH + 2),
+                           "--n", "3")
+    assert code == EXIT_USAGE
+    assert "more than %d values" % MAX_RANGE_LENGTH in err
+    assert run_cli(capsys, "verify", "--q", "2",
+                   "--n", "1..%d" % (MAX_RANGE_LENGTH + 1))[0] == EXIT_USAGE
 
 
 # -- verify ---------------------------------------------------------------------

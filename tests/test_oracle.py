@@ -118,9 +118,9 @@ def test_nonsplit_twist_order_divides_q_plus_one():
 def test_bruteforce_fix_matches_closed_forms(q, n):
     F = field_of_order(q)
     ctx = make_ext(F)
-    keys = list(enumerate_subfield_keys(F, n))
+    engine = KeyPermutations(F, n, list(enumerate_subfield_keys(F, n)))
     for rep in enumerate_classes(F):
-        assert fix_count_bruteforce(F, n, rep, keys=keys) == expected_fix(F, n, rep, ctx)
+        assert fix_count_bruteforce(F, n, rep, engine=engine) == expected_fix(F, n, rep, ctx)
 
 
 def test_expected_fix_rejects_unknown_kind():

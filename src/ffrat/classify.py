@@ -25,53 +25,32 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from ffrat import counting
 from ffrat.gf import FieldCtx
-from ffrat.polyring import Poly
+from ffrat.polyring import Poly, substitute_raw as _substitute_raw
 from ffrat.ratmap import (DEFAULT_KEY_BUDGET, RationalMap, check_budget,
                           label_orbits, normalize)
+
+
+def _normalized_raw(F: FieldCtx, coeffs: list[int]) -> tuple[int, ...]:
+    # coeffs ascending, full length, nonzero lead, a list the caller gives
+    # up (its constant term is overwritten); returns the normalized tuple.
+    lead = coeffs[-1]
+    if lead != 1:
+        inv, mul = F.inv(lead), F.mul
+        coeffs = [mul(inv, c) for c in coeffs]
+    coeffs[0] = 0
+    return tuple(coeffs)
 
 
 def left_normalize(f: Poly) -> Poly:
     """The unique monic, constant-term-0 polynomial u(f) with u affine."""
     if f.degree < 1:
         raise ValueError("left normalization needs degree >= 1")
-    cs = f.coeffs
-    if cs[-1] != 1:
-        inv = f.field.inv(cs[-1])
-        mul = f.field.mul
-        cs = tuple(mul(inv, c) for c in cs)
-    return Poly._make(f.field, (0,) + cs[1:])
-
-
-def _normalized_raw(F: FieldCtx, coeffs: list[int]) -> tuple[int, ...]:
-    # coeffs ascending, full length, nonzero lead; returns normalized tuple.
-    lead = coeffs[-1]
-    if lead != 1:
-        inv = F.inv(lead)
-        mul = F.mul
-        coeffs = [mul(inv, c) for c in coeffs]
-    coeffs[0] = 0
-    return tuple(coeffs)
-
-
-def _substitute_raw(F: FieldCtx, coeffs, a: int, b: int) -> list[int]:
-    # Horner form of f(aX + b) on a full ascending coefficient list.
-    add, mul = F.add, F.mul
-    res = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        new = [0] * (len(res) + 1)
-        for i, r in enumerate(res):
-            if r:
-                if b:
-                    new[i] = add(new[i], mul(r, b))
-                new[i + 1] = mul(r, a)
-        new[0] = add(new[0], c)
-        res = new
-    return res
+    return Poly._make(f.field, _normalized_raw(f.field, list(f.coeffs)))
 
 
 def normalized_polys(F: FieldCtx, n: int) -> list[tuple[int, ...]]:
@@ -168,8 +147,7 @@ def canonical_poly(f: Poly) -> Poly:
     return Poly._make(F, best)
 
 
-@dataclass(frozen=True)
-class PolyClassRep:
+class PolyClassRep(NamedTuple):
     """One equivalence class: its canonical member, the number of normalized
     polynomials in the class, and the table family it instantiates (None when
     no family table covers this degree)."""

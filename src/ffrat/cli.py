@@ -81,22 +81,18 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _field_for(q: int):
-    return field_of_order(q)
-
-
 def _one_count(kind: str, q: int, n: int, method: str, budget: int) -> int:
     if kind == "rational":
         if method == "formula":
             return counting.count_rational_classes(q, n)
         if method == "burnside":
-            return oracle.burnside_count_rational(_field_for(q), n, budget)
-        return oracle.orbit_count_rational(_field_for(q), n, budget)
+            return oracle.burnside_count_rational(field_of_order(q), n, budget)
+        return oracle.orbit_count_rational(field_of_order(q), n, budget)
     if method == "formula":
         return counting.count_polynomial_classes(q, n)
     if method == "burnside":
-        return oracle.burnside_count_poly(_field_for(q), n, budget)
-    return oracle.orbit_count_poly(_field_for(q), n, budget)
+        return oracle.burnside_count_poly(field_of_order(q), n, budget)
+    return oracle.orbit_count_poly(field_of_order(q), n, budget)
 
 
 def _single_q(text: str) -> int:
@@ -164,7 +160,7 @@ def cmd_classify(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError("degree must be at least 1")
-    F = _field_for(q)
+    F = field_of_order(q)
     if args.kind == "rational":
         if n == 1:
             from ffrat.polyring import Poly
@@ -261,6 +257,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # Counts may run past the limit that Python 3.10.7 and later put on
+    # int-to-str conversion: lift it while the command runs, then restore it.
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -272,6 +273,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_digits(limit)
 
 
 def console_main() -> None:

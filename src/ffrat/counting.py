@@ -26,8 +26,6 @@ ArithmeticError and indicates a genuine bug, never bad input.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
@@ -51,21 +49,28 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def euler_phi(n: int) -> int:
-    """Count of 1 <= m <= n coprime to n."""
-    if n < 1:
-        raise ValueError("euler_phi of %d undefined" % n)
-    out = n
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending; none for n < 2."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out -= out // d
+            out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        out -= out // n
+        out.append(n)
     return out
+
+
+def euler_phi(n: int) -> int:
+    """Count of 1 <= m <= n coprime to n."""
+    if n < 1:
+        raise ValueError("euler_phi of %d undefined" % n)
+    for p in prime_factors(n):
+        n -= n // p
+    return n
 
 
 def char_and_degree(q: int) -> tuple[int, int]:
@@ -260,13 +265,11 @@ def count_rational_classes(q: int, n: int) -> int:
     char_and_degree(q)
     if n < 1:
         raise ValueError("degree must be at least 1")
-    total = (Fraction(q) ** (2 * n - 3) / (q * q - 1)
-             + Fraction(split_fix_total(q, n), 2 * (q - 1))
-             + Fraction(nonsplit_fix_total(q, n), 2 * (q + 1))
-             + Fraction(fix_unipotent(q, n), q))
-    if total.denominator != 1:
-        raise ArithmeticError("class count for q=%d n=%d is not integral" % (q, n))
-    return int(total)
+    # The four class-kind terms over their common denominator 2q(q^2 - 1).
+    fixed = (2 * q ** (2 * n - 2) + q * (q + 1) * split_fix_total(q, n)
+             + q * (q - 1) * nonsplit_fix_total(q, n)
+             + 2 * (q * q - 1) * fix_unipotent(q, n))
+    return exact_div(fixed, 2 * q * (q * q - 1))
 
 
 def count_rational_classes_lowdeg(q: int, n: int) -> int:
@@ -316,17 +319,15 @@ def count_polynomial_classes(q: int, n: int) -> int:
     p, _ = char_and_degree(q)
     if n < 1:
         raise ValueError("degree must be at least 1")
-    total = Fraction(q) ** (n - 2) / (q - 1)
-    scale_sum = sum(euler_phi(d) * q ** ((n + d - 1) // d - 1)
-                    for d in divisors(q - 1) if d > 1)
-    total += Fraction(scale_sum, q - 1)
+    # Fixed points of the identity, of the q - 2 scaling classes of q maps
+    # each, and of the q - 1 translations, over the q(q - 1) affine maps.
+    fixed = q ** (n - 1) + q * sum(euler_phi(d) * q ** ((n + d - 1) // d - 1)
+                                   for d in divisors(q - 1) if d > 1)
     if n % p == 0:
-        total += q ** (n // p - 1)
+        fixed += (q - 1) * q ** (n // p)
     elif n == 1:
-        total += Fraction(1, q)
-    if total.denominator != 1:
-        raise ArithmeticError("class count for q=%d n=%d is not integral" % (q, n))
-    return int(total)
+        fixed += q - 1
+    return exact_div(fixed, q * (q - 1))
 
 
 def count_polynomial_classes_lowdeg(q: int, n: int) -> int:

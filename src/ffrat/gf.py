@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 
-from ffrat.counting import char_and_degree, divisors
+from ffrat.counting import char_and_degree, divisors, prime_factors
 
 DEFAULT_SIZE_BOUND = 1 << 20
 
@@ -41,33 +41,7 @@ class FieldSizeError(ValueError):
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for the supported field sizes."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return n > 1 and prime_factors(n) == [n]
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -268,7 +242,7 @@ class FieldCtx:
         if self.q == 2:
             return 1
         target = self.q - 1
-        prime_facs = _prime_factors(target)
+        prime_facs = prime_factors(target)
         for cand in range(2, self.q):
             if all(self._pow_raw(cand, target // r) != 1 for r in prime_facs):
                 return cand

@@ -23,8 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 from ffrat import classify, counting
 from ffrat.gf import (ExtFieldCtx, FieldCtx, field_of_order, make_ext,
@@ -40,8 +39,7 @@ from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
 
-@dataclass(frozen=True)
-class ConjClassRep:
+class ConjClassRep(NamedTuple):
     """One conjugacy class of invertible 2x2 matrices.
 
     kind is "central", "split" (distinct eigenvalues in GF(q)), "nonsplit"
@@ -119,7 +117,10 @@ def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep,
 def _engine(F: FieldCtx, n: int, budget: int,
             engine: KeyPermutations | None = None) -> KeyPermutations:
     if engine is None:
-        engine = KeyPermutations(F, n, list(enumerate_subfield_keys(F, n, budget)))
+        return KeyPermutations(F, n, list(enumerate_subfield_keys(F, n, budget)))
+    if engine.F is not F or engine.n != n:
+        raise ValueError("engine holds the degree-%d keys over %r, not the "
+                         "degree-%d keys over %r" % (engine.n, engine.F, n, F))
     return engine
 
 
@@ -134,12 +135,12 @@ def fix_count_bruteforce(F: FieldCtx, n: int, rep: ConjClassRep,
 
 
 def _burnside(engine: KeyPermutations) -> int:
-    total = Fraction(0)
-    for rep in enumerate_classes(engine.F):
-        total += Fraction(engine.fix_count(rep.matrix), rep.centralizer)
-    if total.denominator != 1:
-        raise ArithmeticError("Burnside average is not integral")
-    return int(total)
+    # Each class holds |GL(2, q)| / centralizer matrices.
+    q = engine.F.q
+    group = q * (q - 1) ** 2 * (q + 1)
+    fixed = sum(engine.fix_count(rep.matrix) * counting.exact_div(group, rep.centralizer)
+                for rep in enumerate_classes(engine.F))
+    return counting.exact_div(fixed, group)
 
 
 def burnside_count_rational(F: FieldCtx, n: int,
@@ -282,8 +283,7 @@ def count_self_dual_coprime_pairs(ctx: ExtFieldCtx, i: int, j: int) -> int:
 # -- verification grid -------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     q: int
     n: int
@@ -293,10 +293,10 @@ class CheckResult:
     elapsed_ms: float
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    skipped: int = 0
+    def __init__(self, checks: list[CheckResult] | None = None, skipped: int = 0):
+        self.checks = [] if checks is None else checks
+        self.skipped = skipped
 
     @property
     def total(self) -> int:

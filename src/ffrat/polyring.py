@@ -10,7 +10,8 @@ Beyond ring arithmetic this module provides the substitution and duality
 operators used throughout the package:
 
 * ``compose(f, g)`` is f(g(X)), and ``affine_substitute(f, a, b)`` the
-  specialised f(a*X + b);
+  specialised f(a*X + b), a wrapper over ``substitute_raw``, the one Horner
+  loop for it on raw coefficient lists;
 * ``conj`` applies the q-power Frobenius of a quadratic extension to every
   coefficient, and ``conj_reverse(g)`` is X**deg(g) * conj(g)(1/X), i.e. the
   conjugated, reversed coefficient vector;
@@ -269,26 +270,32 @@ def compose(f: Poly, g: Poly) -> Poly:
     return acc
 
 
-def affine_substitute(f: Poly, a: int, b: int) -> Poly:
-    """f(a*X + b) without building intermediate Poly products."""
-    F = f.field
-    if f.is_zero:
-        return f
+def substitute_raw(F: FieldCtx, coeffs, a: int, b: int) -> list[int]:
+    """The ascending coefficients of f(a*X + b), by Horner's rule on the
+    nonempty ascending coefficient sequence of f; the list keeps the length
+    of the input, trailing zeros included."""
     add, mul = F.add, F.mul
-    cs = f.coeffs
-    res = [cs[-1]]
-    for c in reversed(cs[:-1]):
+    res = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
         new = [0] * (len(res) + 1)
         for i, r in enumerate(res):
             if r:
                 if b:
                     new[i] = add(new[i], mul(r, b))
-                new[i + 1] = add(new[i + 1], mul(r, a))
+                new[i + 1] = mul(r, a)
         new[0] = add(new[0], c)
         res = new
+    return res
+
+
+def affine_substitute(f: Poly, a: int, b: int) -> Poly:
+    """f(a*X + b) without building intermediate Poly products."""
+    if f.is_zero:
+        return f
+    res = substitute_raw(f.field, f.coeffs, a, b)
     while res and res[-1] == 0:
         res.pop()
-    return Poly._make(F, tuple(res))
+    return Poly._make(f.field, tuple(res))
 
 
 def conj(g: Poly, ctx: ExtFieldCtx) -> Poly:

@@ -12,8 +12,9 @@ term; it is a complete, hashable invariant for "same subfield".
 An invertible matrix A = [[a, b], [c, d]] acts by the substitution
 X -> (aX + b)/(cX + d): the pair (P, Q) is replaced by its homogeneous
 substitute (sum_i p_i (aX+b)^i (cX+d)^(n-i), same for Q), which spans the key
-of f((aX+b)/(cX+d)).  This right action factors through scalars, so
-``MoebiusTransform`` stores matrices projectively normalized (first nonzero
+of f((aX+b)/(cX+d)).  ``substitution_matrix`` builds those powers once, and
+both ``act`` and ``key_image`` apply it.  The action factors through scalars,
+so ``MoebiusTransform`` stores matrices projectively normalized (first nonzero
 entry of (a, b, c, d) scaled to 1).
 
 ``enumerate_subfield_keys`` lists each of the q^(2(n-1)) keys exactly once by
@@ -277,24 +278,10 @@ def act(f: RationalMap, A: MoebiusTransform) -> RationalMap:
     if A.field is not F:
         raise ValueError("transform field does not match map field")
     n = f.degree
-    a, b, c, d = A.mat
-    U = Poly(F, (b, a))
-    V = Poly(F, (d, c))
-    upow = [Poly.one(F)]
-    vpow = [Poly.one(F)]
-    for _ in range(n):
-        upow.append(upow[-1] * U)
-        vpow.append(vpow[-1] * V)
-
-    def substitute(P: Poly) -> Poly:
-        out = Poly.zero(F)
-        for i in range(n + 1):
-            ci = P.coeff(i)
-            if ci:
-                out = out + (upow[i] * vpow[n - i]).scale(ci)
-        return out
-
-    image = normalize(substitute(f.num), substitute(f.den))
+    M = substitution_matrix(F, A.mat, n)
+    num, den = (Poly(F, _row_times(F, _descending(P, n), M)[::-1])
+                for P in (f.num, f.den))
+    image = normalize(num, den)
     if image.degree != n:
         raise AssertionError("substitution changed the degree")
     return image

@@ -15,7 +15,7 @@ from ffrat.classify import (PolyClassRep, PolyPermutations, _normalized_raw,
                             table_families, verify_table)
 from ffrat.gf import field_of_order
 from ffrat.oracle import orbit_labels
-from ffrat.polyring import Poly, affine_substitute
+from ffrat.polyring import Poly, affine_substitute, compose
 from ffrat.ratmap import BudgetExceededError, compose_perms, subfield_key
 
 F2 = field_of_order(2)
@@ -163,10 +163,11 @@ def test_poly_permutations_match_scalar_substitution(q):
         polys = engine.polys
         for a in F.units:
             for b in F.elements:
+                aX_b = Poly(F, (b, a))
                 for f, i in zip(polys, engine.image_perm(a, b)):
                     want = _normalized_raw(F, _substitute_raw(F, f, a, b))
                     assert polys[i] == want
-                    assert want == left_normalize(affine_substitute(Poly(F, f), a, b)).coeffs
+                    assert want == left_normalize(compose(Poly(F, f), aX_b)).coeffs
 
 
 @pytest.mark.parametrize("q,n", [(4, 3), (5, 3), (7, 3), (9, 2)])

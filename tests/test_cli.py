@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +56,32 @@ def test_count_methods_agree(capsys, method):
                            "--method", method)
     assert code == EXIT_OK
     assert out == "2\n"
+
+
+def _decimal_value(text: str) -> int:
+    # int() refuses more than 4,300 digits by default; read 1,000 at a time.
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _int_str_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("kind,n,formula", [
+    ("poly", 20000, counting.count_polynomial_classes),
+    ("rational", 8000, counting.count_rational_classes)])
+def test_count_prints_counts_past_the_int_to_str_limit(capsys, kind, n, formula):
+    limit = _int_str_limit()
+    code, out, _ = run_cli(capsys, "count", "--kind", kind, "--q", "2", "--n", str(n))
+    assert code == EXIT_OK
+    assert len(out.strip()) > 4300
+    assert _decimal_value(out.strip()) == formula(2, n)
+    # main runs in-process here, and leaves the limit as it found it.
+    assert _int_str_limit() == limit
 
 
 def test_count_rejects_non_prime_power(capsys):
@@ -132,6 +160,20 @@ def test_table_text_format(capsys):
     line = out.splitlines()[0]
     assert line.startswith("q=2")
     assert "n=3" in line and "rational" in line and line.rstrip().endswith("4")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_table_prints_counts_past_the_int_to_str_limit(capsys, fmt):
+    limit = _int_str_limit()
+    code, out, _ = run_cli(capsys, "table", "--kind", "poly", "--q", "2",
+                           "--n", "20000", "--format", fmt)
+    assert code == EXIT_OK
+    if fmt == "json":
+        text = json.loads(out)[0]["count"]
+    else:
+        text = out.replace(",", " ").split()[-1]
+    assert _decimal_value(text) == counting.count_polynomial_classes(2, 20000)
+    assert _int_str_limit() == limit
 
 
 def test_table_poly_methods_agree_through_cli(capsys):
@@ -344,6 +386,19 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def test_cold_import_loads_no_heavy_modules():
+    # Start-up cost: importing the package pulls in no dataclasses, no
+    # fractions and no process pool.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; before = set(sys.modules); import ffrat; "
+            "print(sorted({'dataclasses', 'fractions', 'concurrent.futures'}"
+            " & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_installed():

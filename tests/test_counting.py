@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,6 +254,28 @@ def test_larger_grid_divisions_are_exact():
         for n in range(1, 11):
             count_rational_classes(q, n)
             count_polynomial_classes(q, n)
+
+
+def test_integer_class_counts_match_fraction_burnside_averages():
+    # The averages over the group elements, as exact fractions: PGL(2, q)
+    # has phi(d) q(q+1)/2 split and phi(d) q(q-1)/2 nonsplit elements whose
+    # eigenvalue ratio has order d, and q^2 - 1 unipotent ones; the affine
+    # group has q phi(d) scalings X -> aX + b with a of order d, and q - 1
+    # translations.
+    for q in prime_powers_upto(32):
+        for n in range(1, 11):
+            rational = (fix_central(q, n)
+                        + sum(Fraction(euler_phi(d) * q * (q + 1), 2) * fix_diagonal(q, n, d)
+                              for d in divisors(q - 1) if d > 1)
+                        + sum(Fraction(euler_phi(d) * q * (q - 1), 2) * fix_nonsplit(q, n, d)
+                              for d in divisors(q + 1) if d > 1)
+                        + (q * q - 1) * fix_unipotent(q, n)) / (q * (q * q - 1))
+            poly = Fraction(fix_affine_identity(q, n)
+                            + sum(q * euler_phi(d) * fix_affine_scale(q, n, d)
+                                  for d in divisors(q - 1) if d > 1)
+                            + (q - 1) * fix_affine_translate(q, n), q * (q - 1))
+            assert count_rational_classes(q, n) == rational, (q, n)
+            assert count_polynomial_classes(q, n) == poly, (q, n)
 
 
 # -- affine-action fixed counts -----------------------------------------------

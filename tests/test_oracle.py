@@ -123,6 +123,21 @@ def test_bruteforce_fix_matches_closed_forms(q, n):
         assert fix_count_bruteforce(F, n, rep, engine=engine) == expected_fix(F, n, rep, ctx)
 
 
+def test_engine_for_another_field_or_degree_is_rejected():
+    # An engine over the degree-2 keys of GF(3) once gave 2 as the count of
+    # the degree-3 classes over GF(5), which is 10.
+    other_field = KeyPermutations(F3, 2, list(enumerate_subfield_keys(F3, 2)))
+    other_degree = KeyPermutations(F5, 2, list(enumerate_subfield_keys(F5, 2)))
+    rep = enumerate_classes(F5)[0]
+    for engine in (other_field, other_degree):
+        with pytest.raises(ValueError, match="engine holds"):
+            burnside_count_rational(F5, 3, engine=engine)
+        with pytest.raises(ValueError, match="engine holds"):
+            fix_count_bruteforce(F5, 3, rep, engine=engine)
+    assert burnside_count_rational(F5, 2, engine=other_degree) == 2
+    assert burnside_count_rational(F5, 3) == 10
+
+
 def test_expected_fix_rejects_unknown_kind():
     rep = enumerate_classes(F2)[0]
     bogus = type(rep)("twisted", rep.params, rep.matrix, rep.centralizer)

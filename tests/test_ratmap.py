@@ -11,7 +11,7 @@ from ffrat import counting
 from ffrat.gf import field_of_order
 from ffrat.polyring import Poly, gcd, monic_polys, polys_upto
 from ffrat.ratmap import (BudgetExceededError, MoebiusTransform, RationalMap,
-                          SubfieldKey, act, enumerate_subfield_keys, is_fixed,
+                          SubfieldKey, _row_times, act, enumerate_subfield_keys, is_fixed,
                           key_image, key_rows_as_polys, normalize,
                           subfield_key, substitution_matrix)
 
@@ -300,6 +300,29 @@ def test_substitution_matrix_example():
     # Rows are (X+1)^(2-i) * 1^i in descending coefficient order.
     M = substitution_matrix(F2, (1, 1, 0, 1), 2)
     assert M == ((1, 0, 1), (0, 1, 1), (0, 0, 1))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_substitution_matrix_matches_the_substitution_pointwise(q):
+    # act and key_image share this matrix, so it is checked against its
+    # definition on all of GL(2, q): the image of P evaluates to
+    # (cx+d)^n P((ax+b)/(cx+d)) wherever cx+d != 0.  P runs over the basis
+    # X^n, ..., 1 and one polynomial with no zero coefficient.
+    F = field_of_order(q)
+    add, mul = F.add, F.mul
+    for n in (1, 2, 3):
+        rows = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
+        rows.append(tuple(k % (q - 1) + 1 for k in range(n + 1)))
+        for a, b, c, d in invertible_mats(F):
+            M = substitution_matrix(F, (a, b, c, d), n)
+            for row in rows:
+                f = Poly(F, row[::-1])
+                image = Poly(F, _row_times(F, row, M)[::-1])
+                for x in F.elements:
+                    den = add(mul(c, x), d)
+                    if den:
+                        y = F.div(add(mul(a, x), b), den)
+                        assert image(x) == mul(F.pow(den, n), f(y)), (a, b, c, d, row, x)
 
 
 # -- fixed keys under the action -----------------------------------------------

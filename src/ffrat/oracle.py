@@ -10,7 +10,11 @@ Everything in ``counting`` has an independent enumeration mirror here:
   the polynomial action, on index permutations of the subfield keys
   (``ratmap.KeyPermutations``) or of the normalized polynomials
   (``classify.PolyPermutations``), with one orbit search
-  (``ratmap.label_orbits``) for both;
+  (``ratmap.label_orbits``) for both.  The rational closure searches only
+  the affine group B, generated by X -> gX and X -> X + 1: the whole group
+  is the disjoint union of B and B.S.B, S = X -> 1/X, so the B-orbits of a
+  class are joined by the images under S of q keys of its first B-orbit,
+  q inversions per class (``KeyPermutations.bruhat_labels``);
 * direct enumerations of the coprime-pair and self-dual series.
 
 ``verify_grid`` packages the comparisons into a report of named checks, one
@@ -32,7 +36,7 @@ from ffrat.polyring import (Poly, conj_reverse, gcd, monic_polys, polys_upto,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, MoebiusTransform, SubfieldKey,
-                          check_budget, compose_perms, enumerate_subfield_keys,
+                          check_budget, cycle_lengths, enumerate_subfield_keys,
                           fixed_points, label_orbits, normalize, orbit_count,
                           subfield_key)
 
@@ -171,18 +175,23 @@ def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
     return counting.exact_div(total, group_order)
 
 
+def _class_count(engine: KeyPermutations) -> int:
+    return max(engine.bruhat_labels()[1]) + 1
+
+
 def orbit_count_rational(F: FieldCtx, n: int,
                          budget: int = DEFAULT_KEY_BUDGET) -> int:
-    """Number of orbits of subfield keys under the full substitution group,
-    by closure under a generating set."""
-    return orbit_count(_engine(F, n, budget).generators)
+    """Number of orbits of subfield keys under the full substitution group:
+    the affine orbits, joined by q inversions X -> 1/X per class."""
+    return _class_count(_engine(F, n, budget))
 
 
 def orbit_labels(F: FieldCtx, n: int,
                  budget: int = DEFAULT_KEY_BUDGET) -> dict[SubfieldKey, int]:
     """Map each subfield key to an orbit index (order of first discovery)."""
     engine = _engine(F, n, budget)
-    return dict(zip(engine.keys, label_orbits(engine.generators)))
+    blabels, glabels = engine.bruhat_labels()
+    return dict(zip(engine.keys, map(glabels.__getitem__, blabels)))
 
 
 # -- polynomial action ------------------------------------------------------
@@ -199,15 +208,14 @@ def burnside_count_poly(F: FieldCtx, n: int,
                         budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Polynomial class count as a Burnside average over the q conjugacy
     classes of invertible affine maps (identity, the scalings, X+1).  The
-    scalings X -> g^k X are the powers of the generator D."""
+    scalings X -> g^k X are the powers of the generator D, and D^k fixes a
+    cycle of D of length L pointwise exactly when L divides k."""
     D, T = classify.PolyPermutations(F, n, budget).generators
     q = F.q
+    cycles = cycle_lengths(D)
     # Class sizes: 1 for the identity, q per scaling, q - 1 for translations.
-    scalings = 0
-    power = D
-    for _ in range(q - 2):
-        scalings += fixed_points(power)
-        power = compose_perms(power, D)
+    scalings = sum(length * count for k in range(1, q - 1)
+                   for length, count in cycles.items() if k % length == 0)
     fixed = len(D) + q * scalings + (q - 1) * fixed_points(T)
     return counting.exact_div(fixed, q * (q - 1))
 
@@ -346,7 +354,7 @@ def _cell_frak_n(q: int, n: int, budget: int) -> list[CheckResult]:
     engine = functools.cache(lambda: _engine(F, n, budget))
     out = [_timed("frakN/burnside", q, n, want, lambda: _burnside(engine())),
            _timed("frakN/orbit", q, n, want,
-                  lambda: orbit_count(engine().generators))]
+                  lambda: _class_count(engine()))]
     if n <= 4:
         out.append(_timed("frakN/lowdeg", q, n, want,
                           lambda: counting.count_rational_classes_lowdeg(q, n)))

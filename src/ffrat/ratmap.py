@@ -389,10 +389,20 @@ class KeyPermutations:
     Every key has a rank, offset[m] + rank(P free digits) * q^m +
     rank(Q low digits), which orders ``enumerate_subfield_keys`` strictly;
     a table maps ranks to indices, with -1 for the ranks of keys not given.
-    ``image_perm`` takes the ``key_image`` of every key.  ``generators`` are
-    the images of D = (g, 0, 0, 1), T = (1, 1, 0, 1) and S = (0, 1, 1, 0),
-    which ``perm`` composes along the matrix's Bruhat word; D and T keep both
-    pivots of a key, so their images are ranked from the rows directly.
+    ``image_perm`` takes the ``key_image`` of every key.  ``scaling`` and
+    ``translation`` are the permutations of D = (g, 0, 0, 1) and
+    T = (1, 1, 0, 1); both keep the pivots of a key, so their images are
+    ranked from the rows directly.  ``generators`` adds the inversion
+    S = (0, 1, 1, 0), whose images need ``key_image``, and ``perm`` composes
+    the three along the matrix's Bruhat word.
+
+    ``bruhat_labels`` labels the orbits without S's permutation.  D and T
+    generate the affine group B, and PGL(2, q) is the disjoint union of B and
+    B.S.B (Bruhat).  B.S.B = U.S.B for U the translations T_b = X -> X + b,
+    and T_b = D^k.T.D^-k for b = g^k.  S normalizes the diagonal maps, so
+    x.T_b.S.B = x.D^k.T.S.B, and the orbit of a key x is the union of the
+    B-orbits of x, of x.S and of x.D^k.T.S for k = 0..q-2: q inversions per
+    class, not one per key.
     """
 
     def __init__(self, F: FieldCtx, n: int, keys: list[SubfieldKey]):
@@ -437,7 +447,8 @@ class KeyPermutations:
         return _closed([table[self.rank(key_image(key, M, F, products).rows)]
                         for key in self.keys])
 
-    def _scaling_perm(self) -> list[int]:
+    @functools.cached_property
+    def scaling(self) -> list[int]:
         # D sends P to P(gX) / g^n and Q to Q(gX) / g^m: digit i of each
         # row is scaled by g^(i-n) or g^(i-m), and the pivots stay.
         F, n, table = self.F, self.n, self._table
@@ -453,7 +464,8 @@ class KeyPermutations:
                 perm[i] = j
         return _closed(perm)
 
-    def _translation_perm(self) -> list[int]:
+    @functools.cached_property
+    def translation(self) -> list[int]:
         # T keeps the degrees of P and Q, so the image rows (a, b) keep their
         # pivots 0 and j1, and the image key is (a - a[j1]*b, b).  Only the
         # digits past j1 change, and they are the most significant of P's.
@@ -490,8 +502,33 @@ class KeyPermutations:
 
     @functools.cached_property
     def generators(self) -> tuple[list[int], ...]:
-        return (self._scaling_perm(), self._translation_perm(),
-                self.image_perm((0, 1, 1, 0)))
+        return self.scaling, self.translation, self.image_perm((0, 1, 1, 0))
+
+    def bruhat_labels(self) -> tuple[list[int], list[int]]:
+        """The B-orbit label of every key, by ``label_orbits`` over D and T,
+        and the orbit label of every B-orbit under the whole group, both
+        numbered in order of first discovery.  Only the first key x of each
+        orbit is inverted, together with its q - 1 translates x.D^k.T."""
+        F, keys, table = self.F, self.keys, self._table
+        D, T = self.scaling, self.translation
+        blabels = label_orbits((D, T))
+        glabels = [-1] * (max(blabels) + 1)
+        M = substitution_matrix(F, (0, 1, 1, 0), self.n)
+        products: dict = {}
+        orbits = 0
+        for i, b in enumerate(blabels):
+            if glabels[b] < 0:
+                glabels[b] = orbits
+                starts, j = [i], i
+                for _ in range(F.q - 1):
+                    starts.append(T[j])
+                    j = D[j]
+                images = [table[self.rank(key_image(keys[j], M, F, products).rows)]
+                          for j in starts]
+                for image in _closed(images):
+                    glabels[blabels[image]] = orbits
+                orbits += 1
+        return blabels, glabels
 
     @functools.cached_property
     def _letters(self) -> dict[tuple[int, int, int, int], list[int]]:
@@ -531,6 +568,21 @@ class KeyPermutations:
 
 def fixed_points(perm: list[int]) -> int:
     return sum(map(operator.eq, perm, range(len(perm))))
+
+
+def cycle_lengths(perm: list[int]) -> dict[int, int]:
+    """How many cycles of each length the permutation has."""
+    seen = bytearray(len(perm))
+    counts: dict[int, int] = {}
+    for start in range(len(perm)):
+        if not seen[start]:
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = 1
+                i = perm[i]
+                length += 1
+            counts[length] = counts.get(length, 0) + 1
+    return counts
 
 
 def label_orbits(generators: tuple[list[int], ...]) -> list[int]:

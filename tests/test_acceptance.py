@@ -91,9 +91,9 @@ def test_oracle_agreement_for_rational_classes():
 
 
 # Residue branches of count_rational_classes_lowdeg that the per-class grid
-# above does not reach: n=3 with q = 1 mod 6, n=4 with q = 7 and 8 mod 12.
+# above does not reach: n=3 with q = 1 mod 6, n=4 with q = 7, 8 and 9 mod 12.
 LOWDEG_BRANCH_CELLS = [(7, 3, "burnside"), (7, 3, "orbit"),
-                       (7, 4, "burnside"), (8, 4, "orbit")]
+                       (7, 4, "burnside"), (8, 4, "orbit"), (9, 4, "orbit")]
 
 
 def test_low_degree_branches_against_brute_force():

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from ffrat import counting
-from ffrat.cli import (EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_RANGE_LENGTH,
-                       UsageError, _parse_int_set, build_parser, main)
+from ffrat.cli import (EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_COUNT_DIGITS,
+                       MAX_RANGE_LENGTH, UsageError, _parse_int_set, build_parser,
+                       count_digits_bound, main)
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,51 @@ def test_count_prints_counts_past_the_int_to_str_limit(capsys, kind, n, formula)
     assert _decimal_value(out.strip()) == formula(2, n)
     # main runs in-process here, and leaves the limit as it found it.
     assert _int_str_limit() == limit
+
+
+def _first_degree_over_the_digit_cap(kind: str, q: int) -> int:
+    # Bisect for the degree whose bound first exceeds the cap.
+    lo, hi = 1, 2
+    while count_digits_bound(kind, q, hi) <= MAX_COUNT_DIGITS:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if count_digits_bound(kind, q, mid) <= MAX_COUNT_DIGITS:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("kind,q,formula", [
+    ("poly", 2, counting.count_polynomial_classes),
+    ("rational", 4, counting.count_rational_classes)])
+def test_count_past_the_digit_cap_is_a_usage_error(capsys, kind, q, formula):
+    n = _first_degree_over_the_digit_cap(kind, q)
+    assert count_digits_bound(kind, q, n - 1) <= MAX_COUNT_DIGITS
+    assert count_digits_bound(kind, q, n) > MAX_COUNT_DIGITS
+    code, out, _ = run_cli(capsys, "count", "--kind", kind, "--q", str(q),
+                           "--n", str(n - 1))
+    assert code == EXIT_OK
+    value = _decimal_value(out.strip())
+    assert value == formula(q, n - 1)
+    assert len(out.strip()) <= MAX_COUNT_DIGITS
+    for command in ("count", "table"):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--kind", kind, "--q", str(q),
+                                 "--n", str(n))
+        assert code == EXIT_USAGE
+        assert out == "" and "digits" in err
+        assert time.perf_counter() - started < 0.1
+
+
+def test_count_digit_bound_holds_on_every_small_cell():
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
+        for n in range(1, 40):
+            assert len(str(counting.count_rational_classes(q, n))) <= \
+                count_digits_bound("rational", q, n)
+            assert len(str(counting.count_polynomial_classes(q, n))) <= \
+                count_digits_bound("poly", q, n)
 
 
 def test_count_rejects_non_prime_power(capsys):

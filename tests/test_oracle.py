@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from ffrat import counting
+from ffrat import classify, counting, ratmap
 from ffrat.gf import field_of_order, make_ext
 from ffrat.oracle import (VERIFY_KINDS, burnside_count_poly,
                           burnside_count_rational,
@@ -21,8 +21,9 @@ from ffrat.oracle import (VERIFY_KINDS, burnside_count_poly,
                           nonsplit_twist_order, orbit_count_poly,
                           orbit_count_rational, orbit_labels,
                           poly_equivalence_partitions_agree, verify_grid)
-from ffrat.ratmap import (BudgetExceededError, KeyPermutations,
-                          enumerate_subfield_keys, key_image, substitution_matrix)
+from ffrat.ratmap import (BudgetExceededError, KeyPermutations, compose_perms,
+                          cycle_lengths, enumerate_subfield_keys, fixed_points,
+                          key_image, label_orbits, substitution_matrix)
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -248,6 +249,54 @@ def test_orbit_labels_match_scalar_closure():
     assert sorted(map(sorted, by_label.values())) == sorted(map(sorted, orbits))
 
 
+BRUHAT_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
+BRUHAT_CELLS += [(4, 4), (5, 4), (3, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("q,n", BRUHAT_CELLS)
+def test_bruhat_labels_match_closure_under_all_generators(q, n):
+    # Same orbits, numbered in the same order of first discovery.
+    F = field_of_order(q)
+    engine = KeyPermutations(F, n, list(enumerate_subfield_keys(F, n)))
+    blabels, glabels = engine.bruhat_labels()
+    assert blabels == label_orbits((engine.scaling, engine.translation))
+    assert [glabels[b] for b in blabels] == label_orbits(engine.generators)
+
+
+def test_bruhat_labels_reject_a_key_set_not_closed_under_inversion():
+    # Dropping one affine orbit keeps the keys closed under D and T, but its
+    # class holds other affine orbits, whose inversions lead into the gap.
+    F, n = F3, 3
+    keys = list(enumerate_subfield_keys(F, n))
+    blabels, glabels = KeyPermutations(F, n, keys).bruhat_labels()
+    shared = Counter(glabels)
+    gap = next(b for b, g in enumerate(glabels) if shared[g] > 1)
+    engine = KeyPermutations(F, n, [k for k, b in zip(keys, blabels) if b != gap])
+    assert engine.scaling and engine.translation
+    with pytest.raises(AssertionError, match="escaped the key set"):
+        engine.bruhat_labels()
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3)])
+def test_orbit_count_rational_inverts_q_keys_per_class(monkeypatch, q, n):
+    # No permutation of S is built: the only key images are the q inversions
+    # of each class's first key.
+    def unbuilt(self, mat):
+        raise AssertionError("image_perm(%r) was called" % (mat,))
+
+    images = []
+
+    def counted(*args, **kwargs):
+        images.append(None)
+        return key_image(*args, **kwargs)
+
+    monkeypatch.setattr(KeyPermutations, "image_perm", unbuilt)
+    monkeypatch.setattr(ratmap, "key_image", counted)
+    classes = counting.count_rational_classes(q, n)
+    assert orbit_count_rational(field_of_order(q), n) == classes
+    assert len(images) == q * classes
+
+
 # -- class counts three ways ---------------------------------------------------
 
 
@@ -300,6 +349,24 @@ def test_poly_counts_agree(q):
         want = counting.count_polynomial_classes(q, n)
         assert orbit_count_poly(F, n) == want
         assert burnside_count_poly(F, n) == want
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3)])
+def test_scaling_fixed_points_from_cycle_lengths_match_composed_powers(q, n):
+    F = field_of_order(q)
+    D, T = classify.PolyPermutations(F, n).generators
+    cycles = cycle_lengths(D)
+    assert sum(length * count for length, count in cycles.items()) == len(D)
+    fixed, power = [], D
+    for k in range(1, q - 1):
+        fixed.append(fixed_points(power))
+        assert fixed[-1] == sum(length * count for length, count in cycles.items()
+                                if k % length == 0), k
+        power = compose_perms(power, D)
+    # The Burnside average over the affine group, on the composed powers.
+    total = len(D) + q * sum(fixed) + (q - 1) * fixed_points(T)
+    assert burnside_count_poly(F, n) == total // (q * (q - 1))
+    assert total % (q * (q - 1)) == 0
 
 
 def test_orbit_count_poly_budget():

@@ -14,6 +14,7 @@ invalid q), 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -155,15 +156,26 @@ def cmd_verify(args) -> int:
     qs = _validated_q_list(args.q)
     ns = _parse_int_set(args.n)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+    expected = ", ".join(oracle.VERIFY_KINDS)
+    if not kinds:
+        raise UsageError("--kinds %r names no check kind (expected %s)"
+                         % (args.kinds, expected))
     for kind in kinds:
         if kind not in oracle.VERIFY_KINDS:
-            raise UsageError("unknown check kind %r (expected %s)"
-                             % (kind, ", ".join(oracle.VERIFY_KINDS)))
-    report = oracle.verify_grid(qs, ns, kinds, budget=args.budget, jobs=args.jobs)
-    text = json.dumps(report.to_json_obj(), indent=2)
-    if args.out:
-        with open(args.out, "w") as handle:
+            raise UsageError("unknown check kind %r (expected %s)" % (kind, expected))
+    # Open the report before any cell runs, so that a path that cannot be
+    # written is a usage error, not a traceback after the whole grid.
+    try:
+        handle = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        raise UsageError("cannot write the report to %s: %s"
+                         % (args.out, exc.strerror or exc))
+    with handle or contextlib.nullcontext():
+        report = oracle.verify_grid(qs, ns, kinds, budget=args.budget, jobs=args.jobs)
+        text = json.dumps(report.to_json_obj(), indent=2)
+        if handle:
             handle.write(text + "\n")
+    if handle:
         print("%d checks, %d failed, %d cells skipped"
               % (report.total, report.failed, report.skipped))
     else:
@@ -171,6 +183,10 @@ def cmd_verify(args) -> int:
     if report.failed:
         return EXIT_FAILED
     if args.strict and report.skipped:
+        cell = report.skipped_cells[0]
+        where = "q=%d" % cell.q if cell.n is None else "q=%d n=%d" % (cell.q, cell.n)
+        print("error: %d cells skipped, the first %s at %s: %s"
+              % (report.skipped, cell.kind, where, cell.reason), file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 

@@ -15,11 +15,14 @@ Everything in ``counting`` has an independent enumeration mirror here:
   is the disjoint union of B and B.S.B, S = X -> 1/X, so the B-orbits of a
   class are joined by the images under S of q keys of its first B-orbit,
   q inversions per class (``KeyPermutations.bruhat_labels``);
-* direct enumerations of the coprime-pair and self-dual series.
+* enumerations of the appendix series: the coprime-pair series count the
+  sieved table ``polyring.coprime_flags`` of all monic pairs of two degrees,
+  and the self-dual series walk the monic polynomials over GF(q^2).
 
 ``verify_grid`` packages the comparisons into a report of named checks, one
 expected/actual pair per check, suitable for JSON serialization.  Cells whose
-enumeration would exceed the budget are skipped and counted, never failed.
+enumeration would exceed the budget are skipped, never failed, and each is
+named in the report with the budget's message.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import NamedTuple
 from ffrat import classify, counting
 from ffrat.gf import (ExtFieldCtx, FieldCtx, field_of_order, make_ext,
                       mult_order)
-from ffrat.polyring import (Poly, conj_reverse, gcd, monic_polys, polys_upto,
+from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd, monic_polys,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, MoebiusTransform, SubfieldKey,
@@ -238,8 +241,7 @@ def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
 
 def count_coprime_pairs(F: FieldCtx, m: int, n: int) -> int:
     """Enumeration mirror of counting.coprime_monic_pairs."""
-    return sum(1 for f in monic_polys(F, m) for g in monic_polys(F, n)
-               if gcd(f, g).degree == 0)
+    return coprime_flags(F, m, n).count(1)
 
 
 def count_coprime_pairs_upto(F: FieldCtx, n: int) -> int:
@@ -249,24 +251,17 @@ def count_coprime_pairs_upto(F: FieldCtx, n: int) -> int:
 
 def count_coprime_nonzero_const(F: FieldCtx, m: int, n: int) -> int:
     """Enumeration mirror of counting.coprime_pairs_nonzero_constant."""
-    return sum(1 for f in monic_polys(F, m) if f.coeff(0)
-               for g in monic_polys(F, n) if gcd(f, g).degree == 0)
+    # f(0) is the most significant digit of f's rank: f(0) != 0 from q^(m-1) up.
+    return coprime_flags(F, m, n).count(1, F.q ** (m - 1 + n) if m else 0)
 
 
 def count_rational_functions(F: FieldCtx, n: int) -> int:
     """Enumeration mirror of counting.rational_function_count: reduced pairs
-    (P, Q) with Q monic and max degree exactly n."""
-    count = 0
-    for den_deg in range(n + 1):
-        for den in monic_polys(F, den_deg):
-            for num in polys_upto(F, n):
-                if num.is_zero:
-                    continue
-                if max(num.degree, den.degree) != n:
-                    continue
-                if gcd(num, den).degree == 0:
-                    count += 1
-    return count
+    (P, Q) with Q monic and max degree exactly n: q - 1 units times the
+    coprime monic pairs of degrees (a, b) with max(a, b) = n."""
+    return (F.q - 1) * sum(count_coprime_pairs(F, a, b)
+                           for a in range(n + 1) for b in range(n + 1)
+                           if max(a, b) == n)
 
 
 def count_self_dual(ctx: ExtFieldCtx, i: int) -> int:
@@ -301,10 +296,24 @@ class CheckResult(NamedTuple):
     elapsed_ms: float
 
 
+class SkippedCell(NamedTuple):
+    """A cell left out because its enumeration would exceed the budget; n is
+    None for the appendix cells, which do not depend on n."""
+    q: int
+    n: int | None
+    kind: str
+    reason: str
+
+
 class VerificationReport:
-    def __init__(self, checks: list[CheckResult] | None = None, skipped: int = 0):
+    def __init__(self, checks: list[CheckResult] | None = None,
+                 skipped_cells: list[SkippedCell] | None = None):
         self.checks = [] if checks is None else checks
-        self.skipped = skipped
+        self.skipped_cells = [] if skipped_cells is None else skipped_cells
+
+    @property
+    def skipped(self) -> int:
+        return len(self.skipped_cells)
 
     @property
     def total(self) -> int:
@@ -322,6 +331,7 @@ class VerificationReport:
                  "pass": c.passed, "elapsed_ms": c.elapsed_ms}
                 for c in self.checks
             ],
+            "skipped_cells": [cell._asdict() for cell in self.skipped_cells],
             "summary": {"total": self.total, "failed": self.failed,
                         "skipped": self.skipped},
         }
@@ -419,20 +429,20 @@ def _cell_appendix(q: int, budget: int) -> list[CheckResult]:
     return out
 
 
-def _run_cell(task) -> tuple[list[CheckResult], int]:
+def _run_cell(task) -> tuple[list[CheckResult], SkippedCell | None]:
     q, n, kind, budget = task
     try:
         if kind == "fix-formulas":
-            return _cell_fix_formulas(q, n, budget), 0
+            return _cell_fix_formulas(q, n, budget), None
         if kind == "frakN":
-            return _cell_frak_n(q, n, budget), 0
+            return _cell_frak_n(q, n, budget), None
         if kind == "frakM":
-            return _cell_frak_m(q, n, budget), 0
+            return _cell_frak_m(q, n, budget), None
         if kind == "appendix-lemmas":
-            return _cell_appendix(q, budget), 0
+            return _cell_appendix(q, budget), None
         raise ValueError("unknown verification kind %r" % kind)
-    except BudgetExceededError:
-        return [], 1
+    except BudgetExceededError as exc:
+        return [], SkippedCell(q, n, kind, str(exc))
 
 
 def verify_grid(q_list, n_list, kinds=VERIFY_KINDS,
@@ -453,7 +463,7 @@ def verify_grid(q_list, n_list, kinds=VERIFY_KINDS,
         counting.char_and_degree(q)
         for kind in kinds:
             if kind == "appendix-lemmas":
-                tasks.append((q, 0, kind, budget))
+                tasks.append((q, None, kind, budget))
             else:
                 tasks.extend((q, n, kind, budget) for n in n_list)
 
@@ -468,5 +478,6 @@ def verify_grid(q_list, n_list, kinds=VERIFY_KINDS,
     report = VerificationReport()
     for checks, skipped in results:
         report.checks.extend(checks)
-        report.skipped += skipped
+        if skipped is not None:
+            report.skipped_cells.append(skipped)
     return report

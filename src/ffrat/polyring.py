@@ -19,6 +19,9 @@ operators used throughout the package:
   conj_reverse; the scalar is then a (q+1)-st root of unity;
 * ``forward_difference(f)`` is f(X+1) - f(X); its p-th iterate vanishes
   identically in characteristic p.
+
+``coprime_flags`` sieves coprimality for a whole table of monic pairs at
+once; ``gcd`` is the pair-by-pair reference it is tested against.
 """
 
 from __future__ import annotations
@@ -381,3 +384,37 @@ def polys_upto(field: FieldCtx, degree: int) -> Iterator[Poly]:
             for lower in itertools.product(range(field.q), repeat=length - 1):
                 for lead in field.units:
                     yield Poly._make(field, lower + (lead,))
+
+
+def horner_rank(q: int, digits) -> int:
+    """The digits as one base-q number, the first digit most significant:
+    the position of the digit string in ``itertools.product`` order."""
+    acc = 0
+    for d in digits:
+        acc = acc * q + d
+    return acc
+
+
+def coprime_flags(F: FieldCtx, n: int, m: int,
+                  zero_digit: int | None = None) -> bytearray:
+    """flags[rank(P) * q^m + rank(Q)] is 1 exactly when gcd(P, Q) = 1, over
+    the monic P of degree n and Q of degree m, ranked by the ``horner_rank``
+    of their low coefficients from the constant term up (``monic_polys``
+    order).  With ``zero_digit`` = k < n, only the P with zero X^k
+    coefficient are ranked, that digit left out.  A common factor contains a
+    monic h of degree 1..min(n, m), so clearing every pair (h*A, h*B) clears
+    exactly the pairs that are not coprime."""
+    q = F.q
+    qm = q ** m
+    positions = [i for i in range(n) if i != zero_digit]
+    flags = bytearray(b"\x01") * (q ** len(positions) * qm)
+    for d in range(1, min(n, m) + 1):
+        for h in monic_polys(F, d):
+            q_ranks = [horner_rank(q, (h * B).coeffs[:m]) for B in monic_polys(F, m - d)]
+            for A in monic_polys(F, n - d):
+                P = (h * A).coeffs
+                if zero_digit is None or P[zero_digit] == 0:
+                    base = horner_rank(q, [P[i] for i in positions]) * qm
+                    for r in q_ranks:
+                        flags[base + r] = 0
+    return flags

@@ -20,10 +20,11 @@ entry of (a, b, c, d) scaled to 1).
 ``enumerate_subfield_keys`` lists each of the q^(2(n-1)) keys exactly once by
 walking the canonical bases directly: pairs (P, Q) with P monic of degree n,
 Q monic of degree m < n, gcd(P, Q) = 1 and the X^m coefficient of P zero.
-The coprime pairs are sieved by their common factors, and the walk's order
-ranks every candidate pair by its digits, which ``KeyPermutations`` uses to
-index keys and to image them under scalings and translations without an
-echelon form.
+The coprime pairs come from ``polyring.coprime_flags``, the one coprimality
+sieve, with P's X^m digit pinned to zero, and the walk's order ranks every
+candidate pair by its digits (``polyring.horner_rank``), which
+``KeyPermutations`` uses to index keys and to image them under scalings and
+translations without an echelon form.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import operator
 from typing import Iterator, NamedTuple
 
 from ffrat.gf import FieldCtx
-from ffrat.polyring import Poly, gcd, monic_polys, poly_str
+from ffrat.polyring import Poly, coprime_flags, gcd, horner_rank, poly_str
 
 DEFAULT_KEY_BUDGET = 10 ** 7
 
@@ -293,39 +294,10 @@ def is_fixed(key: SubfieldKey, A: MoebiusTransform) -> bool:
     return key_image(key, M, A.field) == key
 
 
-def _horner(q: int, digits) -> int:
-    # The digits as one base-q number, the first digit most significant.
-    acc = 0
-    for d in digits:
-        acc = acc * q + d
-    return acc
-
-
 def _rank_offsets(q: int, n: int) -> list[int]:
     # offsets[m]: the first rank of the degree-n keys whose Q has degree m;
     # offsets[n] is the number of ranks.
     return [q ** (n - 1) * (q ** m - 1) // (q - 1) for m in range(n + 1)]
-
-
-def _coprime_flags(F: FieldCtx, n: int, m: int) -> bytearray:
-    # flags[rank(P free digits) * q^m + rank(Q low digits)] is 1 exactly when
-    # gcd(P, Q) = 1, over the monic P of degree n with zero X^m coefficient
-    # and the monic Q of degree m.  A common factor contains a monic h of
-    # degree 1..m, so clearing every pair (h*A, h*B) clears the rest.
-    q = F.q
-    qm = q ** m
-    flags = bytearray(b"\x01") * (q ** (n - 1) * qm)
-    free_positions = [i for i in range(n) if i != m]
-    for d in range(1, m + 1):
-        for h in monic_polys(F, d):
-            q_ranks = [_horner(q, (h * B).coeffs[:m]) for B in monic_polys(F, m - d)]
-            for A in monic_polys(F, n - d):
-                P = (h * A).coeffs
-                if P[m] == 0:
-                    base = _horner(q, [P[i] for i in free_positions]) * qm
-                    for r in q_ranks:
-                        flags[base + r] = 0
-    return flags
 
 
 def enumerate_subfield_keys(F: FieldCtx, n: int,
@@ -339,18 +311,12 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
     check_budget(q, n, q ** (2 * (n - 1)), "keys", budget)
 
     for m in range(n):
-        free_positions = [i for i in range(n) if i != m]
-        q_pad = (0,) * (n - m)
-        q_rows = [q_pad + (1,) + q_low[::-1]
+        q_rows = [(0,) * (n - m) + (1,) + q_low[::-1]
                   for q_low in itertools.product(range(q), repeat=m)]
         size = len(q_rows)
-        flags = _coprime_flags(F, n, m)
+        flags = coprime_flags(F, n, m, zero_digit=m)
         for i, p_low in enumerate(itertools.product(range(q), repeat=n - 1)):
-            pc = [0] * (n + 1)
-            pc[n] = 1
-            for pos, val in zip(free_positions, p_low):
-                pc[pos] = val
-            p_row = tuple(reversed(pc))
+            p_row = (1,) + (p_low[:m] + (0,) + p_low[m:])[::-1]
             for q_row in itertools.compress(q_rows, flags[i * size:(i + 1) * size]):
                 yield SubfieldKey(n, (p_row, q_row))
 
@@ -422,7 +388,7 @@ class KeyPermutations:
             q, n = self.F.q, self.n
             j1 = r1.index(1)
             part = self._q_parts[r1] = (
-                j1, self._offsets[n - j1] + _horner(q, r1[n:j1:-1]),
+                j1, self._offsets[n - j1] + horner_rank(q, r1[n:j1:-1]),
                 q ** (j1 - 1), q ** (n - j1))
         return part
 
@@ -432,7 +398,7 @@ class KeyPermutations:
         j1, base, low, qm = self._q_part(r1)
         number = self._p_numbers.get(r0)
         if number is None:
-            number = self._p_numbers[r0] = _horner(self.F.q, r0[self.n:0:-1])
+            number = self._p_numbers[r0] = horner_rank(self.F.q, r0[self.n:0:-1])
         # Drop the zero digit of X^m, which sits at weight q^(j1-1).
         return base + (number // (low * self.F.q) * low + number % low) * qm
 
@@ -480,7 +446,7 @@ class KeyPermutations:
             pa = p_parts.get(r0)
             if pa is None:
                 a = _row_times(F, r0, M)
-                pa = p_parts[r0] = (a, _horner(q, a[n:0:-1]))
+                pa = p_parts[r0] = (a, horner_rank(q, a[n:0:-1]))
             qb = q_parts.get(r1)
             if qb is None:
                 b = tuple(_row_times(F, r1, M))

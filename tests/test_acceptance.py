@@ -8,6 +8,9 @@ budget only report their time.
 
 from __future__ import annotations
 
+import ast
+import inspect
+import sys
 import time
 
 from ffrat import counting
@@ -130,6 +133,70 @@ def test_polynomial_low_degree_branches_against_brute_force():
                             % (q, n, formula, cases, orbit, burnside))
 
     _finish("polynomial low-degree branches against brute force", started, failures, 60.0)
+
+
+# The rational n = 4 branches that no Tier-1 cell brute-forces yet: r = 11
+# (q = 11, 1.77 M keys) and r = 1 (q = 13, 4.8 M keys).
+OPEN_RATIONAL_BRANCH_CELLS = [(11, 4), (13, 4)]
+
+
+def _return_lines(fn) -> set[int]:
+    # The line of every return statement in fn.
+    lines, first = inspect.getsourcelines(fn)
+    tree = ast.parse("".join(lines))
+    return {node.lineno + first - 1 for node in ast.walk(tree)
+            if isinstance(node, ast.Return)}
+
+
+def _returns_reached(fn, cells) -> dict[int, list[tuple[int, int]]]:
+    # The cells (q, n) that leave fn through each return line.
+    reached: dict[int, list[tuple[int, int]]] = {}
+
+    def local(frame, event, arg):
+        if event == "return":
+            reached.setdefault(frame.f_lineno, []).append(cell)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is fn.__code__ else None
+
+    for cell in cells:
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            fn(*cell)
+        finally:
+            sys.settrace(previous)
+    return reached
+
+
+def test_every_lowdeg_branch_has_a_brute_force_cell():
+    # Each return of the piecewise tables is reached by a cell that a Tier-1
+    # test counts by brute force, except the returns of the open cells, which
+    # must stay unreached until a brute-force cell for them is added.
+    started = time.perf_counter()
+    failures: list[str] = []
+    rational_cells = RATIONAL_ORACLE_CELLS + [(q, n) for q, n, _ in LOWDEG_BRANCH_CELLS]
+    poly_cells = ([(q, n) for q in POLY_GRID_Q for n in range(1, 6)]
+                  + POLY_LOWDEG_BRANCH_CELLS)
+    tables = [(counting.count_rational_classes_lowdeg, rational_cells,
+               OPEN_RATIONAL_BRANCH_CELLS),
+              (counting.count_polynomial_classes_lowdeg, poly_cells, [])]
+    for fn, cells, open_cells in tables:
+        returns = _return_lines(fn)
+        covered = set(_returns_reached(fn, cells))
+        open_lines = _returns_reached(fn, open_cells)
+        for line in sorted(returns - covered):
+            if line not in open_lines:
+                failures.append("%s line %d: no brute-forced cell" % (fn.__name__, line))
+        for line, where in sorted(open_lines.items()):
+            if line in covered:
+                failures.append("%s line %d: %r is brute-forced now; drop it from "
+                                "the open cells" % (fn.__name__, line, where))
+        if covered - returns:
+            failures.append("%s: returns outside the return statements" % fn.__name__)
+
+    _finish("every low-degree branch has a brute-force cell", started, failures, 5.0)
 
 
 def test_polynomial_class_counts_three_ways():

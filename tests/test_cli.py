@@ -259,7 +259,8 @@ def test_verify_report_shape(capsys):
                            "--kinds", "frakN,frakM")
     assert code == EXIT_OK
     report = json.loads(out)
-    assert set(report) == {"checks", "summary"}
+    assert set(report) == {"checks", "skipped_cells", "summary"}
+    assert report["skipped_cells"] == []
     assert report["summary"] == {"total": 12, "failed": 0, "skipped": 0}
     for entry in report["checks"]:
         assert list(entry) == ["name", "q", "n", "expected", "actual",
@@ -321,6 +322,51 @@ def test_verify_skipped_cells_are_not_failures(capsys):
                            "--kinds", "frakN", "--budget", "10")
     assert code == EXIT_OK
     assert json.loads(out)["summary"] == {"total": 0, "failed": 0, "skipped": 1}
+
+
+def test_verify_names_every_skipped_cell(capsys, tmp_path):
+    target = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, "verify", "--budget", "100", "--out", str(target))
+    assert code == EXIT_OK
+    report = json.loads(target.read_text())
+    # Keys: q^(2n-2) > 100 at n = 3 for q = 4, 5; appendix: q^6 > 100 for q >= 3.
+    assert [(c["q"], c["n"], c["kind"]) for c in report["skipped_cells"]] == [
+        (3, None, "appendix-lemmas"),
+        (4, 3, "fix-formulas"), (4, 3, "frakN"), (4, None, "appendix-lemmas"),
+        (5, 3, "fix-formulas"), (5, 3, "frakN"), (5, None, "appendix-lemmas")]
+    assert report["skipped_cells"][1]["reason"] == "q=4 n=3 needs 256 keys, budget is 100"
+    assert report["summary"]["skipped"] == 7
+    assert out == "%d checks, 0 failed, 7 cells skipped\n" % report["summary"]["total"]
+
+
+def test_verify_strict_names_the_first_skipped_cell(capsys):
+    code, _, err = run_cli(capsys, "verify", "--q", "2,3", "--n", "3",
+                           "--kinds", "frakN", "--strict", "--budget", "20")
+    assert code == EXIT_BUDGET
+    assert err == ("error: 1 cells skipped, the first frakN at q=3 n=3: "
+                   "q=3 n=3 needs 81 keys, budget is 20\n")
+
+
+def test_verify_out_path_that_cannot_be_written(capsys, tmp_path, monkeypatch):
+    # Refused with one line and exit 2 before any cell runs.
+    from ffrat import oracle
+    monkeypatch.setattr(oracle, "verify_grid", lambda *a, **k: pytest.fail("a cell ran"))
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "1",
+                                 "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write the report to %s: " % target)
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("kinds", ["", ",", " , "])
+def test_verify_empty_kind_list_is_a_usage_error(capsys, kinds):
+    code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "1", "--kinds", kinds)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: --kinds %r names no check kind" % kinds)
 
 
 def test_verify_strict_turns_skips_into_exit_3(capsys):

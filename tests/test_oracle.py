@@ -10,7 +10,7 @@ import pytest
 
 from ffrat import classify, counting, ratmap
 from ffrat.gf import field_of_order, make_ext
-from ffrat.oracle import (VERIFY_KINDS, burnside_count_poly,
+from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           burnside_count_rational,
                           burnside_count_rational_fullgroup,
                           count_coprime_nonzero_const, count_coprime_pairs,
@@ -388,8 +388,15 @@ def test_poly_equivalence_partitions_agree(q, n):
 # -- appendix mirrors ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_coprime_pair_mirrors(q):
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_coprime_pair_mirrors(q, monkeypatch):
+    # The four coprime-pair mirrors read the sieve alone: no gcd runs.
+    from ffrat import oracle, polyring
+
+    def refuse(f, g):
+        raise AssertionError("gcd called")
+    monkeypatch.setattr(oracle, "gcd", refuse)
+    monkeypatch.setattr(polyring, "gcd", refuse)
     F = field_of_order(q)
     for m in range(4):
         for n in range(4):
@@ -398,6 +405,8 @@ def test_coprime_pair_mirrors(q):
                     == counting.coprime_pairs_nonzero_constant(q, m, n))
     for n in range(1, 4):
         assert count_coprime_pairs_upto(F, n) == counting.coprime_monic_pairs_upto(q, n)
+    for n in range(4):
+        assert count_rational_functions(F, n) == counting.rational_function_count(q, n)
 
 
 @pytest.mark.parametrize("q,n", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
@@ -447,8 +456,12 @@ def test_verify_grid_counts_skips():
     report = verify_grid([3], [3], kinds=("frakN",), budget=10)
     assert report.total == 0
     assert report.skipped == 1
+    assert report.skipped_cells == [
+        SkippedCell(3, 3, "frakN", "q=3 n=3 needs 81 keys, budget is 10")]
     appendix = verify_grid([2], [1], kinds=("appendix-lemmas",), budget=-1)
     assert (appendix.total, appendix.skipped) == (0, 1)
+    assert appendix.skipped_cells == [
+        SkippedCell(2, None, "appendix-lemmas", "q=2 n=3 needs 64 polynomials, budget is -1")]
 
 
 def test_verify_grid_rejects_bad_input():
@@ -508,7 +521,8 @@ def test_verify_grid_rejects_fewer_than_one_job():
 def test_report_json_shape():
     report = verify_grid([2], [1], kinds=("frakN",))
     obj = report.to_json_obj()
-    assert set(obj) == {"checks", "summary"}
+    assert set(obj) == {"checks", "skipped_cells", "summary"}
+    assert obj["skipped_cells"] == []
     assert obj["summary"] == {"total": report.total, "failed": 0, "skipped": 0}
     for entry in obj["checks"]:
         assert list(entry) == ["name", "q", "n", "expected", "actual",

@@ -8,9 +8,9 @@ import pytest
 
 from ffrat.gf import field_of_order, make_ext, make_field
 from ffrat.polyring import (NEG_INFINITY, Poly, affine_substitute, compose,
-                            conj, conj_reverse, forward_difference, gcd,
-                            monic_polys, nth_difference_is_zero, poly_str,
-                            polys_upto, self_dual_scalar)
+                            conj, conj_reverse, coprime_flags, forward_difference,
+                            gcd, horner_rank, monic_polys, nth_difference_is_zero,
+                            poly_str, polys_upto, self_dual_scalar)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -324,3 +324,56 @@ def test_poly_str():
     assert poly_str(Poly.zero(F3)) == "0"
     assert poly_str(P(F3, 2)) == "2"
     assert poly_str(P(F2, 0, 1, 0, 1)) == "X^3+X"
+
+
+# -- the coprimality sieve ------------------------------------------------------
+
+
+SIEVE_GRID_Q = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _gcd_table(F, n, m):
+    # table[i][j]: whether the i-th monic P of degree n and the j-th monic Q
+    # of degree m are coprime, by one gcd per pair; for n == m only the pairs
+    # i <= j are computed, since gcd(P, Q) == gcd(Q, P).
+    ps, qs = list(monic_polys(F, n)), list(monic_polys(F, m))
+    table = [[None] * len(qs) for _ in ps]
+    for i, f in enumerate(ps):
+        for j, g in enumerate(qs):
+            if n != m or i <= j:
+                table[i][j] = gcd(f, g).degree == 0
+            else:
+                table[i][j] = table[j][i]
+    return table
+
+
+@pytest.mark.parametrize("q", SIEVE_GRID_Q)
+def test_coprime_flags_match_pairwise_gcd(q):
+    # Every (n, m) with n, m <= 3: flags(n, m) against the gcd table, and
+    # flags(m, n) against its transpose.
+    F = field_of_order(q)
+    for n in range(4):
+        for m in range(n, 4):
+            table = _gcd_table(F, n, m)
+            want = bytearray(x for row in table for x in row)
+            assert coprime_flags(F, n, m) == want, (q, n, m)
+            want_t = bytearray(row[j] for j in range(q ** m) for row in table)
+            assert coprime_flags(F, m, n) == want_t, (q, m, n)
+
+
+@pytest.mark.parametrize("q", SIEVE_GRID_Q)
+def test_pinned_coprime_flags_match_gcd_filter(q):
+    # The form that enumerates subfield keys: P's X^m digit is zero and is
+    # left out of P's rank.
+    F = field_of_order(q)
+    for n in range(1, 4):
+        for m in range(n):
+            positions = [i for i in range(n) if i != m]
+            want = bytearray(q ** (n - 1 + m))
+            for f in monic_polys(F, n):
+                if f.coeff(m) == 0:
+                    base = horner_rank(q, [f.coeff(i) for i in positions]) * q ** m
+                    for j, g in enumerate(monic_polys(F, m)):
+                        want[base + j] = gcd(f, g).degree == 0
+            assert coprime_flags(F, n, m, zero_digit=m) == want, (q, n, m)
+

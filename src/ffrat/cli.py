@@ -18,8 +18,9 @@ import contextlib
 import json
 import os
 import sys
+import time
 
-from ffrat import classify, counting, oracle
+from ffrat import __version__, classify, counting, oracle
 from ffrat.gf import FieldSizeError, field_of_order
 from ffrat.polyring import poly_str
 from ffrat.ratmap import BudgetExceededError, DEFAULT_KEY_BUDGET
@@ -81,11 +82,17 @@ def _validated_q_list(text: str) -> list[int]:
     return qs
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    return parse
+
+
+positive_int = _int_at_least(1)
+non_negative_int = _int_at_least(0)
 
 
 def count_digits_bound(kind: str, q: int, n: int) -> int:
@@ -171,8 +178,15 @@ def cmd_verify(args) -> int:
         raise UsageError("cannot write the report to %s: %s"
                          % (args.out, exc.strerror or exc))
     with handle or contextlib.nullcontext():
+        start = time.perf_counter()
         report = oracle.verify_grid(qs, ns, kinds, budget=args.budget, jobs=args.jobs)
-        text = json.dumps(report.to_json_obj(), indent=2)
+        payload = report.to_json_obj()
+        payload["meta"] = {"version": __version__,
+                           "python": sys.version.split()[0],
+                           "budget": args.budget, "jobs": args.jobs,
+                           "kinds": list(kinds),
+                           "wall_s": round(time.perf_counter() - start, 6)}
+        text = json.dumps(payload, indent=2)
         if handle:
             handle.write(text + "\n")
     if handle:
@@ -240,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_KEY_BUDGET,
+        p.add_argument("--budget", type=non_negative_int, default=DEFAULT_KEY_BUDGET,
                        help="enumeration budget (default %d)" % DEFAULT_KEY_BUDGET)
 
     p_count = sub.add_parser("count", help="print one exact class count")

@@ -300,6 +300,12 @@ def mult_order(F: FieldCtx, a: int) -> int:
     raise AssertionError("order of %d not found in GF(%d)" % (a, F.q))
 
 
+def char_roots(F: FieldCtx, trace: int, det: int) -> int:
+    """Number of roots of X^2 - trace*X + det in the field."""
+    add, sub, mul = F.add, F.sub, F.mul
+    return sum(1 for x in F.elements if add(sub(mul(x, x), mul(trace, x)), det) == 0)
+
+
 class ExtFieldCtx:
     """A field GF(q) together with its quadratic extension GF(q^2).
 

@@ -5,7 +5,12 @@ Everything in ``counting`` has an independent enumeration mirror here:
 * conjugacy classes of the invertible 2x2 matrices over GF(q), with their
   centralizer orders, built directly from eigenvalue data;
 * per-class fixed-subfield counts by walking every subfield key, as fixed
-  points of the permutation a matrix induces on the indexed keys;
+  points of the permutation a matrix induces on the indexed keys
+  (``fix_count_bruteforce``), or read off the cycles of three permutations
+  (``KeyPermutations.fix_count``): conjugate matrices fix equally many keys,
+  so a class's count follows from its type and projective order and the
+  cycle lengths of the scaling X -> gX, of a nonsplit element of projective
+  order q + 1, and of the translation X -> X + 1;
 * Burnside averages and explicit orbit closures for both the rational and
   the polynomial action, on index permutations of the subfield keys
   (``ratmap.KeyPermutations``) or of the normalized polynomials
@@ -33,15 +38,15 @@ import time
 from typing import NamedTuple
 
 from ffrat import classify, counting
-from ffrat.gf import (ExtFieldCtx, FieldCtx, field_of_order, make_ext,
+from ffrat.gf import (ExtFieldCtx, FieldCtx, char_roots, field_of_order, make_ext,
                       mult_order)
 from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd, monic_polys,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, MoebiusTransform, SubfieldKey,
-                          check_budget, cycle_lengths, enumerate_subfield_keys,
-                          fixed_points, label_orbits, normalize, orbit_count,
-                          subfield_key)
+                          check_budget, cycle_lengths,
+                          enumerate_subfield_keys, fixed_points, label_orbits,
+                          normalize, orbit_count, subfield_key)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
@@ -78,7 +83,7 @@ def enumerate_classes(F: FieldCtx) -> list[ConjClassRep]:
     for t in F.elements:
         for s in F.units:
             # X^2 - tX + s irreducible over GF(q): no root.
-            if all(F.add(F.sub(F.mul(x, x), F.mul(t, x)), s) for x in F.elements):
+            if char_roots(F, t, s) == 0:
                 out.append(ConjClassRep("nonsplit", (t, s),
                                         (t, F.neg(s), 1, 0), q * q - 1))
     for a in F.units:
@@ -163,8 +168,9 @@ def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
                                       budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Burnside average over every invertible matrix, no conjugacy classes.
 
-    Quadratically slower than burnside_count_rational; a debugging
-    cross-check for tiny fields.
+    ``fix_count`` types each matrix on its own, so this cross-checks the
+    class representatives and centralizer orders of ``enumerate_classes``;
+    it walks all q^4 matrices, for tiny fields.
     """
     engine = _engine(F, n, budget)
     total = 0

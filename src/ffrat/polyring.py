@@ -400,10 +400,12 @@ def coprime_flags(F: FieldCtx, n: int, m: int,
     """flags[rank(P) * q^m + rank(Q)] is 1 exactly when gcd(P, Q) = 1, over
     the monic P of degree n and Q of degree m, ranked by the ``horner_rank``
     of their low coefficients from the constant term up (``monic_polys``
-    order).  With ``zero_digit`` = k < n, only the P with zero X^k
+    order).  With ``zero_digit`` = k, m <= k < n, only the P with zero X^k
     coefficient are ranked, that digit left out.  A common factor contains a
     monic h of degree 1..min(n, m), so clearing every pair (h*A, h*B) clears
     exactly the pairs that are not coprime."""
+    if zero_digit is not None and not m <= zero_digit < n:
+        raise ValueError("the zero digit must lie in m..n-1")
     q = F.q
     qm = q ** m
     positions = [i for i in range(n) if i != zero_digit]
@@ -411,10 +413,28 @@ def coprime_flags(F: FieldCtx, n: int, m: int,
     for d in range(1, min(n, m) + 1):
         for h in monic_polys(F, d):
             q_ranks = [horner_rank(q, (h * B).coeffs[:m]) for B in monic_polys(F, m - d)]
-            for A in monic_polys(F, n - d):
+            cofactors = (monic_polys(F, n - d) if zero_digit is None
+                         else _pinned_cofactors(F, n - d, h, zero_digit))
+            for A in cofactors:
                 P = (h * A).coeffs
-                if zero_digit is None or P[zero_digit] == 0:
-                    base = horner_rank(q, [P[i] for i in positions]) * qm
-                    for r in q_ranks:
-                        flags[base + r] = 0
+                base = horner_rank(q, [P[i] for i in positions]) * qm
+                for r in q_ranks:
+                    flags[base + r] = 0
     return flags
+
+
+def _pinned_cofactors(F: FieldCtx, degree: int, h: Poly, k: int) -> Iterator[Poly]:
+    # The monic A of this degree with [X^k](h*A) = 0, for monic h of degree
+    # d <= k.  That coefficient is a_(k-d) + sum_(j<d) h_j a_(k-j), so every
+    # choice of A's other low digits gives one a_(k-d).
+    add, mul = F.add, F.mul
+    e = k - h.degree
+    tail = h.coeffs[:-1]
+    for low in itertools.product(range(F.q), repeat=degree - 1):
+        a = [*low[:e], 0, *low[e:], 1]
+        s = 0
+        for j, hj in enumerate(tail):
+            if hj and k - j <= degree:
+                s = add(s, mul(hj, a[k - j]))
+        a[e] = F.neg(s)
+        yield Poly._make(F, tuple(a))

@@ -34,8 +34,9 @@ import itertools
 import operator
 from typing import Iterator, NamedTuple
 
-from ffrat.gf import FieldCtx
-from ffrat.polyring import Poly, coprime_flags, gcd, horner_rank, poly_str
+from ffrat.gf import FieldCtx, char_roots
+from ffrat.polyring import (Poly, coprime_flags, gcd, horner_rank, poly_str,
+                            substitute_raw)
 
 DEFAULT_KEY_BUDGET = 10 ** 7
 
@@ -94,8 +95,7 @@ class MoebiusTransform:
     def order(self) -> int:
         """Order as a projective transformation."""
         ident = MoebiusTransform.identity(self.field)
-        power = self
-        d = 1
+        power, d = self, 1
         while power != ident:
             power = power @ self
             d += 1
@@ -321,20 +321,19 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
                 yield SubfieldKey(n, (p_row, q_row))
 
 
-def scaled_ranks(F: FieldCtx, scales: list[int], base: int = 0) -> Iterator[int]:
-    """The permutation of digit-string ranks that multiplies digit k by the
-    unit scales[k]: item r is base plus the rank of the image of the r-th
-    string of ``itertools.product(range(q), repeat=len(scales))``, the first
-    digit most significant.  The last digit is added lazily, so that a
-    caller can look each rank up without holding a list of them all."""
-    q, mul = F.q, F.mul
+def digit_ranks(q: int, tables: list[list[int]], base: int = 0,
+                unit: int = 1) -> Iterator[int]:
+    """Item r is base plus unit times the rank of the image of the r-th string
+    of ``itertools.product(range(q), repeat=len(tables))`` that maps digit k
+    by tables[k], the first digit most significant.  The last digit is added
+    lazily, so that a caller may look each rank up without a list of all."""
     vals, tab = [base], [0]
-    weight = q ** len(scales)
-    for s in scales:
-        vals = [v + t for v in vals for t in tab]
+    weight = unit * q ** len(tables)
+    for t in tables:
+        vals = [v + s for v in vals for s in tab]
         weight //= q
-        tab = [mul(s, v) * weight for v in range(q)]
-    return (v + t for v in vals for t in tab)
+        tab = [x * weight for x in t]
+    return (v + s for v in vals for s in tab)
 
 
 def _closed(perm: list[int]) -> list[int]:
@@ -349,8 +348,8 @@ def compose_perms(first: list[int], then: list[int]) -> list[int]:
 
 
 class KeyPermutations:
-    """Subfield keys indexed 0..N-1, and the index permutations induced by
-    invertible matrices: perm(A @ B)[i] == perm(B)[perm(A)[i]].
+    """Subfield keys indexed 0..N-1, the index permutations that invertible
+    matrices induce, and the number of keys each matrix fixes.
 
     Every key has a rank, offset[m] + rank(P free digits) * q^m +
     rank(Q low digits), which orders ``enumerate_subfield_keys`` strictly;
@@ -358,9 +357,9 @@ class KeyPermutations:
     ``image_perm`` takes the ``key_image`` of every key.  ``scaling`` and
     ``translation`` are the permutations of D = (g, 0, 0, 1) and
     T = (1, 1, 0, 1); both keep the pivots of a key, so their images are
-    ranked from the rows directly.  ``generators`` adds the inversion
-    S = (0, 1, 1, 0), whose images need ``key_image``, and ``perm`` composes
-    the three along the matrix's Bruhat word.
+    ranked by digit arithmetic, with no ``key_image``.  ``generators`` adds
+    the inversion S = (0, 1, 1, 0), whose images need ``key_image``.
+    ``fix_count`` reads the cycles of D, T and a nonsplit R.
 
     ``bruhat_labels`` labels the orbits without S's permutation.  D and T
     generate the affine group B, and PGL(2, q) is the disjoint union of B and
@@ -375,32 +374,28 @@ class KeyPermutations:
         self.F, self.n, self.keys = F, n, keys
         self._offsets = _rank_offsets(F.q, n)
         self._p_numbers: dict = {}    # r0 -> its digits X^0..X^(n-1) as one number
-        self._q_parts: dict = {}      # r1 -> (pivot, rank base, q^(pivot-1), q^m)
+        self._q_parts: dict = {}      # r1 -> (rank base, q^(pivot-1), q^m)
         self._table = [-1] * self._offsets[n]
         for i, key in enumerate(keys):
             self._table[self.rank(key.rows)] = i
 
-    def _q_part(self, r1) -> tuple[int, int, int, int]:
-        # The pivot j1 of a second row, offset[m] + rank(Q low digits), and
-        # the weights q^(j1-1) and q^m.
-        part = self._q_parts.get(r1)
-        if part is None:
-            q, n = self.F.q, self.n
-            j1 = r1.index(1)
-            part = self._q_parts[r1] = (
-                j1, self._offsets[n - j1] + horner_rank(q, r1[n:j1:-1]),
-                q ** (j1 - 1), q ** (n - j1))
-        return part
-
     def rank(self, rows) -> int:
         """The rank of a degree-n key, from its echelon rows."""
         r0, r1 = rows
-        j1, base, low, qm = self._q_part(r1)
+        q, n = self.F.q, self.n
+        part = self._q_parts.get(r1)
+        if part is None:
+            # offset[m] + rank(Q low digits); q^m weighs P's free digits.
+            j1 = r1.index(1)
+            part = self._q_parts[r1] = (
+                self._offsets[n - j1] + horner_rank(q, r1[n:j1:-1]),
+                q ** (j1 - 1), q ** (n - j1))
+        base, low, qm = part
         number = self._p_numbers.get(r0)
         if number is None:
-            number = self._p_numbers[r0] = horner_rank(self.F.q, r0[self.n:0:-1])
+            number = self._p_numbers[r0] = horner_rank(q, r0[n:0:-1])
         # Drop the zero digit of X^m, which sits at weight q^(j1-1).
-        return base + (number // (low * self.F.q) * low + number % low) * qm
+        return base + (number // (low * q) * low + number % low) * qm
 
     def key_index(self, rows) -> int:
         """The index of the key with these echelon rows, or -1."""
@@ -413,57 +408,60 @@ class KeyPermutations:
         return _closed([table[self.rank(key_image(key, M, F, products).rows)]
                         for key in self.keys])
 
+    def _assign(self, perm: list[int], start: int, stop: int, images) -> None:
+        # perm[i] = j for each key i ranked in start..stop-1 and its image j.
+        for i, j in zip(self._table[start:stop], images):
+            if i >= 0:
+                perm[i] = j
+
     @functools.cached_property
     def scaling(self) -> list[int]:
         # D sends P to P(gX) / g^n and Q to Q(gX) / g^m: digit i of each
         # row is scaled by g^(i-n) or g^(i-m), and the pivots stay.
         F, n, table = self.F, self.n, self._table
         ginv = F.inv(F.generator)
-        images: list[int] = []    # rank -> index of the image, or -1
+        perm = [-1] * len(self.keys)
         for m in range(n):
             scales = ([F.pow(ginv, n - i) for i in range(n) if i != m]
                       + [F.pow(ginv, m - i) for i in range(m)])
-            images += map(table.__getitem__, scaled_ranks(F, scales, self._offsets[m]))
-        perm = [-1] * len(self.keys)
-        for i, j in zip(table, images):
-            if i >= 0:
-                perm[i] = j
+            tables = [[F.mul(s, x) for x in F.elements] for s in scales]
+            ranks = digit_ranks(F.q, tables, self._offsets[m])
+            self._assign(perm, self._offsets[m], self._offsets[m + 1],
+                         map(table.__getitem__, ranks))
         return _closed(perm)
 
     @functools.cached_property
     def translation(self) -> list[int]:
-        # T keeps the degrees of P and Q, so the image rows (a, b) keep their
-        # pivots 0 and j1, and the image key is (a - a[j1]*b, b).  Only the
-        # digits past j1 change, and they are the most significant of P's.
+        # With m = deg Q, lo = P's digits X^0..X^(m-1) and hi = X^(m+1)..,
+        # the image key is (P(X+1) - c*Q(X+1), Q(X+1)), c = [X^m]P(X+1).  Its
+        # hi and c depend on hi alone, and its lo is A.lo + v, A the shift of
+        # the polynomials of degree < m and v = u - c*Q(X+1)'s low digits, u
+        # those of P(X+1) at lo = 0.  So the rank offset[m] + (lo*q^(n-1-m) +
+        # hi)*q^m + rank(Q) goes to rank(A.lo + v)*q^(n-1) + part(hi, Q).
         F, q, n, table = self.F, self.F.q, self.n, self._table
         add, mul, neg = F.add, F.mul, F.neg
-        M = substitution_matrix(F, (1, 1, 0, 1), n)
-        p_parts: dict = {}    # r0 -> (a, a's digits X^0..X^(n-1) as one number)
-        q_parts: dict = {}    # r1 -> (b's _q_part, c -> -c * b's digits past j1)
-        perm = []
-        for key in self.keys:
-            r0, r1 = key.rows
-            pa = p_parts.get(r0)
-            if pa is None:
-                a = _row_times(F, r0, M)
-                pa = p_parts[r0] = (a, horner_rank(q, a[n:0:-1]))
-            qb = q_parts.get(r1)
-            if qb is None:
-                b = tuple(_row_times(F, r1, M))
-                part = self._q_part(b)
-                tail = b[n:part[0]:-1]
-                qb = q_parts[r1] = (part, [None] + [[mul(neg(c), y) for y in tail]
-                                                    for c in range(1, q)])
-            a, number = pa
-            (j1, base, low, qm), reducers = qb
-            c = a[j1]
-            if c:
-                high = 0
-                for x, y in zip(a[n:j1:-1], reducers[c]):
-                    high = high * q + add(x, y)
-            else:
-                high = number // (low * q)
-            perm.append(table[base + (high * low + number % low) * qm])
+        block = q ** (n - 1)
+        perm = [-1] * len(self.keys)
+        for m in range(n):
+            q_images = [substitute_raw(F, low + (1,), 1, 1)[:m]
+                        for low in itertools.product(range(q), repeat=m)]
+            v_ranks, parts = [], []
+            for hi in itertools.product(range(q), repeat=n - 1 - m):
+                p = substitute_raw(F, (0,) * (m + 1) + hi + (1,), 1, 1)
+                minus_c, u = neg(p[m]), p[:m]
+                base = self._offsets[m] + horner_rank(q, p[m + 1:n]) * q ** m
+                for b in q_images:
+                    v = [add(x, mul(minus_c, y)) for x, y in zip(u, b)]
+                    v_ranks.append(horner_rank(q, v))
+                    parts.append(base + horner_rank(q, b))
+            start = self._offsets[m]
+            for lo in itertools.product(range(q), repeat=m):
+                row = list(digit_ranks(q, [[add(a, x) for x in F.elements]
+                                           for a in substitute_raw(F, lo + (0,), 1, 1)[:m]],
+                                       0, block))
+                ranks = map(operator.add, map(row.__getitem__, v_ranks), parts)
+                self._assign(perm, start, start + block, map(table.__getitem__, ranks))
+                start += block
         return _closed(perm)
 
     @functools.cached_property
@@ -497,39 +495,41 @@ class KeyPermutations:
         return blabels, glabels
 
     @functools.cached_property
-    def _letters(self) -> dict[tuple[int, int, int, int], list[int]]:
-        # S, each D_a = (a, 0, 0, 1) as a power of D, each T_b as D_b T D_b^-1.
-        F = self.F
-        D, T, S = self.generators
-        letters = {(0, 1, 1, 0): S}
-        perm = list(range(len(self.keys)))
-        for k in range(F.q - 1):
-            letters[(F.pow(F.generator, k), 0, 0, 1)] = perm
-            perm = compose_perms(perm, D)
-        for b in F.units:
-            letters[(1, b, 0, 1)] = compose_perms(
-                compose_perms(letters[(b, 0, 0, 1)], T), letters[(F.inv(b), 0, 0, 1)])
-        return letters
-
-    def perm(self, mat) -> list[int]:
-        """The permutation of key indices that an invertible matrix induces."""
-        F = self.F
-        target = MoebiusTransform(F, mat)
-        a, b, c, d = mat
-        if c == 0:
-            word = [(1, F.div(b, d), 0, 1), (F.div(a, d), 0, 0, 1)]
-        else:
-            w = F.div(F.sub(F.mul(b, c), F.mul(a, d)), c)    # -det / c
-            word = [(1, F.div(a, c), 0, 1), (0, 1, 1, 0),
-                    (1, F.div(d, w), 0, 1), (F.div(c, w), 0, 0, 1)]
-        if functools.reduce(operator.matmul,
-                            [MoebiusTransform(F, m) for m in word]) != target:
-            raise AssertionError("Bruhat word %r does not give %r" % (word, mat))
-        return functools.reduce(compose_perms, [self._letters[m] for m in word])
+    def _tori(self) -> dict[int, tuple[int, dict[int, int]]]:
+        # By root count: the torus's projective order, its generator's cycles.
+        q, R = self.F.q, nonsplit_generator(self.F)
+        return {2: (q - 1, cycle_lengths(self.scaling)),
+                0: (q + 1, cycle_lengths(self.image_perm(R)))}
 
     def fix_count(self, mat) -> int:
-        """Number of keys that an invertible matrix fixes."""
-        return fixed_points(self.perm(mat))
+        """Number of keys that an invertible matrix fixes, as conjugates do.  A
+        scalar fixes every key; else the roots of X^2 - trace*X + det in GF(q)
+        give the type: one, a unipotent, which fixes as many keys as T; two, a
+        split matrix, conjugate to a power of D; none, a nonsplit one, to a
+        power of R.  In a cyclic group of order N an element of order d fixes
+        exactly the points on the generator's cycles of length dividing N/d."""
+        F = self.F
+        a, b, c, d = mat
+        order = MoebiusTransform(F, mat).order()
+        if order == 1:
+            return len(self.keys)
+        roots = char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c)))
+        if roots == 1:
+            return fixed_points(self.translation)
+        N, cycles = self._tori[roots]
+        return sum(length * count for length, count in cycles.items()
+                   if (N // order) % length == 0)
+
+
+def nonsplit_generator(F: FieldCtx) -> tuple[int, int, int, int]:
+    """The first companion matrix (t, -s, 1, 0) of an irreducible X^2 - tX + s
+    of projective order q + 1, a generator of a nonsplit torus of PGL(2, q)."""
+    for t in F.elements:
+        for s in F.units:
+            mat = (t, F.neg(s), 1, 0)
+            if char_roots(F, t, s) == 0 and MoebiusTransform(F, mat).order() == F.q + 1:
+                return mat
+    raise AssertionError("no nonsplit element of order q + 1")
 
 
 def fixed_points(perm: list[int]) -> int:

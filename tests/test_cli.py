@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import ffrat
 from ffrat import counting
 from ffrat.cli import (EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_COUNT_DIGITS,
                        MAX_RANGE_LENGTH, UsageError, _parse_int_set, build_parser,
@@ -259,7 +260,7 @@ def test_verify_report_shape(capsys):
                            "--kinds", "frakN,frakM")
     assert code == EXIT_OK
     report = json.loads(out)
-    assert set(report) == {"checks", "skipped_cells", "summary"}
+    assert set(report) == {"checks", "skipped_cells", "summary", "meta"}
     assert report["skipped_cells"] == []
     assert report["summary"] == {"total": 12, "failed": 0, "skipped": 0}
     for entry in report["checks"]:
@@ -315,6 +316,37 @@ def test_verify_out_file(capsys, tmp_path):
     text = target.read_text()
     assert text.endswith("\n")
     assert json.loads(text)["summary"]["total"] == 3
+
+
+def test_verify_report_carries_meta(capsys, tmp_path):
+    target = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify", "--q", "2", "--n", "1", "--kinds",
+                         "frakN,frakM", "--budget", "500", "--jobs", "1",
+                         "--out", str(target))
+    assert code == EXIT_OK
+    meta = json.loads(target.read_text())["meta"]
+    assert list(meta) == ["version", "python", "budget", "jobs", "kinds", "wall_s"]
+    assert meta["version"] == ffrat.__version__
+    assert meta["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert (meta["budget"], meta["jobs"], meta["kinds"]) == (500, 1, ["frakN", "frakM"])
+    assert isinstance(meta["wall_s"], float) and meta["wall_s"] >= 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "2", "--n", "1"],
+    ["table", "--q", "2", "--n", "1"],
+    ["verify", "--q", "2", "--n", "1", "--strict"],
+    ["classify", "--q", "2", "--n", "2"],
+])
+def test_negative_budget_is_a_usage_error(capsys, monkeypatch, argv):
+    # Refused by the parser, before any work; a budget of 0 stays valid.
+    from ffrat import oracle
+    monkeypatch.setattr(oracle, "verify_grid", lambda *a, **k: pytest.fail("a cell ran"))
+    code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--budget" in err and "at least 0, got -1" in err
+    assert build_parser().parse_args(argv + ["--budget", "0"]).budget == 0
 
 
 def test_verify_skipped_cells_are_not_failures(capsys):

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from ffrat import classify, counting, ratmap
-from ffrat.gf import field_of_order, make_ext
+from ffrat.gf import char_roots, field_of_order, make_ext
 from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           burnside_count_rational,
                           burnside_count_rational_fullgroup,
@@ -21,9 +21,11 @@ from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           nonsplit_twist_order, orbit_count_poly,
                           orbit_count_rational, orbit_labels,
                           poly_equivalence_partitions_agree, verify_grid)
-from ffrat.ratmap import (BudgetExceededError, KeyPermutations, compose_perms,
+from ffrat.ratmap import (BudgetExceededError, KeyPermutations,
+                          MoebiusTransform, compose_perms,
                           cycle_lengths, enumerate_subfield_keys, fixed_points,
-                          key_image, label_orbits, substitution_matrix)
+                          key_image, label_orbits, nonsplit_generator,
+                          substitution_matrix)
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -172,22 +174,33 @@ def test_engine_fix_counts_match_scalar_key_images(q, n):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_engine_perm_matches_key_image_on_all_of_gl2(q):
+    # fix_count types each matrix and reads the torus cycles; image_perm
+    # counts the fixed keys one by one.
     F = field_of_order(q)
-    keys = list(enumerate_subfield_keys(F, 2))
-    engine = KeyPermutations(F, 2, keys)
-    for mat in _invertible(F):
-        M = substitution_matrix(F, mat, 2)
-        want = [engine.key_index(key_image(key, M, F).rows) for key in keys]
-        assert engine.perm(mat) == want, mat
-        assert engine.image_perm(mat) == want, mat
+    for n in (2, 3):
+        keys = list(enumerate_subfield_keys(F, n))
+        engine = KeyPermutations(F, n, keys)
+        for mat in _invertible(F):
+            M = substitution_matrix(F, mat, n)
+            want = [engine.key_index(key_image(key, M, F).rows) for key in keys]
+            assert engine.image_perm(mat) == want, mat
+            assert engine.fix_count(mat) == fixed_points(want), mat
 
 
 def test_engine_rejects_singular_matrices():
     engine = KeyPermutations(F3, 2, list(enumerate_subfield_keys(F3, 2)))
     with pytest.raises(ValueError):
-        engine.perm((1, 2, 2, 1))
+        engine.fix_count((1, 2, 2, 1))
     with pytest.raises(ValueError):
-        engine.perm((1, 1, 0, 0))
+        engine.fix_count((1, 1, 0, 0))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_nonsplit_generator_has_projective_order_q_plus_one(q):
+    F = field_of_order(q)
+    a, b, c, d = mat = nonsplit_generator(F)
+    assert char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c))) == 0
+    assert MoebiusTransform(F, mat).order() == q + 1
 
 
 def test_engine_rejects_a_key_set_not_closed_under_the_action():
@@ -203,13 +216,14 @@ def test_engine_generators_reject_a_key_set_not_closed_under_the_action():
 
 
 RANKED_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
-RANKED_CELLS += [(4, 4), (5, 4)]
+RANKED_CELLS += [(4, 4), (5, 4), (3, 5), (2, 6)]
 
 
 @pytest.mark.parametrize("q,n", RANKED_CELLS)
 def test_scaling_and_translation_generators_match_key_images(q, n):
-    # D and T are ranked from the rows directly; image_perm goes through
-    # key_image and an echelon form for every key.
+    # D and T are ranked by digit arithmetic; image_perm goes through
+    # key_image and an echelon form for every key.  At (3, 5) and (2, 6)
+    # the degree m of Q reaches 4 and 5.
     F = field_of_order(q)
     keys = list(enumerate_subfield_keys(F, n))
     engine = KeyPermutations(F, n, keys)
@@ -295,6 +309,28 @@ def test_orbit_count_rational_inverts_q_keys_per_class(monkeypatch, q, n):
     classes = counting.count_rational_classes(q, n)
     assert orbit_count_rational(field_of_order(q), n) == classes
     assert len(images) == q * classes
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (2, 4)])
+def test_burnside_count_rational_takes_one_image_pass(monkeypatch, q, n):
+    # D and T come from digit arithmetic and every class reads the cycles of
+    # D, T or the nonsplit R: R's permutation is the only one built from key
+    # images, and no permutation is composed.
+    def uncomposed(first, then):
+        raise AssertionError("compose_perms was called")
+
+    passes = []
+    image_perm = KeyPermutations.image_perm
+
+    def counted(self, mat):
+        passes.append(mat)
+        return image_perm(self, mat)
+
+    monkeypatch.setattr(KeyPermutations, "image_perm", counted)
+    monkeypatch.setattr(ratmap, "compose_perms", uncomposed)
+    F = field_of_order(q)
+    assert burnside_count_rational(F, n) == counting.count_rational_classes(q, n)
+    assert passes == [nonsplit_generator(F)]
 
 
 # -- class counts three ways ---------------------------------------------------

@@ -377,3 +377,11 @@ def test_pinned_coprime_flags_match_gcd_filter(q):
                         want[base + j] = gcd(f, g).degree == 0
             assert coprime_flags(F, n, m, zero_digit=m) == want, (q, n, m)
 
+
+def test_pinned_coprime_flags_reject_a_digit_below_m_or_past_n():
+    # The pinned digit is solved for in each cofactor of a monic h of
+    # degree d <= m, which needs the digit's index to be at least m.
+    F = field_of_order(3)
+    for n, m, k in [(3, 2, 1), (3, 1, 3)]:
+        with pytest.raises(ValueError, match="zero digit"):
+            coprime_flags(F, n, m, zero_digit=k)

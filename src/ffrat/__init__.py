@@ -22,8 +22,7 @@ from ffrat.oracle import (ConjClassRep, VerificationReport,
                           enumerate_classes, fix_count_bruteforce,
                           orbit_count_poly, orbit_count_rational, verify_grid)
 from ffrat.polyring import (NEG_INFINITY, Poly, affine_substitute, compose,
-                            conj, conj_reverse, forward_difference, gcd,
-                            monic_polys, nth_difference_is_zero, poly_str,
+                            conj, conj_reverse, gcd, monic_polys, poly_str,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           MoebiusTransform, RationalMap, SubfieldKey, act,

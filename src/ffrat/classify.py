@@ -216,12 +216,61 @@ def least_nonsquare(F: FieldCtx) -> int:
     raise AssertionError("no nonsquare found")
 
 
-def _mono(F: FieldCtx, n: int, lower_terms: dict[int, int]) -> Poly:
-    cs = [0] * (n + 1)
-    cs[n] = 1
-    for deg, c in lower_terms.items():
-        cs[deg] = c
-    return Poly(F, cs)
+# The family rows, each named by its coefficients of X^n down to X^1: a digit,
+# or a parameter that runs over the set its clause in the tag names (after
+# "/" comes only what tells apart rows with equal coefficients).
+_ROWS = {
+    "1": "X",
+    "10": "X^2", "11": "X^2+X",
+    "100": "X^3", "101": "X^3+X", "110": "X^3+X^2", "10a": "X^3+a*X, a in C_2",
+    "1000": "X^4", "1001": "X^4+X", "100a": "X^4+a*X, a in C_3",
+    "10a0": "X^4+a*X^2, a in C_2", "10aa": "X^4+a*(X^2+X), a nonzero",
+    "101a": "X^4+X^2+a*X, a in GF(q)", "110a": "X^4+X^3+a*X, a in GF(q)",
+    "10000": "X^5", "10001": "X^5+X", "10010": "X^5+X^2",
+    "1000a/2": "X^5+a*X, a in C_2", "1000a/4": "X^5+a*X, a in C_4",
+    "100a0": "X^5+a*X^2, a in C_3", "100aa": "X^5+a*(X^2+X), a nonzero",
+    "1001a": "X^5+X^2+a*X, a in GF(q)", "1010a": "X^5+X^3+a*X, a in GF(q)",
+    "10a0b": "X^5+a*X^3+b*X, a in C_2, b in GF(q)",
+    "10aab": "X^5+a*(X^3+X^2)+b*X, a nonzero, b in GF(q)",
+    "110ab": "X^5+X^4+a*X^2+b*X, a,b in GF(q)",
+}
+
+
+def _row_names(q: int, p: int, n: int) -> str:
+    # The rows of the degree-n table for this q, in table order.
+    if n == 1:
+        return "1"
+    if n == 2:
+        return "11 10" if p == 2 else "10"
+    if n == 3:
+        return {2: "101 100", 3: "110 10a 100"}.get(p, "10a 100")
+    if n == 4:
+        r = q % 6
+        if r == 1:
+            return "10aa 10a0 100a 1000"
+        if r == 2:
+            return "110a 101a 1001 1000"
+        if r == 4:
+            return "110a 101a 100a 1000"
+        return "10aa 10a0 1001 1000"                    # r in (3, 5)
+    if n == 5:
+        r = q % 12
+        if r == 1 and p == 5:
+            return "110ab 10a0b 100a0 1000a/4 10000"
+        if r == 5 and p == 5:
+            return "110ab 10a0b 10010 1000a/4 10000"
+        if r == 1:
+            return "10aab 10a0b 100aa 100a0 1000a/4 10000"
+        if r in (2, 8):
+            return "10aab 1010a 1001a 10001 10000"
+        if r in (3, 11):
+            return "10aab 10a0b 1001a 1000a/2 10000"
+        if r == 4:
+            return "10aab 1010a 100aa 100a0 10001 10000"
+        if r == 7:
+            return "10aab 10a0b 100aa 100a0 1000a/2 10000"
+        return "10aab 10a0b 1001a 1000a/4 10000"        # r in (5, 9)
+    raise ValueError("no representative table for degree %d" % n)
 
 
 def table_families(F: FieldCtx, n: int) -> list[tuple[str, list[Poly]]]:
@@ -229,148 +278,26 @@ def table_families(F: FieldCtx, n: int) -> list[tuple[str, list[Poly]]]:
 
     The rows depend only on the residue of q modulo 6 or 12 (and on the
     characteristic for small primes); within a row the parameters run over
-    all of GF(q), its units, or the coset representatives C_i.
+    all of GF(q), its units, or the coset representatives C_i, as the tag's
+    clauses say, the first parameter outermost.
     """
-    q, p = F.q, F.p
-    units = list(F.units)
-    everything = list(F.elements)
-    c2 = coset_representatives(F, 2)
-    c3 = coset_representatives(F, 3)
-    c4 = coset_representatives(F, 4)
-
-    if n == 1:
-        return [("X", [Poly.x(F)])]
-
-    if n == 2:
-        if p == 2:
-            return [("X^2+X", [_mono(F, 2, {1: 1})]),
-                    ("X^2", [_mono(F, 2, {})])]
-        return [("X^2", [_mono(F, 2, {})])]
-
-    if n == 3:
-        if p == 2:
-            return [("X^3+X", [_mono(F, 3, {1: 1})]),
-                    ("X^3", [_mono(F, 3, {})])]
-        if p == 3:
-            return [("X^3+X^2", [_mono(F, 3, {2: 1})]),
-                    ("X^3+a*X, a in C_2", [_mono(F, 3, {1: a}) for a in c2]),
-                    ("X^3", [_mono(F, 3, {})])]
-        return [("X^3+a*X, a in C_2", [_mono(F, 3, {1: a}) for a in c2]),
-                ("X^3", [_mono(F, 3, {})])]
-
-    if n == 4:
-        r = q % 6
-        if r == 1:
-            return [("X^4+a*(X^2+X), a nonzero",
-                     [_mono(F, 4, {2: a, 1: a}) for a in units]),
-                    ("X^4+a*X^2, a in C_2", [_mono(F, 4, {2: a}) for a in c2]),
-                    ("X^4+a*X, a in C_3", [_mono(F, 4, {1: a}) for a in c3]),
-                    ("X^4", [_mono(F, 4, {})])]
-        if r == 2:
-            return [("X^4+X^3+a*X, a in GF(q)",
-                     [_mono(F, 4, {3: 1, 1: a}) for a in everything]),
-                    ("X^4+X^2+a*X, a in GF(q)",
-                     [_mono(F, 4, {2: 1, 1: a}) for a in everything]),
-                    ("X^4+X", [_mono(F, 4, {1: 1})]),
-                    ("X^4", [_mono(F, 4, {})])]
-        if r in (3, 5):
-            return [("X^4+a*(X^2+X), a nonzero",
-                     [_mono(F, 4, {2: a, 1: a}) for a in units]),
-                    ("X^4+a*X^2, a in C_2", [_mono(F, 4, {2: a}) for a in c2]),
-                    ("X^4+X", [_mono(F, 4, {1: 1})]),
-                    ("X^4", [_mono(F, 4, {})])]
-        if r == 4:
-            return [("X^4+X^3+a*X, a in GF(q)",
-                     [_mono(F, 4, {3: 1, 1: a}) for a in everything]),
-                    ("X^4+X^2+a*X, a in GF(q)",
-                     [_mono(F, 4, {2: 1, 1: a}) for a in everything]),
-                    ("X^4+a*X, a in C_3", [_mono(F, 4, {1: a}) for a in c3]),
-                    ("X^4", [_mono(F, 4, {})])]
-        raise AssertionError("impossible residue %d mod 6" % r)
-
-    if n == 5:
-        r = q % 12
-        if r == 1 and p == 5:
-            return [("X^5+X^4+a*X^2+b*X, a,b in GF(q)",
-                     [_mono(F, 5, {4: 1, 2: a, 1: b})
-                      for a in everything for b in everything]),
-                    ("X^5+a*X^3+b*X, a in C_2, b in GF(q)",
-                     [_mono(F, 5, {3: a, 1: b}) for a in c2 for b in everything]),
-                    ("X^5+a*X^2, a in C_3", [_mono(F, 5, {2: a}) for a in c3]),
-                    ("X^5+a*X, a in C_4", [_mono(F, 5, {1: a}) for a in c4]),
-                    ("X^5", [_mono(F, 5, {})])]
-        if r == 1:
-            return [("X^5+a*(X^3+X^2)+b*X, a nonzero, b in GF(q)",
-                     [_mono(F, 5, {3: a, 2: a, 1: b})
-                      for a in units for b in everything]),
-                    ("X^5+a*X^3+b*X, a in C_2, b in GF(q)",
-                     [_mono(F, 5, {3: a, 1: b}) for a in c2 for b in everything]),
-                    ("X^5+a*(X^2+X), a nonzero",
-                     [_mono(F, 5, {2: a, 1: a}) for a in units]),
-                    ("X^5+a*X^2, a in C_3", [_mono(F, 5, {2: a}) for a in c3]),
-                    ("X^5+a*X, a in C_4", [_mono(F, 5, {1: a}) for a in c4]),
-                    ("X^5", [_mono(F, 5, {})])]
-        if r in (2, 8):
-            return [("X^5+a*(X^3+X^2)+b*X, a nonzero, b in GF(q)",
-                     [_mono(F, 5, {3: a, 2: a, 1: b})
-                      for a in units for b in everything]),
-                    ("X^5+X^3+a*X, a in GF(q)",
-                     [_mono(F, 5, {3: 1, 1: a}) for a in everything]),
-                    ("X^5+X^2+a*X, a in GF(q)",
-                     [_mono(F, 5, {2: 1, 1: a}) for a in everything]),
-                    ("X^5+X", [_mono(F, 5, {1: 1})]),
-                    ("X^5", [_mono(F, 5, {})])]
-        if r in (3, 11):
-            return [("X^5+a*(X^3+X^2)+b*X, a nonzero, b in GF(q)",
-                     [_mono(F, 5, {3: a, 2: a, 1: b})
-                      for a in units for b in everything]),
-                    ("X^5+a*X^3+b*X, a in C_2, b in GF(q)",
-                     [_mono(F, 5, {3: a, 1: b}) for a in c2 for b in everything]),
-                    ("X^5+X^2+a*X, a in GF(q)",
-                     [_mono(F, 5, {2: 1, 1: a}) for a in everything]),
-                    ("X^5+a*X, a in C_2", [_mono(F, 5, {1: a}) for a in c2]),
-                    ("X^5", [_mono(F, 5, {})])]
-        if r == 4:
-            return [("X^5+a*(X^3+X^2)+b*X, a nonzero, b in GF(q)",
-                     [_mono(F, 5, {3: a, 2: a, 1: b})
-                      for a in units for b in everything]),
-                    ("X^5+X^3+a*X, a in GF(q)",
-                     [_mono(F, 5, {3: 1, 1: a}) for a in everything]),
-                    ("X^5+a*(X^2+X), a nonzero",
-                     [_mono(F, 5, {2: a, 1: a}) for a in units]),
-                    ("X^5+a*X^2, a in C_3", [_mono(F, 5, {2: a}) for a in c3]),
-                    ("X^5+X", [_mono(F, 5, {1: 1})]),
-                    ("X^5", [_mono(F, 5, {})])]
-        if r == 5 and p == 5:
-            return [("X^5+X^4+a*X^2+b*X, a,b in GF(q)",
-                     [_mono(F, 5, {4: 1, 2: a, 1: b})
-                      for a in everything for b in everything]),
-                    ("X^5+a*X^3+b*X, a in C_2, b in GF(q)",
-                     [_mono(F, 5, {3: a, 1: b}) for a in c2 for b in everything]),
-                    ("X^5+X^2", [_mono(F, 5, {2: 1})]),
-                    ("X^5+a*X, a in C_4", [_mono(F, 5, {1: a}) for a in c4]),
-                    ("X^5", [_mono(F, 5, {})])]
-        if r in (5, 7, 9):
-            rows = [("X^5+a*(X^3+X^2)+b*X, a nonzero, b in GF(q)",
-                     [_mono(F, 5, {3: a, 2: a, 1: b})
-                      for a in units for b in everything]),
-                    ("X^5+a*X^3+b*X, a in C_2, b in GF(q)",
-                     [_mono(F, 5, {3: a, 1: b}) for a in c2 for b in everything])]
-            if r == 7:
-                rows += [("X^5+a*(X^2+X), a nonzero",
-                          [_mono(F, 5, {2: a, 1: a}) for a in units]),
-                         ("X^5+a*X^2, a in C_3", [_mono(F, 5, {2: a}) for a in c3]),
-                         ("X^5+a*X, a in C_2", [_mono(F, 5, {1: a}) for a in c2]),
-                         ("X^5", [_mono(F, 5, {})])]
-            else:
-                rows += [("X^5+X^2+a*X, a in GF(q)",
-                          [_mono(F, 5, {2: 1, 1: a}) for a in everything]),
-                         ("X^5+a*X, a in C_4", [_mono(F, 5, {1: a}) for a in c4]),
-                         ("X^5", [_mono(F, 5, {})])]
-            return rows
-        raise AssertionError("impossible residue %d mod 12" % r)
-
-    raise ValueError("no representative table for degree %d" % n)
+    families = []
+    for name in _row_names(F.q, F.p, n).split():
+        tag = _ROWS[name]
+        ranges = {}
+        for clause in tag.split(", ")[1:]:
+            params, where = clause.split(" ", 1)
+            values = (F.units if where == "nonzero" else F.elements if where == "in GF(q)"
+                      else coset_representatives(F, int(where.removeprefix("in C_"))))
+            ranges.update(dict.fromkeys(params.split(","), values))
+        digits = name.split("/")[0][::-1]
+        members = []
+        for values in product(*ranges.values()):
+            value = dict(zip(ranges, values))
+            coeffs = [value[c] if c in value else int(c) for c in digits]
+            members.append(Poly._make(F, (0, *coeffs)))
+        families.append((tag, members))
+    return families
 
 
 def _table_cost(q: int, n: int) -> int:

@@ -11,10 +11,11 @@ field tables are built.  The headline quantities are
 
 Both are Burnside averages over the conjugacy classes of the acting group:
 2x2 invertible matrices up to scalars for rational functions, and the
-degree-one polynomials under composition for polynomials.  The per-class
-fixed-subfield counts are exposed individually (``fix_central``,
-``fix_diagonal``, ``fix_nonsplit``, ``fix_unipotent`` and the affine
-``fix_affine_*`` family) so that a brute-force engine can check each one.
+degree-one polynomials under composition for polynomials.  Each average is
+assembled from the per-class fixed counts, which are exposed individually
+(``fix_central``, ``fix_diagonal``, ``fix_nonsplit``, ``fix_unipotent`` and
+the affine ``fix_affine_*`` family) so that a brute-force engine can check
+each one.
 
 The auxiliary counts (coprime pair counts, self-dual counts and friends) are
 the combinatorial series from which the fixed-point formulas are assembled;
@@ -100,10 +101,6 @@ def is_prime_power(q) -> bool:
     except ValueError:
         return False
     return True
-
-
-def prime_powers_upto(limit: int) -> list[int]:
-    return [q for q in range(2, limit + 1) if is_prime_power(q)]
 
 
 # -- coprime pair and self-dual series ------------------------------------
@@ -263,10 +260,8 @@ def nonsplit_fix_total(q: int, n: int) -> int:
 def count_rational_classes(q: int, n: int) -> int:
     """Equivalence classes of degree-n rational functions over GF(q)."""
     char_and_degree(q)
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     # The four class-kind terms over their common denominator 2q(q^2 - 1).
-    fixed = (2 * q ** (2 * n - 2) + q * (q + 1) * split_fix_total(q, n)
+    fixed = (2 * fix_central(q, n) + q * (q + 1) * split_fix_total(q, n)
              + q * (q - 1) * nonsplit_fix_total(q, n)
              + 2 * (q * q - 1) * fix_unipotent(q, n))
     return exact_div(fixed, 2 * q * (q * q - 1))
@@ -316,17 +311,13 @@ def count_rational_classes_lowdeg(q: int, n: int) -> int:
 def count_polynomial_classes(q: int, n: int) -> int:
     """Equivalence classes of degree-n polynomials over GF(q) under
     composition with invertible affine maps on both sides."""
-    p, _ = char_and_degree(q)
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    char_and_degree(q)
     # Fixed points of the identity, of the q - 2 scaling classes of q maps
     # each, and of the q - 1 translations, over the q(q - 1) affine maps.
-    fixed = q ** (n - 1) + q * sum(euler_phi(d) * q ** ((n + d - 1) // d - 1)
-                                   for d in divisors(q - 1) if d > 1)
-    if n % p == 0:
-        fixed += (q - 1) * q ** (n // p)
-    elif n == 1:
-        fixed += q - 1
+    fixed = (fix_affine_identity(q, n)
+             + q * sum(euler_phi(d) * fix_affine_scale(q, n, d)
+                       for d in divisors(q - 1) if d > 1)
+             + (q - 1) * fix_affine_translate(q, n))
     return exact_div(fixed, q * (q - 1))
 
 

@@ -31,8 +31,8 @@ from ffrat.counting import char_and_degree, divisors, prime_factors
 
 DEFAULT_SIZE_BOUND = 1 << 20
 
-_TABLE_LIMIT = 512       # full q x q add/mul tables below this order
-_LOG_LIMIT = 1 << 16     # log/antilog tables below this order
+_TABLE_LIMIT = 512       # full q x q add/mul tables up to this order
+_LOG_LIMIT = 1 << 16     # log/antilog tables up to this order
 
 
 class FieldSizeError(ValueError):
@@ -175,17 +175,6 @@ class FieldCtx:
         d = self._digits(a)
         return d + (0,) * (self.k - len(d))
 
-    def element_from_coeffs(self, coeffs) -> int:
-        cs = list(coeffs)
-        if len(cs) > self.k:
-            raise ValueError("too many coefficients for GF(%d)" % self.q)
-        e = 0
-        for c in reversed(cs):
-            if not 0 <= c < self.p:
-                raise ValueError("coefficient %r outside 0..%d" % (c, self.p - 1))
-            e = e * self.p + c
-        return e
-
     # -- raw arithmetic (used during construction and for large fields) ---
 
     def _add_digitwise(self, a: int, b: int) -> int:
@@ -327,11 +316,6 @@ class ExtFieldCtx:
 
     def frobenius(self, x: int) -> int:
         return self.frob_table[x]
-
-    def norm_one_elements(self) -> list[int]:
-        """The x in GF(q^2) with x**(q+1) = 1; there are exactly q + 1."""
-        ext, e = self.ext, self.base.q + 1
-        return [x for x in ext.units if ext.pow(x, e) == 1]
 
     def __repr__(self) -> str:
         return "GF(%d) in GF(%d)" % (self.base.q, self.ext.q)

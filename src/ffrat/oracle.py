@@ -46,7 +46,7 @@ from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, MoebiusTransform, SubfieldKey,
                           check_budget, cycle_lengths,
                           enumerate_subfield_keys, fixed_points, label_orbits,
-                          normalize, orbit_count, subfield_key)
+                          normalize, subfield_key)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
@@ -146,9 +146,11 @@ def fix_count_bruteforce(F: FieldCtx, n: int, rep: ConjClassRep,
     return fixed_points(_engine(F, n, budget, engine).image_perm(rep.matrix))
 
 
-def _burnside(engine: KeyPermutations) -> int:
-    # Each class holds |GL(2, q)| / centralizer matrices.
+def _burnside(engine: KeyPermutations, budget: int) -> int:
+    # Each class holds |GL(2, q)| / centralizer matrices.  Listing the classes
+    # tests X^2 - tX + s for roots in GF(q) for every t and unit s.
     q = engine.F.q
+    check_budget(q, engine.n, q * q * (q - 1), "root tests", budget)
     group = q * (q - 1) ** 2 * (q + 1)
     fixed = sum(engine.fix_count(rep.matrix) * counting.exact_div(group, rep.centralizer)
                 for rep in enumerate_classes(engine.F))
@@ -161,7 +163,7 @@ def burnside_count_rational(F: FieldCtx, n: int,
     """Class count as the centralizer-weighted sum of per-class fixed
     counts; must agree with counting.count_rational_classes.  ``engine``
     may pass a shared ``KeyPermutations``, as for ``fix_count_bruteforce``."""
-    return _burnside(_engine(F, n, budget, engine))
+    return _burnside(_engine(F, n, budget, engine), budget)
 
 
 def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
@@ -210,7 +212,7 @@ def orbit_count_poly(F: FieldCtx, n: int,
                      budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Orbits of normalized degree-n polynomials under right substitution by
     invertible affine maps."""
-    return orbit_count(classify.PolyPermutations(F, n, budget).generators)
+    return max(label_orbits(classify.PolyPermutations(F, n, budget).generators)) + 1
 
 
 def burnside_count_poly(F: FieldCtx, n: int,
@@ -368,7 +370,7 @@ def _cell_frak_n(q: int, n: int, budget: int) -> list[CheckResult]:
     F = field_of_order(q)
     want = counting.count_rational_classes(q, n)
     engine = functools.cache(lambda: _engine(F, n, budget))
-    out = [_timed("frakN/burnside", q, n, want, lambda: _burnside(engine())),
+    out = [_timed("frakN/burnside", q, n, want, lambda: _burnside(engine(), budget)),
            _timed("frakN/orbit", q, n, want,
                   lambda: _class_count(engine()))]
     if n <= 4:

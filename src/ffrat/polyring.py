@@ -16,9 +16,7 @@ operators used throughout the package:
   coefficient, and ``conj_reverse(g)`` is X**deg(g) * conj(g)(1/X), i.e. the
   conjugated, reversed coefficient vector;
 * a polynomial is *self-dual* when it equals a scalar multiple of its own
-  conj_reverse; the scalar is then a (q+1)-st root of unity;
-* ``forward_difference(f)`` is f(X+1) - f(X); its p-th iterate vanishes
-  identically in characteristic p.
+  conj_reverse; the scalar is then a (q+1)-st root of unity.
 
 ``coprime_flags`` sieves coprimality for a whole table of monic pairs at
 once; ``gcd`` is the pair-by-pair reference it is tested against.
@@ -345,45 +343,12 @@ def self_dual_scalar(g: Poly, ctx: ExtFieldCtx) -> int | None:
     return c
 
 
-def forward_difference(f: Poly) -> Poly:
-    """f(X+1) - f(X)."""
-    return affine_substitute(f, 1, 1) - f
-
-
-def nth_difference_is_zero(f: Poly, i: int) -> bool:
-    """Whether the i-th iterate of the forward difference kills f.
-
-    Accepts 0 <= i <= p; the p-th difference is identically zero in
-    characteristic p, so larger i carries no information.
-    """
-    p = f.field.p
-    if not 0 <= i <= p:
-        raise ValueError("difference order %d outside 0..%d" % (i, p))
-    g = f
-    for _ in range(i):
-        if g.is_zero:
-            return True
-        g = forward_difference(g)
-    return g.is_zero
-
-
 def monic_polys(field: FieldCtx, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the exact degree, in deterministic order."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     for lower in itertools.product(range(field.q), repeat=degree):
         yield Poly._make(field, lower + (1,))
-
-
-def polys_upto(field: FieldCtx, degree: int) -> Iterator[Poly]:
-    """All polynomials of degree <= degree, including zero."""
-    for length in range(degree + 2):
-        if length == 0:
-            yield Poly.zero(field)
-        else:
-            for lower in itertools.product(range(field.q), repeat=length - 1):
-                for lead in field.units:
-                    yield Poly._make(field, lower + (lead,))
 
 
 def horner_rank(q: int, digits) -> int:

@@ -87,11 +87,6 @@ class MoebiusTransform:
                                     add(mul(c, e), mul(d, g)),
                                     add(mul(c, f), mul(d, h))))
 
-    def inverse(self) -> "MoebiusTransform":
-        F = self.field
-        a, b, c, d = self.mat
-        return MoebiusTransform(F, (d, F.neg(b), F.neg(c), a))
-
     def order(self) -> int:
         """Order as a projective transformation."""
         ident = MoebiusTransform.identity(self.field)
@@ -221,11 +216,6 @@ def subfield_key(f: RationalMap) -> SubfieldKey:
     n = f.degree
     rows = _echelon2(f.field, _descending(f.num, n), _descending(f.den, n))
     return SubfieldKey(n, rows)
-
-
-def key_rows_as_polys(F: FieldCtx, key: SubfieldKey) -> tuple[Poly, Poly]:
-    r0, r1 = key.rows
-    return Poly(F, tuple(reversed(r0))), Poly(F, tuple(reversed(r1)))
 
 
 def substitution_matrix(F: FieldCtx, mat, n: int) -> tuple[tuple[int, ...], ...]:
@@ -569,7 +559,3 @@ def label_orbits(generators: tuple[list[int], ...]) -> list[int]:
                         stack.append(j)
             orbits += 1
     return label
-
-
-def orbit_count(generators: tuple[list[int], ...]) -> int:
-    return max(label_orbits(generators)) + 1

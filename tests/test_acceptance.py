@@ -26,6 +26,8 @@ from ffrat.oracle import (burnside_count_poly, burnside_count_rational,
                           poly_equivalence_partitions_agree)
 from ffrat.ratmap import KeyPermutations, enumerate_subfield_keys
 
+from enumerators import prime_powers_upto
+
 RATIONAL_ORACLE_CELLS = [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3)]
 RATIONAL_ORACLE_CELLS += [(2, 4), (3, 4), (4, 4), (5, 4)]
 POLY_GRID_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -49,7 +51,7 @@ def test_small_degree_rational_class_counts():
         if not cond:
             failures.append(msg)
 
-    for q in counting.prime_powers_upto(49):
+    for q in prime_powers_upto(49):
         check(counting.count_rational_classes(q, 1) == 1, "q=%d n=1" % q)
         check(counting.count_rational_classes(q, 2) == 2, "q=%d n=2" % q)
         for n in (3, 4):
@@ -280,7 +282,7 @@ def test_structural_invariants():
         if not cond:
             failures.append(msg)
 
-    for q in counting.prime_powers_upto(16):
+    for q in prime_powers_upto(16):
         F = field_of_order(q)
         classes = enumerate_classes(F)
         check(len(classes) == q * q - 1, "class count q=%d" % q)
@@ -295,7 +297,7 @@ def test_structural_invariants():
         check(count == q ** (2 * (n - 1)), "key count q=%d n=%d" % (q, n))
     # The counting layer raises on any inexact internal division, so
     # evaluating the full grids is the divisibility check.
-    for q in counting.prime_powers_upto(49):
+    for q in prime_powers_upto(49):
         for n in range(1, 5):
             counting.count_rational_classes(q, n)
         for n in range(1, 6):

@@ -271,6 +271,15 @@ def test_table_row_totals_q13_degree5():
     assert sum(sizes) == counting.count_polynomial_classes(13, 5) == 202
 
 
+@pytest.mark.parametrize("q,sizes", [(17, [272, 34, 17, 4, 1]),     # 5 mod 12, p != 5
+                                     (25, [625, 50, 3, 4, 1])])    # 1 mod 12, p = 5
+def test_table_row_totals_degree5_off_the_verify_grid(q, sizes):
+    families = table_families(field_of_order(q), 5)
+    assert [len(members) for _, members in families] == sizes
+    assert sum(sizes) == counting.count_polynomial_classes(q, 5)
+    assert sum(sizes) == counting.count_polynomial_classes_lowdeg(q, 5)
+
+
 def test_table_members_have_the_right_shape():
     for n in (1, 2, 3, 4, 5):
         families = table_families(F9, n)

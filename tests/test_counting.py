@@ -19,10 +19,11 @@ from ffrat.counting import (char_and_degree, coprime_monic_pairs,
                             exact_div, fix_affine_identity, fix_affine_scale,
                             fix_affine_translate, fix_central, fix_diagonal,
                             fix_nonsplit, fix_unipotent, is_prime_power,
-                            nonsplit_fix_total, prime_powers_upto,
-                            rational_function_count, reversal_coprime_count,
-                            self_dual_coprime_pairs, self_dual_count,
-                            split_fix_total)
+                            nonsplit_fix_total, rational_function_count,
+                            reversal_coprime_count, self_dual_coprime_pairs,
+                            self_dual_count, split_fix_total)
+
+from enumerators import prime_powers_upto
 
 PRIME_POWERS_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49]

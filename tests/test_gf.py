@@ -113,7 +113,7 @@ def test_order_distribution_matches_euler_phi(q):
 def test_element_coeffs_roundtrip():
     F = make_field(3, 2)
     for a in F.elements:
-        assert F.element_from_coeffs(F.element_coeffs(a)) == a
+        assert sum(c * 3 ** i for i, c in enumerate(F.element_coeffs(a))) == a
     assert F.element_coeffs(5) == (2, 1)
 
 
@@ -128,8 +128,8 @@ def test_pow_and_div():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_ext_norm_one_count(q):
-    ctx = make_ext(field_of_order(q))
-    assert len(ctx.norm_one_elements()) == q + 1
+    ext = make_ext(field_of_order(q)).ext
+    assert sum(ext.pow(x, q + 1) == 1 for x in ext.units) == q + 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -333,6 +334,17 @@ def test_burnside_count_rational_takes_one_image_pass(monkeypatch, q, n):
     assert passes == [nonsplit_generator(F)]
 
 
+def test_burnside_count_rational_charges_the_class_walk():
+    # Listing the classes tests q^2(q - 1) = 100 quadratics for roots, while
+    # the degree-1 engine holds one key.
+    assert burnside_count_rational(F5, 1, budget=100) == 1
+    with pytest.raises(BudgetExceededError, match="root tests"):
+        burnside_count_rational(F5, 1, budget=99)
+    report = verify_grid([5], [1], kinds=("frakN",), budget=99)
+    assert report.checks == []
+    assert [(c.kind, "root tests" in c.reason) for c in report.skipped_cells] == [("frakN", True)]
+
+
 # -- class counts three ways ---------------------------------------------------
 
 
@@ -393,11 +405,15 @@ def test_scaling_fixed_points_from_cycle_lengths_match_composed_powers(q, n):
     D, T = classify.PolyPermutations(F, n).generators
     cycles = cycle_lengths(D)
     assert sum(length * count for length, count in cycles.items()) == len(D)
+    assert len(D) == counting.fix_affine_identity(q, n)
+    assert fixed_points(T) == counting.fix_affine_translate(q, n)
     fixed, power = [], D
     for k in range(1, q - 1):
         fixed.append(fixed_points(power))
         assert fixed[-1] == sum(length * count for length, count in cycles.items()
                                 if k % length == 0), k
+        # D^k scales by g^k, of order (q - 1) / gcd(k, q - 1).
+        assert fixed[-1] == counting.fix_affine_scale(q, n, (q - 1) // math.gcd(k, q - 1)), k
         power = compose_perms(power, D)
     # The Burnside average over the affine group, on the composed powers.
     total = len(D) + q * sum(fixed) + (q - 1) * fixed_points(T)

@@ -18,7 +18,7 @@ from ffrat import counting
 from ffrat.gf import field_of_order, make_ext
 from ffrat.oracle import (enumerate_classes, expected_fix, fix_count_bruteforce,
                           orbit_count_rational)
-from ffrat.ratmap import KeyPermutations, enumerate_subfield_keys
+from ffrat.ratmap import KeyPermutations
 
 Q, N = 3, 2
 
@@ -26,8 +26,7 @@ Q, N = 3, 2
 def main():
     F = field_of_order(Q)
     ctx = make_ext(F)
-    keys = list(enumerate_subfield_keys(F, N))
-    engine = KeyPermutations(F, N, keys)
+    keys = KeyPermutations(F, N).keys
     group = (Q * Q - 1) * (Q * Q - Q)
     print("GF(%d), degree %d: %d subfield keys, group of order %d"
           % (Q, N, len(keys), group))
@@ -36,7 +35,7 @@ def main():
 
     average = Fraction(0)
     for rep in enumerate_classes(F):
-        brute = fix_count_bruteforce(F, N, rep, engine=engine)
+        brute = fix_count_bruteforce(F, N, rep)
         closed = expected_fix(F, N, rep, ctx)
         marker = "" if brute == closed else "  <-- MISMATCH"
         print("  %-9s  %-7r  %-14r  %13d  %5d  %11d%s"

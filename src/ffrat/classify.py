@@ -84,8 +84,9 @@ class PolyPermutations:
     so digit k of the image depends only on the digits c_j with j >= k.
     ``image_perm`` walks the digits from c_{n-1} down, carrying for every
     prefix its image's rank so far and the partial sums of the lower image
-    digits; each digit is a q-entry table row per partial sum, and the
-    permutation comes out in index order with no substitution.
+    digits; each digit is a q-entry row per partial sum that occurs, so the
+    work is bounded by the points, and the permutation comes out in index
+    order with no substitution.
     ``generators`` are the images under D = X -> gX (g the field generator)
     and T = X -> X + 1."""
 
@@ -116,10 +117,11 @@ class PolyPermutations:
         sums = [[weight(n, k)] for k in range(1, n)]
         for j in range(n - 1, 0, -1):
             scale, place = F.pow(ainv, n - j), q ** (j - 1)
-            digit = [[mul(scale, add(s, c)) * place for c in range(q)] for s in range(q)]
+            digit = {s: [mul(scale, add(s, c)) * place for c in range(q)]
+                     for s in set(sums[j - 1])}
             ranks = [points[r + t] for r, s in zip(ranks, sums[j - 1]) for t in digit[s]]
-            steps = [[[add(s, mul(w, c)) for c in range(q)] for s in range(q)]
-                     for w in [weight(j, k) for k in range(1, j)]]
+            steps = [{s: [add(s, mul(w, c)) for c in range(q)] for s in set(col)}
+                     for col, w in zip(sums, [weight(j, k) for k in range(1, j)])]
             sums = [[x for s in col for x in step[s]] for col, step in zip(sums, steps)]
         return ranks
 

@@ -20,7 +20,7 @@ byte-for-byte interchangeable:
 Multiplication runs on log/antilog tables relative to ``generator`` whenever
 q <= 2**16, with full q x q lookup tables layered on top for very small
 fields; larger fields fall back to direct polynomial reduction.  Fields above
-a configurable size bound (2**20 by default) are refused at construction.
+``DEFAULT_SIZE_BOUND`` (2**20) elements are refused at construction.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _LOG_LIMIT = 1 << 16     # log/antilog tables up to this order
 
 
 class FieldSizeError(ValueError):
-    """Field order exceeds the configured size bound."""
+    """Field order exceeds ``DEFAULT_SIZE_BOUND``."""
 
 
 def is_prime(n: int) -> bool:
@@ -322,12 +322,11 @@ class ExtFieldCtx:
 
 
 # One FieldCtx per (p, k): Poly equality compares fields by identity, so every
-# construction path must hand back the same instance.  The size bound is a
-# guard on new construction, not part of the cache key.
+# construction path must hand back the same instance.
 _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
 
 
-def make_field(p: int, k: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx:
+def make_field(p: int, k: int) -> FieldCtx:
     """Construct (and cache) GF(p**k) with the canonical modulus."""
     if not isinstance(p, int) or not isinstance(k, int):
         raise ValueError("p and k must be integers")
@@ -335,26 +334,26 @@ def make_field(p: int, k: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx
         raise ValueError("%r is not prime" % (p,))
     if k < 1:
         raise ValueError("extension degree must be at least 1")
-    if p ** k > size_bound:
-        raise FieldSizeError("GF(%d**%d) exceeds size bound %d" % (p, k, size_bound))
+    if p ** k > DEFAULT_SIZE_BOUND:
+        raise FieldSizeError("GF(%d**%d) exceeds size bound %d" % (p, k, DEFAULT_SIZE_BOUND))
     F = _FIELD_CACHE.get((p, k))
     if F is None:
         F = _FIELD_CACHE[(p, k)] = FieldCtx(p, k, _least_irreducible(p, k))
     return F
 
 
-def field_of_order(q: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx:
+def field_of_order(q: int) -> FieldCtx:
     """Construct (and cache) the field with q elements; q must be a prime power."""
     p, k = char_and_degree(q)
-    return make_field(p, k, size_bound)
+    return make_field(p, k)
 
 
-def make_ext(F: FieldCtx, size_bound: int = DEFAULT_SIZE_BOUND) -> ExtFieldCtx:
+def make_ext(F: FieldCtx) -> ExtFieldCtx:
     """Construct (and cache) the quadratic extension context for F."""
     cached = getattr(F, "_ext_ctx", None)
     if cached is not None:
         return cached
-    ext = make_field(F.p, 2 * F.k, size_bound)
+    ext = make_field(F.p, 2 * F.k)
 
     root = None
     for x in ext.elements:

@@ -6,16 +6,16 @@ Everything in ``counting`` has an independent enumeration mirror here:
   centralizer orders, built directly from eigenvalue data;
 * per-class fixed-subfield counts by walking every subfield key, as fixed
   points of the permutation a matrix induces on the indexed keys
-  (``fix_count_bruteforce``), or read off the cycles of three permutations
+  (``fix_count_bruteforce``), or read off one table of cyclic subgroups
   (``KeyPermutations.fix_count``): conjugate matrices fix equally many keys,
-  so a class's count follows from its type and projective order and the
-  cycle lengths of the scaling X -> gX, of a nonsplit element of projective
-  order q + 1, and of the translation X -> X + 1;
-* Burnside averages and explicit orbit closures for both the rational and
-  the polynomial action, on index permutations of the subfield keys
-  (``ratmap.KeyPermutations``) or of the normalized polynomials
-  (``classify.PolyPermutations``), with one orbit search
-  (``ratmap.label_orbits``) for both.  The rational closure searches only
+  so a class's count follows from its type, its projective order and the
+  cycles of X -> gX, of a nonsplit R of order q + 1 or of X -> X + 1;
+* Burnside averages for both actions by one rule over the cyclic subgroups
+  that partition each group (``_burnside_average``), listing no class, and
+  orbit closures on index permutations of the subfield keys or of the
+  normalized polynomials (``ratmap.KeyPermutations``,
+  ``classify.PolyPermutations``, each listing its own points), with one
+  orbit search (``ratmap.label_orbits``) for both.  The rational closure searches only
   the affine group B, generated by X -> gX and X -> X + 1: the whole group
   is the disjoint union of B and B.S.B, S = X -> 1/X, so the B-orbits of a
   class are joined by the images under S of q keys of its first B-orbit,
@@ -44,9 +44,8 @@ from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd, monic_polys,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, MoebiusTransform, SubfieldKey,
-                          check_budget, cycle_lengths,
-                          enumerate_subfield_keys, fixed_points, label_orbits,
-                          normalize, subfield_key)
+                          check_budget, cycle_lengths, fixed_points,
+                          label_orbits, normalize, subfield_key)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
@@ -126,55 +125,52 @@ def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep,
     raise ValueError("unknown class kind %r" % rep.kind)
 
 
-def _engine(F: FieldCtx, n: int, budget: int,
-            engine: KeyPermutations | None = None) -> KeyPermutations:
-    if engine is None:
-        return KeyPermutations(F, n, list(enumerate_subfield_keys(F, n, budget)))
-    if engine.F is not F or engine.n != n:
-        raise ValueError("engine holds the degree-%d keys over %r, not the "
-                         "degree-%d keys over %r" % (engine.n, engine.F, n, F))
-    return engine
-
-
 def fix_count_bruteforce(F: FieldCtx, n: int, rep: ConjClassRep,
-                         budget: int = DEFAULT_KEY_BUDGET,
-                         engine: KeyPermutations | None = None) -> int:
+                         budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Count the degree-n subfield keys fixed by a class representative by
-    transforming every key.  ``engine`` may pass a ``KeyPermutations`` over
-    all the degree-n keys, so that several classes share one enumeration
-    and one index."""
-    return fixed_points(_engine(F, n, budget, engine).image_perm(rep.matrix))
+    transforming every key."""
+    return fixed_points(KeyPermutations(F, n, budget).image_perm(rep.matrix))
+
+
+def _burnside_average(points: int, group: int, families) -> int:
+    """Orbit count by Burnside's lemma over a group of order ``group`` whose
+    non-identity elements each lie in one subgroup of the families
+    (k, N, fixed): k conjugate cyclic subgroups of order N, whose N - 1
+    non-identity elements fix ``fixed`` points in all."""
+    order = 1 + sum(k * (N - 1) for k, N, _ in families)
+    if order != group:
+        raise AssertionError("the subgroups hold %d elements, not %d" % (order, group))
+    return counting.exact_div(points + sum(k * fixed for k, _, fixed in families), order)
 
 
 def _burnside(engine: KeyPermutations, budget: int) -> int:
-    # Each class holds |GL(2, q)| / centralizer matrices.  Listing the classes
-    # tests X^2 - tX + s for roots in GF(q) for every t and unit s.
-    q = engine.F.q
+    # PGL(2, q): q(q+1)/2 split tori <D>, q(q-1)/2 nonsplit <R> and
+    # (q^2-1)/(p-1) unipotent <T>.  <g> of order N adds N * cycles(g) - points,
+    # as g^i fixes a cycle of length L when L divides i.  Finding R tests
+    # X^2 - tX + s for roots in GF(q) for up to every t and unit s.
+    q, p, points = engine.F.q, engine.F.p, len(engine.keys)
     check_budget(q, engine.n, q * q * (q - 1), "root tests", budget)
-    group = q * (q - 1) ** 2 * (q + 1)
-    fixed = sum(engine.fix_count(rep.matrix) * counting.exact_div(group, rep.centralizer)
-                for rep in enumerate_classes(engine.F))
-    return counting.exact_div(fixed, group)
+    tori = engine.cyclic_subgroups
+    families = [(q * (q + 1) // 2, *tori[2]), (q * (q - 1) // 2, *tori[0]),
+                ((q * q - 1) // (p - 1), *tori[1])]
+    return _burnside_average(points, q * (q * q - 1), [
+        (k, N, N * sum(cycles.values()) - points) for k, N, cycles in families])
 
 
 def burnside_count_rational(F: FieldCtx, n: int,
-                            budget: int = DEFAULT_KEY_BUDGET,
-                            engine: KeyPermutations | None = None) -> int:
-    """Class count as the centralizer-weighted sum of per-class fixed
-    counts; must agree with counting.count_rational_classes.  ``engine``
-    may pass a shared ``KeyPermutations``, as for ``fix_count_bruteforce``."""
-    return _burnside(_engine(F, n, budget, engine), budget)
+                            budget: int = DEFAULT_KEY_BUDGET) -> int:
+    """Class count as the Burnside average over the cyclic subgroups of
+    PGL(2, q); must agree with counting.count_rational_classes."""
+    return _burnside(KeyPermutations(F, n, budget), budget)
 
 
 def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
                                       budget: int = DEFAULT_KEY_BUDGET) -> int:
-    """Burnside average over every invertible matrix, no conjugacy classes.
-
-    ``fix_count`` types each matrix on its own, so this cross-checks the
-    class representatives and centralizer orders of ``enumerate_classes``;
-    it walks all q^4 matrices, for tiny fields.
-    """
-    engine = _engine(F, n, budget)
+    """Burnside average over all q^4 matrices, each typed on its own by
+    ``fix_count``: a cross-check of the subgroup counts k that
+    ``burnside_count_rational`` uses, for tiny fields."""
+    engine = KeyPermutations(F, n, budget)
+    check_budget(F.q, n, F.q ** 4, "matrices", budget)
     total = 0
     group_order = 0
     for a, b, c, d in itertools.product(F.elements, repeat=4):
@@ -194,13 +190,13 @@ def orbit_count_rational(F: FieldCtx, n: int,
                          budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Number of orbits of subfield keys under the full substitution group:
     the affine orbits, joined by q inversions X -> 1/X per class."""
-    return _class_count(_engine(F, n, budget))
+    return _class_count(KeyPermutations(F, n, budget))
 
 
 def orbit_labels(F: FieldCtx, n: int,
                  budget: int = DEFAULT_KEY_BUDGET) -> dict[SubfieldKey, int]:
     """Map each subfield key to an orbit index (order of first discovery)."""
-    engine = _engine(F, n, budget)
+    engine = KeyPermutations(F, n, budget)
     blabels, glabels = engine.bruhat_labels()
     return dict(zip(engine.keys, map(glabels.__getitem__, blabels)))
 
@@ -217,18 +213,15 @@ def orbit_count_poly(F: FieldCtx, n: int,
 
 def burnside_count_poly(F: FieldCtx, n: int,
                         budget: int = DEFAULT_KEY_BUDGET) -> int:
-    """Polynomial class count as a Burnside average over the q conjugacy
-    classes of invertible affine maps (identity, the scalings, X+1).  The
-    scalings X -> g^k X are the powers of the generator D, and D^k fixes a
-    cycle of D of length L pointwise exactly when L divides k."""
+    """Polynomial class count as the Burnside average over the affine group:
+    the identity and the non-identity elements of the q point stabilizers,
+    conjugates of the scalings <D>, and of the (q-1)/(p-1) cyclic groups of
+    translations, conjugates of <T>, whose elements fix what T fixes."""
     D, T = classify.PolyPermutations(F, n, budget).generators
-    q = F.q
-    cycles = cycle_lengths(D)
-    # Class sizes: 1 for the identity, q per scaling, q - 1 for translations.
-    scalings = sum(length * count for k in range(1, q - 1)
-                   for length, count in cycles.items() if k % length == 0)
-    fixed = len(D) + q * scalings + (q - 1) * fixed_points(T)
-    return counting.exact_div(fixed, q * (q - 1))
+    q, p, points = F.q, F.p, len(D)
+    return _burnside_average(points, q * (q - 1), [
+        (q, q - 1, (q - 1) * sum(cycle_lengths(D).values()) - points),
+        ((q - 1) // (p - 1), p, (p - 1) * fixed_points(T))])
 
 
 def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
@@ -356,7 +349,7 @@ def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
     F = field_of_order(q)
     ctx = make_ext(F)
     # The first check builds the engine, so check times add up to the cell's.
-    engine = functools.cache(lambda: _engine(F, n, budget))
+    engine = functools.cache(lambda: KeyPermutations(F, n, budget))
     out = []
     for rep in enumerate_classes(F):
         want = expected_fix(F, n, rep, ctx)
@@ -369,7 +362,7 @@ def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
 def _cell_frak_n(q: int, n: int, budget: int) -> list[CheckResult]:
     F = field_of_order(q)
     want = counting.count_rational_classes(q, n)
-    engine = functools.cache(lambda: _engine(F, n, budget))
+    engine = functools.cache(lambda: KeyPermutations(F, n, budget))
     out = [_timed("frakN/burnside", q, n, want, lambda: _burnside(engine(), budget)),
            _timed("frakN/orbit", q, n, want,
                   lambda: _class_count(engine()))]

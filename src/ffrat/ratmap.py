@@ -34,6 +34,7 @@ import itertools
 import operator
 from typing import Iterator, NamedTuple
 
+from ffrat.counting import exact_div
 from ffrat.gf import FieldCtx, char_roots
 from ffrat.polyring import (Poly, coprime_flags, gcd, horner_rank, poly_str,
                             substitute_raw)
@@ -338,18 +339,19 @@ def compose_perms(first: list[int], then: list[int]) -> list[int]:
 
 
 class KeyPermutations:
-    """Subfield keys indexed 0..N-1, the index permutations that invertible
-    matrices induce, and the number of keys each matrix fixes.
+    """The subfield keys that ``enumerate_subfield_keys`` lists, indexed 0..N-1,
+    the index permutations that invertible matrices induce, and the number of
+    keys each matrix fixes.
 
     Every key has a rank, offset[m] + rank(P free digits) * q^m +
-    rank(Q low digits), which orders ``enumerate_subfield_keys`` strictly;
-    a table maps ranks to indices, with -1 for the ranks of keys not given.
+    rank(Q low digits), which orders the keys strictly; a table maps ranks to
+    indices, with -1 for the ranks of keys not listed.
     ``image_perm`` takes the ``key_image`` of every key.  ``scaling`` and
     ``translation`` are the permutations of D = (g, 0, 0, 1) and
     T = (1, 1, 0, 1); both keep the pivots of a key, so their images are
     ranked by digit arithmetic, with no ``key_image``.  ``generators`` adds
     the inversion S = (0, 1, 1, 0), whose images need ``key_image``.
-    ``fix_count`` reads the cycles of D, T and a nonsplit R.
+    ``fix_count`` reads one table, ``cyclic_subgroups``.
 
     ``bruhat_labels`` labels the orbits without S's permutation.  D and T
     generate the affine group B, and PGL(2, q) is the disjoint union of B and
@@ -360,13 +362,14 @@ class KeyPermutations:
     class, not one per key.
     """
 
-    def __init__(self, F: FieldCtx, n: int, keys: list[SubfieldKey]):
-        self.F, self.n, self.keys = F, n, keys
+    def __init__(self, F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET):
+        self.F, self.n = F, n
+        self.keys = list(enumerate_subfield_keys(F, n, budget))
         self._offsets = _rank_offsets(F.q, n)
         self._p_numbers: dict = {}    # r0 -> its digits X^0..X^(n-1) as one number
         self._q_parts: dict = {}      # r1 -> (rank base, q^(pivot-1), q^m)
         self._table = [-1] * self._offsets[n]
-        for i, key in enumerate(keys):
+        for i, key in enumerate(self.keys):
             self._table[self.rank(key.rows)] = i
 
     def rank(self, rows) -> int:
@@ -485,28 +488,29 @@ class KeyPermutations:
         return blabels, glabels
 
     @functools.cached_property
-    def _tori(self) -> dict[int, tuple[int, dict[int, int]]]:
-        # By root count: the torus's projective order, its generator's cycles.
-        q, R = self.F.q, nonsplit_generator(self.F)
-        return {2: (q - 1, cycle_lengths(self.scaling)),
-                0: (q + 1, cycle_lengths(self.image_perm(R)))}
+    def cyclic_subgroups(self) -> dict[int, tuple[int, dict[int, int]]]:
+        """By root count of X^2 - trace*X + det in GF(q), 2, 0 or 1: the order
+        N of <D>, <R> or <T>, which holds every non-scalar matrix of that type
+        up to conjugacy, and the generator's cycle counts by length; T's
+        cycles other than its fixed points have length p."""
+        F = self.F
+        fixed = fixed_points(self.translation)
+        return {2: (F.q - 1, cycle_lengths(self.scaling)),
+                0: (F.q + 1, cycle_lengths(self.image_perm(nonsplit_generator(F)))),
+                1: (F.p, {1: fixed, F.p: exact_div(len(self.keys) - fixed, F.p)})}
 
     def fix_count(self, mat) -> int:
         """Number of keys that an invertible matrix fixes, as conjugates do.  A
-        scalar fixes every key; else the roots of X^2 - trace*X + det in GF(q)
-        give the type: one, a unipotent, which fixes as many keys as T; two, a
-        split matrix, conjugate to a power of D; none, a nonsplit one, to a
-        power of R.  In a cyclic group of order N an element of order d fixes
-        exactly the points on the generator's cycles of length dividing N/d."""
+        scalar fixes every key; any other of projective order d lies in a
+        cyclic subgroup of order N (``cyclic_subgroups``), where it fixes the
+        points on the generator's cycles of length dividing N/d."""
         F = self.F
         a, b, c, d = mat
         order = MoebiusTransform(F, mat).order()
         if order == 1:
             return len(self.keys)
         roots = char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c)))
-        if roots == 1:
-            return fixed_points(self.translation)
-        N, cycles = self._tori[roots]
+        N, cycles = self.cyclic_subgroups[roots]
         return sum(length * count for length, count in cycles.items()
                    if (N // order) % length == 0)
 

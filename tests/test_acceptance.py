@@ -21,10 +21,10 @@ from ffrat.oracle import (burnside_count_poly, burnside_count_rational,
                           count_coprime_pairs, count_coprime_pairs_upto,
                           count_rational_functions, count_reversal_coprime,
                           count_self_dual, count_self_dual_coprime_pairs,
-                          enumerate_classes, expected_fix, fix_count_bruteforce,
+                          enumerate_classes, expected_fix,
                           orbit_count_poly, orbit_count_rational,
                           poly_equivalence_partitions_agree)
-from ffrat.ratmap import KeyPermutations, enumerate_subfield_keys
+from ffrat.ratmap import KeyPermutations, enumerate_subfield_keys, fixed_points
 
 from enumerators import prime_powers_upto
 
@@ -78,15 +78,15 @@ def test_oracle_agreement_for_rational_classes():
 
     for q, n in RATIONAL_ORACLE_CELLS:
         F = field_of_order(q)
-        # One engine per cell, shared by the Burnside count and every class.
-        engine = KeyPermutations(F, n, list(enumerate_subfield_keys(F, n)))
         want = counting.count_rational_classes(q, n)
-        check(burnside_count_rational(F, n, engine=engine) == want,
+        check(burnside_count_rational(F, n) == want,
               "burnside q=%d n=%d" % (q, n))
         check(orbit_count_rational(F, n) == want, "orbit q=%d n=%d" % (q, n))
         ctx = make_ext(F)
+        # fix_count_bruteforce's count, on one engine shared by every class.
+        engine = KeyPermutations(F, n)
         for rep in enumerate_classes(F):
-            brute = fix_count_bruteforce(F, n, rep, engine=engine)
+            brute = fixed_points(engine.image_perm(rep.matrix))
             closed = expected_fix(F, n, rep, ctx)
             check(brute == closed,
                   "fix q=%d n=%d %s%r: %d != %d"

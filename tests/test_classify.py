@@ -182,6 +182,26 @@ def test_poly_scalings_are_composed_powers_of_the_generator(q, n):
     assert power == list(range(len(D)))
 
 
+def test_poly_image_perm_work_is_bounded_by_the_points(monkeypatch):
+    # GF(257) at n = 2 has 257 points: q digit rows of q entries each would
+    # take q^2 = 66,049 products.
+    F = field_of_order(257)
+    mul, calls = F.mul, []
+
+    def counted(x, y):
+        calls.append(None)
+        return mul(x, y)
+
+    monkeypatch.setattr(F, "mul", counted)
+    engine = PolyPermutations(F, 2)
+    perm = engine.image_perm(3, 5)
+    assert len(calls) < 4 * F.q
+    monkeypatch.undo()
+    polys = engine.polys
+    assert [polys[i] for i in perm] == [_normalized_raw(F, _substitute_raw(F, f, 3, 5))
+                                        for f in polys]
+
+
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
                          + [(4, 4), (5, 4)])
 def test_poly_scaling_generator_matches_substitution(q, n):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from ffrat import gf
 from ffrat.counting import divisors, euler_phi
 from ffrat.gf import (FieldSizeError, field_of_order, is_prime, make_ext,
                       make_field, mult_order)
@@ -45,9 +46,16 @@ def test_make_field_rejects_bad_degree():
         make_field(2, 0)
 
 
-def test_size_bound_enforced():
-    with pytest.raises(FieldSizeError):
-        make_field(2, 3, size_bound=4)
+def test_size_bound_enforced(monkeypatch):
+    # 2^21 is above DEFAULT_SIZE_BOUND; the check comes before any field work.
+    def unbuilt(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(gf, "_least_irreducible", unbuilt)
+    monkeypatch.setattr(gf, "FieldCtx", unbuilt)
+    with pytest.raises(FieldSizeError, match="exceeds size bound"):
+        make_field(2, 21)
+    assert (2, 21) not in gf._FIELD_CACHE
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from ffrat import classify, counting, ratmap
+from ffrat import classify, counting, oracle, ratmap
 from ffrat.gf import char_roots, field_of_order, make_ext
 from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           burnside_count_rational,
@@ -122,24 +122,8 @@ def test_nonsplit_twist_order_divides_q_plus_one():
 def test_bruteforce_fix_matches_closed_forms(q, n):
     F = field_of_order(q)
     ctx = make_ext(F)
-    engine = KeyPermutations(F, n, list(enumerate_subfield_keys(F, n)))
     for rep in enumerate_classes(F):
-        assert fix_count_bruteforce(F, n, rep, engine=engine) == expected_fix(F, n, rep, ctx)
-
-
-def test_engine_for_another_field_or_degree_is_rejected():
-    # An engine over the degree-2 keys of GF(3) once gave 2 as the count of
-    # the degree-3 classes over GF(5), which is 10.
-    other_field = KeyPermutations(F3, 2, list(enumerate_subfield_keys(F3, 2)))
-    other_degree = KeyPermutations(F5, 2, list(enumerate_subfield_keys(F5, 2)))
-    rep = enumerate_classes(F5)[0]
-    for engine in (other_field, other_degree):
-        with pytest.raises(ValueError, match="engine holds"):
-            burnside_count_rational(F5, 3, engine=engine)
-        with pytest.raises(ValueError, match="engine holds"):
-            fix_count_bruteforce(F5, 3, rep, engine=engine)
-    assert burnside_count_rational(F5, 2, engine=other_degree) == 2
-    assert burnside_count_rational(F5, 3) == 10
+        assert fix_count_bruteforce(F, n, rep) == expected_fix(F, n, rep, ctx)
 
 
 def test_expected_fix_rejects_unknown_kind():
@@ -165,8 +149,8 @@ ENGINE_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)
 def test_engine_fix_counts_match_scalar_key_images(q, n):
     # is_fixed, with the substitution matrix built once per class.
     F = field_of_order(q)
-    keys = list(enumerate_subfield_keys(F, n))
-    engine = KeyPermutations(F, n, keys)
+    engine = KeyPermutations(F, n)
+    keys = engine.keys
     for rep in enumerate_classes(F):
         M = substitution_matrix(F, rep.matrix, n)
         scalar = sum(1 for key in keys if key_image(key, M, F) == key)
@@ -175,12 +159,12 @@ def test_engine_fix_counts_match_scalar_key_images(q, n):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_engine_perm_matches_key_image_on_all_of_gl2(q):
-    # fix_count types each matrix and reads the torus cycles; image_perm
+    # fix_count types each matrix and reads the subgroup cycles; image_perm
     # counts the fixed keys one by one.
     F = field_of_order(q)
     for n in (2, 3):
-        keys = list(enumerate_subfield_keys(F, n))
-        engine = KeyPermutations(F, n, keys)
+        engine = KeyPermutations(F, n)
+        keys = engine.keys
         for mat in _invertible(F):
             M = substitution_matrix(F, mat, n)
             want = [engine.key_index(key_image(key, M, F).rows) for key in keys]
@@ -189,7 +173,7 @@ def test_engine_perm_matches_key_image_on_all_of_gl2(q):
 
 
 def test_engine_rejects_singular_matrices():
-    engine = KeyPermutations(F3, 2, list(enumerate_subfield_keys(F3, 2)))
+    engine = KeyPermutations(F3, 2)
     with pytest.raises(ValueError):
         engine.fix_count((1, 2, 2, 1))
     with pytest.raises(ValueError):
@@ -204,16 +188,29 @@ def test_nonsplit_generator_has_projective_order_q_plus_one(q):
     assert MoebiusTransform(F, mat).order() == q + 1
 
 
-def test_engine_rejects_a_key_set_not_closed_under_the_action():
-    keys = list(enumerate_subfield_keys(F3, 2))
-    with pytest.raises(AssertionError, match="escaped the key set"):
-        KeyPermutations(F3, 2, keys[1:]).image_perm((1, 1, 0, 1))
+def test_engine_builds_its_keys_within_the_budget():
+    F, n = F4, 3
+    assert KeyPermutations(F, n).keys == list(enumerate_subfield_keys(F, n))
+    assert len(KeyPermutations(F, n, budget=256).keys) == 256
+    with pytest.raises(BudgetExceededError, match="keys"):
+        KeyPermutations(F, n, budget=255)
 
 
-def test_engine_generators_reject_a_key_set_not_closed_under_the_action():
-    keys = list(enumerate_subfield_keys(F3, 2))
+def _listing_only(monkeypatch, keys):
+    # The engine lists its keys through ratmap.enumerate_subfield_keys.
+    monkeypatch.setattr(ratmap, "enumerate_subfield_keys", lambda F, n, budget: iter(keys))
+
+
+def test_engine_rejects_a_key_set_not_closed_under_the_action(monkeypatch):
+    _listing_only(monkeypatch, list(enumerate_subfield_keys(F3, 2))[1:])
     with pytest.raises(AssertionError, match="escaped the key set"):
-        KeyPermutations(F3, 2, keys[1:]).generators
+        KeyPermutations(F3, 2).image_perm((1, 1, 0, 1))
+
+
+def test_engine_generators_reject_a_key_set_not_closed_under_the_action(monkeypatch):
+    _listing_only(monkeypatch, list(enumerate_subfield_keys(F3, 2))[1:])
+    with pytest.raises(AssertionError, match="escaped the key set"):
+        KeyPermutations(F3, 2).generators
 
 
 RANKED_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
@@ -226,8 +223,8 @@ def test_scaling_and_translation_generators_match_key_images(q, n):
     # key_image and an echelon form for every key.  At (3, 5) and (2, 6)
     # the degree m of Q reaches 4 and 5.
     F = field_of_order(q)
-    keys = list(enumerate_subfield_keys(F, n))
-    engine = KeyPermutations(F, n, keys)
+    engine = KeyPermutations(F, n)
+    keys = engine.keys
     ranks = [engine.rank(key.rows) for key in keys]
     assert ranks == sorted(set(ranks))
     assert all(engine.key_index(key.rows) == i for i, key in enumerate(keys))
@@ -272,21 +269,22 @@ BRUHAT_CELLS += [(4, 4), (5, 4), (3, 5), (2, 6)]
 def test_bruhat_labels_match_closure_under_all_generators(q, n):
     # Same orbits, numbered in the same order of first discovery.
     F = field_of_order(q)
-    engine = KeyPermutations(F, n, list(enumerate_subfield_keys(F, n)))
+    engine = KeyPermutations(F, n)
     blabels, glabels = engine.bruhat_labels()
     assert blabels == label_orbits((engine.scaling, engine.translation))
     assert [glabels[b] for b in blabels] == label_orbits(engine.generators)
 
 
-def test_bruhat_labels_reject_a_key_set_not_closed_under_inversion():
+def test_bruhat_labels_reject_a_key_set_not_closed_under_inversion(monkeypatch):
     # Dropping one affine orbit keeps the keys closed under D and T, but its
     # class holds other affine orbits, whose inversions lead into the gap.
     F, n = F3, 3
-    keys = list(enumerate_subfield_keys(F, n))
-    blabels, glabels = KeyPermutations(F, n, keys).bruhat_labels()
+    whole = KeyPermutations(F, n)
+    blabels, glabels = whole.bruhat_labels()
     shared = Counter(glabels)
     gap = next(b for b, g in enumerate(glabels) if shared[g] > 1)
-    engine = KeyPermutations(F, n, [k for k, b in zip(keys, blabels) if b != gap])
+    _listing_only(monkeypatch, [k for k, b in zip(whole.keys, blabels) if b != gap])
+    engine = KeyPermutations(F, n)
     assert engine.scaling and engine.translation
     with pytest.raises(AssertionError, match="escaped the key set"):
         engine.bruhat_labels()
@@ -312,13 +310,16 @@ def test_orbit_count_rational_inverts_q_keys_per_class(monkeypatch, q, n):
     assert len(images) == q * classes
 
 
-@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (2, 4)])
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (2, 4), (9, 2)])
 def test_burnside_count_rational_takes_one_image_pass(monkeypatch, q, n):
-    # D and T come from digit arithmetic and every class reads the cycles of
-    # D, T or the nonsplit R: R's permutation is the only one built from key
-    # images, and no permutation is composed.
+    # D and T come from digit arithmetic and each subgroup family reads the
+    # cycles of D, T or the nonsplit R: R's permutation is the only one built
+    # from key images, no permutation is composed, and no class is listed.
     def uncomposed(first, then):
         raise AssertionError("compose_perms was called")
+
+    def unwalked(*args):
+        raise AssertionError("a conjugacy class was walked")
 
     passes = []
     image_perm = KeyPermutations.image_perm
@@ -329,14 +330,16 @@ def test_burnside_count_rational_takes_one_image_pass(monkeypatch, q, n):
 
     monkeypatch.setattr(KeyPermutations, "image_perm", counted)
     monkeypatch.setattr(ratmap, "compose_perms", uncomposed)
+    monkeypatch.setattr(oracle, "enumerate_classes", unwalked)
+    monkeypatch.setattr(KeyPermutations, "fix_count", unwalked)
     F = field_of_order(q)
     assert burnside_count_rational(F, n) == counting.count_rational_classes(q, n)
     assert passes == [nonsplit_generator(F)]
 
 
 def test_burnside_count_rational_charges_the_class_walk():
-    # Listing the classes tests q^2(q - 1) = 100 quadratics for roots, while
-    # the degree-1 engine holds one key.
+    # Finding R may test q^2(q - 1) = 100 quadratics for roots, while the
+    # degree-1 engine holds one key.
     assert burnside_count_rational(F5, 1, budget=100) == 1
     with pytest.raises(BudgetExceededError, match="root tests"):
         burnside_count_rational(F5, 1, budget=99)
@@ -348,9 +351,13 @@ def test_burnside_count_rational_charges_the_class_walk():
 # -- class counts three ways ---------------------------------------------------
 
 
+# Where p < q, the (q^2 - 1)/(p - 1) unipotent subgroups are fewer than the
+# q^2 - 1 unipotent elements: (4, 3), (8, 3), (9, 3) and (4, 4).
 @pytest.mark.parametrize("q,n,count", [(2, 1, 1), (2, 2, 2), (2, 3, 4),
-                                       (3, 2, 2), (3, 3, 7), (4, 3, 10)])
+                                       (3, 2, 2), (3, 3, 7), (4, 3, 10), (5, 3, 10),
+                                       (8, 3, 16), (9, 3, 19), (4, 4, 89)])
 def test_burnside_rational_examples(q, n, count):
+    assert count == counting.count_rational_classes(q, n)
     assert burnside_count_rational(field_of_order(q), n) == count
 
 
@@ -367,6 +374,13 @@ def test_three_rational_counts_agree(q, n):
 def test_fullgroup_burnside_agrees(q, n):
     F = field_of_order(q)
     assert burnside_count_rational_fullgroup(F, n) == counting.count_rational_classes(q, n)
+
+
+def test_fullgroup_burnside_charges_the_matrices():
+    # Four keys, but 2^4 = 16 matrices to walk.
+    assert burnside_count_rational_fullgroup(F2, 2, budget=16) == 2
+    with pytest.raises(BudgetExceededError, match="matrices"):
+        burnside_count_rational_fullgroup(F2, 2, budget=15)
 
 
 def test_orbit_labels_partition_the_keys():
@@ -399,7 +413,8 @@ def test_poly_counts_agree(q):
         assert burnside_count_poly(F, n) == want
 
 
-@pytest.mark.parametrize("q,n", [(3, 4), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3)])
+@pytest.mark.parametrize("q,n", [(3, 4), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3),
+                                 (8, 4), (9, 4), (16, 3)])
 def test_scaling_fixed_points_from_cycle_lengths_match_composed_powers(q, n):
     F = field_of_order(q)
     D, T = classify.PolyPermutations(F, n).generators
@@ -419,6 +434,8 @@ def test_scaling_fixed_points_from_cycle_lengths_match_composed_powers(q, n):
     total = len(D) + q * sum(fixed) + (q - 1) * fixed_points(T)
     assert burnside_count_poly(F, n) == total // (q * (q - 1))
     assert total % (q * (q - 1)) == 0
+    # Where p < q, (q - 1)/(p - 1) translation subgroups hold the q - 1 translations.
+    assert burnside_count_poly(F, n) == counting.count_polynomial_classes(q, n)
 
 
 def test_orbit_count_poly_budget():

@@ -15,18 +15,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ffrat import counting
-from ffrat.gf import field_of_order, make_ext
-from ffrat.oracle import (enumerate_classes, expected_fix, fix_count_bruteforce,
-                          orbit_count_rational)
-from ffrat.ratmap import KeyPermutations
+from ffrat.gf import field_of_order
+from ffrat.oracle import enumerate_classes, expected_fix, orbit_count_rational
+from ffrat.ratmap import KeyPermutations, fixed_points
 
 Q, N = 3, 2
 
 
 def main():
     F = field_of_order(Q)
-    ctx = make_ext(F)
-    keys = KeyPermutations(F, N).keys
+    engine = KeyPermutations(F, N)
+    keys = engine.keys
     group = (Q * Q - 1) * (Q * Q - Q)
     print("GF(%d), degree %d: %d subfield keys, group of order %d"
           % (Q, N, len(keys), group))
@@ -35,8 +34,8 @@ def main():
 
     average = Fraction(0)
     for rep in enumerate_classes(F):
-        brute = fix_count_bruteforce(F, N, rep)
-        closed = expected_fix(F, N, rep, ctx)
+        brute = fixed_points(engine.image_perm(rep.matrix))
+        closed = expected_fix(F, N, rep)
         marker = "" if brute == closed else "  <-- MISMATCH"
         print("  %-9s  %-7r  %-14r  %13d  %5d  %11d%s"
               % (rep.kind, rep.params, rep.matrix, rep.centralizer,

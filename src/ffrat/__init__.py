@@ -19,13 +19,13 @@ from ffrat.gf import (DEFAULT_SIZE_BOUND, ExtFieldCtx, FieldCtx,
                       mult_order)
 from ffrat.oracle import (ConjClassRep, VerificationReport,
                           burnside_count_poly, burnside_count_rational,
-                          enumerate_classes, fix_count_bruteforce,
-                          orbit_count_poly, orbit_count_rational, verify_grid)
+                          enumerate_classes, orbit_count_poly,
+                          orbit_count_rational, verify_grid)
 from ffrat.polyring import (NEG_INFINITY, Poly, affine_substitute, compose,
                             conj, conj_reverse, gcd, monic_polys, poly_str,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
-                          MoebiusTransform, RationalMap, SubfieldKey, act,
+                          MoebiusTransform, RationalMap, act,
                           enumerate_subfield_keys, is_fixed, normalize,
                           subfield_key)
 

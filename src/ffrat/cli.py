@@ -82,6 +82,13 @@ def _validated_q_list(text: str) -> list[int]:
     return qs
 
 
+def _validated_n_list(text: str) -> list[int]:
+    ns = _parse_int_set(text)
+    if min(ns) < 1:
+        raise UsageError("degrees must be at least 1")
+    return ns
+
+
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
@@ -139,9 +146,7 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     qs = _validated_q_list(args.q)
-    ns = _parse_int_set(args.n)
-    if min(ns) < 1:
-        raise UsageError("degrees must be at least 1")
+    ns = _validated_n_list(args.n)
     rows = [(q, n, args.kind, _one_count(args.kind, q, n, args.method, args.budget))
             for q in qs for n in ns]
     if args.format == "csv":
@@ -161,7 +166,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     qs = _validated_q_list(args.q)
-    ns = _parse_int_set(args.n)
+    ns = _validated_n_list(args.n)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     expected = ", ".join(oracle.VERIFY_KINDS)
     if not kinds:

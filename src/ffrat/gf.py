@@ -130,13 +130,10 @@ class FieldCtx:
             self.inv_table = [0] + [exp[(qm1 - log[a]) % qm1] for a in range(1, q)]
 
         # Bind add/mul to the fastest implementation available.
-        self.add_table: list[list[int]] | None = None
-        self.mul_table: list[list[int]] | None = None
         if p == 2:
             self.add = int.__xor__
         elif q <= _TABLE_LIMIT:
             rows = [[self._add_digitwise(a, b) for b in range(q)] for a in range(q)]
-            self.add_table = rows
             self.add = lambda a, b: rows[a][b]
         else:
             self.add = self._add_digitwise
@@ -147,7 +144,6 @@ class FieldCtx:
             for a in range(1, q):
                 la = log[a]
                 mrows.append([0] + [exp[(la + log[b]) % qm1] for b in range(1, q)])
-            self.mul_table = mrows
             self.mul = lambda a, b: mrows[a][b]
         elif q <= _LOG_LIMIT:
             exp, log, qm1 = self.exp_table, self.log_table, q - 1

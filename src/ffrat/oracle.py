@@ -6,10 +6,11 @@ Everything in ``counting`` has an independent enumeration mirror here:
   centralizer orders, built directly from eigenvalue data;
 * per-class fixed-subfield counts by walking every subfield key, as fixed
   points of the permutation a matrix induces on the indexed keys
-  (``fix_count_bruteforce``), or read off one table of cyclic subgroups
-  (``KeyPermutations.fix_count``): conjugate matrices fix equally many keys,
-  so a class's count follows from its type, its projective order and the
-  cycles of X -> gX, of a nonsplit R of order q + 1 or of X -> X + 1;
+  (``ratmap.fixed_points`` of ``KeyPermutations.image_perm``), or read off
+  one table of cyclic subgroups (``KeyPermutations.fix_count``): conjugate
+  matrices fix equally many keys, so a class's count follows from its type,
+  its projective order and the cycles of X -> gX, of a nonsplit R of order
+  q + 1 or of X -> X + 1;
 * Burnside averages for both actions by one rule over the cyclic subgroups
   that partition each group (``_burnside_average``), listing no class, and
   orbit closures on index permutations of the subfield keys or of the
@@ -40,12 +41,11 @@ from typing import NamedTuple
 from ffrat import classify, counting
 from ffrat.gf import (ExtFieldCtx, FieldCtx, char_roots, field_of_order, make_ext,
                       mult_order)
-from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd, monic_polys,
+from ffrat.polyring import (conj_reverse, coprime_flags, gcd, monic_polys,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
-                          KeyPermutations, MoebiusTransform, SubfieldKey,
-                          check_budget, cycle_lengths, fixed_points,
-                          label_orbits, normalize, subfield_key)
+                          KeyPermutations, check_budget, cycle_lengths,
+                          fixed_points, label_orbits)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
@@ -62,9 +62,6 @@ class ConjClassRep(NamedTuple):
     params: tuple[int, ...]
     matrix: tuple[int, int, int, int]
     centralizer: int
-
-    def moebius(self, F: FieldCtx) -> MoebiusTransform:
-        return MoebiusTransform(F, self.matrix)
 
 
 def enumerate_classes(F: FieldCtx) -> list[ConjClassRep]:
@@ -106,8 +103,7 @@ def nonsplit_twist_order(ctx: ExtFieldCtx, t: int, s: int) -> int:
     raise ValueError("X^2 - %d*X + %d has no root in the extension" % (t, s))
 
 
-def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep,
-                 ctx: ExtFieldCtx | None = None) -> int:
+def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep) -> int:
     """Closed-form fixed-subfield count for one conjugacy class."""
     q = F.q
     if rep.kind == "central":
@@ -116,20 +112,11 @@ def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep,
         a, b = rep.params
         return counting.fix_diagonal(q, n, mult_order(F, F.div(a, b)))
     if rep.kind == "nonsplit":
-        if ctx is None:
-            ctx = make_ext(F)
         t, s = rep.params
-        return counting.fix_nonsplit(q, n, nonsplit_twist_order(ctx, t, s))
+        return counting.fix_nonsplit(q, n, nonsplit_twist_order(make_ext(F), t, s))
     if rep.kind == "unipotent":
         return counting.fix_unipotent(q, n)
     raise ValueError("unknown class kind %r" % rep.kind)
-
-
-def fix_count_bruteforce(F: FieldCtx, n: int, rep: ConjClassRep,
-                         budget: int = DEFAULT_KEY_BUDGET) -> int:
-    """Count the degree-n subfield keys fixed by a class representative by
-    transforming every key."""
-    return fixed_points(KeyPermutations(F, n, budget).image_perm(rep.matrix))
 
 
 def _burnside_average(points: int, group: int, families) -> int:
@@ -193,14 +180,6 @@ def orbit_count_rational(F: FieldCtx, n: int,
     return _class_count(KeyPermutations(F, n, budget))
 
 
-def orbit_labels(F: FieldCtx, n: int,
-                 budget: int = DEFAULT_KEY_BUDGET) -> dict[SubfieldKey, int]:
-    """Map each subfield key to an orbit index (order of first discovery)."""
-    engine = KeyPermutations(F, n, budget)
-    blabels, glabels = engine.bruhat_labels()
-    return dict(zip(engine.keys, map(glabels.__getitem__, blabels)))
-
-
 # -- polynomial action ------------------------------------------------------
 
 
@@ -228,12 +207,14 @@ def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
                                       budget: int = DEFAULT_KEY_BUDGET) -> bool:
     """Check that two normalized polynomials are affinely equivalent exactly
     when their subfield keys lie in the same substitution orbit: each affine
-    orbit label pairs with one key orbit label, and back."""
-    engine = classify.PolyPermutations(F, n, budget)
-    labels = orbit_labels(F, n, budget)
-    one = Poly.one(F)
-    pairs = {(affine, labels[subfield_key(normalize(Poly(F, f), one))])
-             for f, affine in zip(engine.polys, label_orbits(engine.generators))}
+    orbit label pairs with one key orbit label, and back.  The key of f/1 has
+    the rows (f, 1), already in echelon form because f(0) = 0."""
+    poly_engine = classify.PolyPermutations(F, n, budget)
+    key_engine = KeyPermutations(F, n, budget)
+    blabels, glabels = key_engine.bruhat_labels()
+    one = (0,) * n + (1,)
+    pairs = {(affine, glabels[blabels[key_engine.key_index((f[::-1], one))]])
+             for f, affine in zip(poly_engine.polys, label_orbits(poly_engine.generators))}
     return len(pairs) == len({a for a, _ in pairs}) == len({k for _, k in pairs})
 
 
@@ -307,10 +288,9 @@ class SkippedCell(NamedTuple):
 
 
 class VerificationReport:
-    def __init__(self, checks: list[CheckResult] | None = None,
-                 skipped_cells: list[SkippedCell] | None = None):
-        self.checks = [] if checks is None else checks
-        self.skipped_cells = [] if skipped_cells is None else skipped_cells
+    def __init__(self):
+        self.checks: list[CheckResult] = []
+        self.skipped_cells: list[SkippedCell] = []
 
     @property
     def skipped(self) -> int:
@@ -347,12 +327,11 @@ def _timed(name: str, q: int, n: int, expected: int, actual_fn) -> CheckResult:
 
 def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
     F = field_of_order(q)
-    ctx = make_ext(F)
     # The first check builds the engine, so check times add up to the cell's.
     engine = functools.cache(lambda: KeyPermutations(F, n, budget))
     out = []
     for rep in enumerate_classes(F):
-        want = expected_fix(F, n, rep, ctx)
+        want = expected_fix(F, n, rep)
         name = "fix-formulas/%s%r" % (rep.kind, rep.params)
         out.append(_timed(name, q, n, want,
                           lambda rep=rep: engine().fix_count(rep.matrix)))

@@ -5,9 +5,10 @@ A rational map f = P/Q of degree n (degree = max of the numerator and
 denominator degrees after reduction) generates a subfield GF(q)(f) of the
 rational function field, and two maps generate the same subfield iff the
 2-dimensional coefficient spans of their reduced pairs {P, Q} coincide.  The
-``SubfieldKey`` of f is the reduced row-echelon basis of that span, stored as
-two coefficient vectors of length n+1 ordered from X^n down to the constant
-term; it is a complete, hashable invariant for "same subfield".
+subfield key of f is the reduced row-echelon basis of that span, the tuple
+(r0, r1) of two coefficient vectors of length n+1 ordered from X^n down to the
+constant term; it is a complete, hashable invariant for "same subfield", and
+its degree is len(r0) - 1.
 
 An invertible matrix A = [[a, b], [c, d]] acts by the substitution
 X -> (aX + b)/(cX + d): the pair (P, Q) is replaced by its homogeneous
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from ffrat.counting import exact_div
 from ffrat.gf import FieldCtx, char_roots
@@ -40,6 +41,8 @@ from ffrat.polyring import (Poly, coprime_flags, gcd, horner_rank, poly_str,
                             substitute_raw)
 
 DEFAULT_KEY_BUDGET = 10 ** 7
+
+Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class BudgetExceededError(RuntimeError):
@@ -149,14 +152,6 @@ class RationalMap:
         return "%s/%s" % (num, den)
 
 
-class SubfieldKey(NamedTuple):
-    """Echelon basis of the coefficient span of a degree-n map, as two
-    vectors over GF(q) ordered from the X^n coefficient down to the
-    constant."""
-    n: int
-    rows: tuple[tuple[int, ...], tuple[int, ...]]
-
-
 def normalize(num: Poly, den: Poly) -> RationalMap:
     """Reduce P/Q: cancel the gcd and make the denominator monic.
 
@@ -181,7 +176,7 @@ def _descending(f: Poly, n: int) -> list[int]:
     return [cs[i] if i < len(cs) else 0 for i in range(n, -1, -1)]
 
 
-def _echelon2(F: FieldCtx, v0: list[int], v1: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _echelon2(F: FieldCtx, v0: list[int], v1: list[int]) -> Key:
     # Reduced row echelon form of a rank-2 matrix with rows v0, v1.
     width = len(v0)
     j0 = 0
@@ -212,11 +207,10 @@ def _echelon2(F: FieldCtx, v0: list[int], v1: list[int]) -> tuple[tuple[int, ...
     return tuple(v0), tuple(v1)
 
 
-def subfield_key(f: RationalMap) -> SubfieldKey:
+def subfield_key(f: RationalMap) -> Key:
     """Canonical invariant of the subfield GF(q)(f)."""
     n = f.degree
-    rows = _echelon2(f.field, _descending(f.num, n), _descending(f.den, n))
-    return SubfieldKey(n, rows)
+    return _echelon2(f.field, _descending(f.num, n), _descending(f.den, n))
 
 
 def substitution_matrix(F: FieldCtx, mat, n: int) -> tuple[tuple[int, ...], ...]:
@@ -246,19 +240,18 @@ def _row_times(F: FieldCtx, row, M) -> list[int]:
     return acc
 
 
-def key_image(key: SubfieldKey, M, F: FieldCtx,
-              products: dict | None = None) -> SubfieldKey:
+def key_image(key: Key, M, F: FieldCtx, products: dict | None = None) -> Key:
     """Key of the substituted map, given a precomputed substitution matrix;
     ``products`` keeps each row's product with M for later calls with M."""
     if products is None:
         products = {}
     images = []
-    for row in key.rows:
+    for row in key:
         image = products.get(row)
         if image is None:
             image = products[row] = _row_times(F, row, M)
         images.append(image)
-    return SubfieldKey(key.n, _echelon2(F, *images))
+    return _echelon2(F, *images)
 
 
 def act(f: RationalMap, A: MoebiusTransform) -> RationalMap:
@@ -279,9 +272,9 @@ def act(f: RationalMap, A: MoebiusTransform) -> RationalMap:
     return image
 
 
-def is_fixed(key: SubfieldKey, A: MoebiusTransform) -> bool:
+def is_fixed(key: Key, A: MoebiusTransform) -> bool:
     """Whether the substitution by A maps the subfield onto itself."""
-    M = substitution_matrix(A.field, A.mat, key.n)
+    M = substitution_matrix(A.field, A.mat, len(key[0]) - 1)
     return key_image(key, M, A.field) == key
 
 
@@ -292,7 +285,7 @@ def _rank_offsets(q: int, n: int) -> list[int]:
 
 
 def enumerate_subfield_keys(F: FieldCtx, n: int,
-                            budget: int = DEFAULT_KEY_BUDGET) -> Iterator[SubfieldKey]:
+                            budget: int = DEFAULT_KEY_BUDGET) -> Iterator[Key]:
     """All q^(2(n-1)) subfield keys of degree n, in deterministic order: by
     the degree m of Q, then the free digits of P, then the low digits of Q,
     each in ``itertools.product`` order from the constant term up."""
@@ -309,7 +302,7 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
         for i, p_low in enumerate(itertools.product(range(q), repeat=n - 1)):
             p_row = (1,) + (p_low[:m] + (0,) + p_low[m:])[::-1]
             for q_row in itertools.compress(q_rows, flags[i * size:(i + 1) * size]):
-                yield SubfieldKey(n, (p_row, q_row))
+                yield p_row, q_row
 
 
 def digit_ranks(q: int, tables: list[list[int]], base: int = 0,
@@ -334,10 +327,6 @@ def _closed(perm: list[int]) -> list[int]:
     return perm
 
 
-def compose_perms(first: list[int], then: list[int]) -> list[int]:
-    return list(map(then.__getitem__, first))
-
-
 class KeyPermutations:
     """The subfield keys that ``enumerate_subfield_keys`` lists, indexed 0..N-1,
     the index permutations that invertible matrices induce, and the number of
@@ -349,8 +338,7 @@ class KeyPermutations:
     ``image_perm`` takes the ``key_image`` of every key.  ``scaling`` and
     ``translation`` are the permutations of D = (g, 0, 0, 1) and
     T = (1, 1, 0, 1); both keep the pivots of a key, so their images are
-    ranked by digit arithmetic, with no ``key_image``.  ``generators`` adds
-    the inversion S = (0, 1, 1, 0), whose images need ``key_image``.
+    ranked by digit arithmetic, with no ``key_image``.
     ``fix_count`` reads one table, ``cyclic_subgroups``.
 
     ``bruhat_labels`` labels the orbits without S's permutation.  D and T
@@ -370,11 +358,11 @@ class KeyPermutations:
         self._q_parts: dict = {}      # r1 -> (rank base, q^(pivot-1), q^m)
         self._table = [-1] * self._offsets[n]
         for i, key in enumerate(self.keys):
-            self._table[self.rank(key.rows)] = i
+            self._table[self.rank(key)] = i
 
-    def rank(self, rows) -> int:
-        """The rank of a degree-n key, from its echelon rows."""
-        r0, r1 = rows
+    def rank(self, key: Key) -> int:
+        """The rank of a degree-n key."""
+        r0, r1 = key
         q, n = self.F.q, self.n
         part = self._q_parts.get(r1)
         if part is None:
@@ -390,15 +378,15 @@ class KeyPermutations:
         # Drop the zero digit of X^m, which sits at weight q^(j1-1).
         return base + (number // (low * q) * low + number % low) * qm
 
-    def key_index(self, rows) -> int:
-        """The index of the key with these echelon rows, or -1."""
-        return self._table[self.rank(rows)]
+    def key_index(self, key: Key) -> int:
+        """The index of a degree-n key, or -1 if the engine does not list it."""
+        return self._table[self.rank(key)]
 
     def image_perm(self, mat) -> list[int]:
         F, table = self.F, self._table
         M = substitution_matrix(F, mat, self.n)
         products: dict = {}
-        return _closed([table[self.rank(key_image(key, M, F, products).rows)]
+        return _closed([table[self.rank(key_image(key, M, F, products))]
                         for key in self.keys])
 
     def _assign(self, perm: list[int], start: int, stop: int, images) -> None:
@@ -457,10 +445,6 @@ class KeyPermutations:
                 start += block
         return _closed(perm)
 
-    @functools.cached_property
-    def generators(self) -> tuple[list[int], ...]:
-        return self.scaling, self.translation, self.image_perm((0, 1, 1, 0))
-
     def bruhat_labels(self) -> tuple[list[int], list[int]]:
         """The B-orbit label of every key, by ``label_orbits`` over D and T,
         and the orbit label of every B-orbit under the whole group, both
@@ -480,7 +464,7 @@ class KeyPermutations:
                 for _ in range(F.q - 1):
                     starts.append(T[j])
                     j = D[j]
-                images = [table[self.rank(key_image(keys[j], M, F, products).rows)]
+                images = [table[self.rank(key_image(keys[j], M, F, products))]
                           for j in starts]
                 for image in _closed(images):
                     glabels[blabels[image]] = orbits

@@ -1,4 +1,4 @@
-"""Exhaustive enumerators that the tests share."""
+"""Exhaustive enumerators and permutation helpers that the tests share."""
 
 from __future__ import annotations
 
@@ -12,6 +12,11 @@ from ffrat.polyring import Poly
 
 def prime_powers_upto(limit: int) -> list[int]:
     return [q for q in range(2, limit + 1) if is_prime_power(q)]
+
+
+def perm_product(first: list[int], then: list[int]) -> list[int]:
+    """The index permutation of ``first`` followed by ``then``."""
+    return list(map(then.__getitem__, first))
 
 
 def polys_upto(field: FieldCtx, degree: int) -> Iterator[Poly]:

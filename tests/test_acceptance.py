@@ -82,12 +82,11 @@ def test_oracle_agreement_for_rational_classes():
         check(burnside_count_rational(F, n) == want,
               "burnside q=%d n=%d" % (q, n))
         check(orbit_count_rational(F, n) == want, "orbit q=%d n=%d" % (q, n))
-        ctx = make_ext(F)
-        # fix_count_bruteforce's count, on one engine shared by every class.
+        # Each class's fixed keys, on one engine shared by every class.
         engine = KeyPermutations(F, n)
         for rep in enumerate_classes(F):
             brute = fixed_points(engine.image_perm(rep.matrix))
-            closed = expected_fix(F, n, rep, ctx)
+            closed = expected_fix(F, n, rep)
             check(brute == closed,
                   "fix q=%d n=%d %s%r: %d != %d"
                   % (q, n, rep.kind, rep.params, brute, closed))

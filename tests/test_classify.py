@@ -14,9 +14,10 @@ from ffrat.classify import (PolyClassRep, PolyPermutations, _normalized_raw,
                             least_nonsquare, left_normalize, normalized_polys,
                             table_families, verify_table)
 from ffrat.gf import field_of_order
-from ffrat.oracle import orbit_labels
 from ffrat.polyring import Poly, affine_substitute, compose
-from ffrat.ratmap import BudgetExceededError, compose_perms, subfield_key
+from ffrat.ratmap import BudgetExceededError, KeyPermutations, subfield_key
+
+from enumerators import perm_product
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -178,7 +179,7 @@ def test_poly_scalings_are_composed_powers_of_the_generator(q, n):
     power = D
     for k in range(1, q - 1):
         assert power == engine.image_perm(F.pow(F.generator, k), 0)
-        power = compose_perms(power, D)
+        power = perm_product(power, D)
     assert power == list(range(len(D)))
 
 
@@ -334,6 +335,8 @@ def test_degree2_reps_strings():
 def test_degree2_reps_hit_both_orbits(q):
     F = field_of_order(q)
     assert counting.count_rational_classes(q, 2) == 2
-    labels = orbit_labels(F, 2)
-    first, second = degree2_rational_reps(F)
-    assert labels[subfield_key(first)] != labels[subfield_key(second)]
+    engine = KeyPermutations(F, 2)
+    blabels, glabels = engine.bruhat_labels()
+    first, second = (glabels[blabels[engine.key_index(subfield_key(f))]]
+                     for f in degree2_rational_reps(F))
+    assert first != second

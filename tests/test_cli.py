@@ -393,6 +393,22 @@ def test_verify_out_path_that_cannot_be_written(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("kinds", [[], ["--kinds", "appendix-lemmas"]])
+def test_verify_degree_zero_leaves_the_old_report(capsys, tmp_path, monkeypatch, kinds):
+    # Refused as by `table`, before --out is opened, whether or not a kind
+    # that depends on n runs.
+    from ffrat import oracle
+    monkeypatch.setattr(oracle, "verify_grid", lambda *a, **k: pytest.fail("a cell ran"))
+    target = tmp_path / "r.json"
+    target.write_text("old report\n")
+    code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "0",
+                             "--out", str(target), *kinds)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: degrees must be at least 1\n"
+    assert target.read_text() == "old report\n"
+
+
 @pytest.mark.parametrize("kinds", ["", ",", " , "])
 def test_verify_empty_kind_list_is_a_usage_error(capsys, kinds):
     code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "1", "--kinds", kinds)

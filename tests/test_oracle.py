@@ -18,15 +18,17 @@ from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           count_coprime_pairs_upto, count_rational_functions,
                           count_reversal_coprime, count_self_dual,
                           count_self_dual_coprime_pairs, enumerate_classes,
-                          expected_fix, fix_count_bruteforce,
-                          nonsplit_twist_order, orbit_count_poly,
-                          orbit_count_rational, orbit_labels,
+                          expected_fix, nonsplit_twist_order,
+                          orbit_count_poly, orbit_count_rational,
                           poly_equivalence_partitions_agree, verify_grid)
+from ffrat.polyring import Poly
 from ffrat.ratmap import (BudgetExceededError, KeyPermutations,
-                          MoebiusTransform, compose_perms,
-                          cycle_lengths, enumerate_subfield_keys, fixed_points,
-                          key_image, label_orbits, nonsplit_generator,
-                          substitution_matrix)
+                          MoebiusTransform, cycle_lengths,
+                          enumerate_subfield_keys, fixed_points, key_image,
+                          label_orbits, nonsplit_generator, normalize,
+                          subfield_key, substitution_matrix)
+
+from enumerators import perm_product
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -67,7 +69,7 @@ def test_centralizer_orders_for_q3():
 
 def test_class_representatives_are_invertible():
     for rep in enumerate_classes(F4):
-        A = rep.moebius(F4)          # would raise on a singular matrix
+        A = MoebiusTransform(F4, rep.matrix)   # would raise on a singular matrix
         assert A.field is F4
 
 
@@ -121,9 +123,9 @@ def test_nonsplit_twist_order_divides_q_plus_one():
                                  (4, 2), (5, 2)])
 def test_bruteforce_fix_matches_closed_forms(q, n):
     F = field_of_order(q)
-    ctx = make_ext(F)
+    engine = KeyPermutations(F, n)
     for rep in enumerate_classes(F):
-        assert fix_count_bruteforce(F, n, rep) == expected_fix(F, n, rep, ctx)
+        assert fixed_points(engine.image_perm(rep.matrix)) == expected_fix(F, n, rep), rep
 
 
 def test_expected_fix_rejects_unknown_kind():
@@ -167,7 +169,7 @@ def test_engine_perm_matches_key_image_on_all_of_gl2(q):
         keys = engine.keys
         for mat in _invertible(F):
             M = substitution_matrix(F, mat, n)
-            want = [engine.key_index(key_image(key, M, F).rows) for key in keys]
+            want = [engine.key_index(key_image(key, M, F)) for key in keys]
             assert engine.image_perm(mat) == want, mat
             assert engine.fix_count(mat) == fixed_points(want), mat
 
@@ -208,9 +210,10 @@ def test_engine_rejects_a_key_set_not_closed_under_the_action(monkeypatch):
 
 
 def test_engine_generators_reject_a_key_set_not_closed_under_the_action(monkeypatch):
+    # The missing key X^2 is fixed by D, but T sends (X - 1)^2 to it.
     _listing_only(monkeypatch, list(enumerate_subfield_keys(F3, 2))[1:])
     with pytest.raises(AssertionError, match="escaped the key set"):
-        KeyPermutations(F3, 2).generators
+        KeyPermutations(F3, 2).translation
 
 
 RANKED_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
@@ -225,18 +228,17 @@ def test_scaling_and_translation_generators_match_key_images(q, n):
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
     keys = engine.keys
-    ranks = [engine.rank(key.rows) for key in keys]
+    ranks = [engine.rank(key) for key in keys]
     assert ranks == sorted(set(ranks))
-    assert all(engine.key_index(key.rows) == i for i, key in enumerate(keys))
-    D, T, S = engine.generators
-    assert D == engine.image_perm((F.generator, 0, 0, 1))
-    assert T == engine.image_perm((1, 1, 0, 1))
-    assert S == engine.image_perm((0, 1, 1, 0))
+    assert all(engine.key_index(key) == i for i, key in enumerate(keys))
+    assert engine.scaling == engine.image_perm((F.generator, 0, 0, 1))
+    assert engine.translation == engine.image_perm((1, 1, 0, 1))
 
 
 def test_orbit_labels_match_scalar_closure():
     F, n = F3, 3
-    keys = list(enumerate_subfield_keys(F, n))
+    engine = KeyPermutations(F, n)
+    keys = engine.keys
     mats = [substitution_matrix(F, g, n)
             for g in ((1, 1, 0, 1), (1, 0, 1, 1), (F.generator, 0, 0, 1))]
     orbits: list[set] = []
@@ -254,10 +256,10 @@ def test_orbit_labels_match_scalar_closure():
                     frontier.append(img)
         seen |= orbit
         orbits.append(orbit)
-    labels = orbit_labels(F, n)
+    blabels, glabels = engine.bruhat_labels()
     by_label: dict[int, set] = {}
-    for key, idx in labels.items():
-        by_label.setdefault(idx, set()).add(key)
+    for key, b in zip(keys, blabels):
+        by_label.setdefault(glabels[b], set()).add(key)
     assert sorted(map(sorted, by_label.values())) == sorted(map(sorted, orbits))
 
 
@@ -272,7 +274,8 @@ def test_bruhat_labels_match_closure_under_all_generators(q, n):
     engine = KeyPermutations(F, n)
     blabels, glabels = engine.bruhat_labels()
     assert blabels == label_orbits((engine.scaling, engine.translation))
-    assert [glabels[b] for b in blabels] == label_orbits(engine.generators)
+    S = engine.image_perm((0, 1, 1, 0))
+    assert [glabels[b] for b in blabels] == label_orbits((engine.scaling, engine.translation, S))
 
 
 def test_bruhat_labels_reject_a_key_set_not_closed_under_inversion(monkeypatch):
@@ -314,10 +317,7 @@ def test_orbit_count_rational_inverts_q_keys_per_class(monkeypatch, q, n):
 def test_burnside_count_rational_takes_one_image_pass(monkeypatch, q, n):
     # D and T come from digit arithmetic and each subgroup family reads the
     # cycles of D, T or the nonsplit R: R's permutation is the only one built
-    # from key images, no permutation is composed, and no class is listed.
-    def uncomposed(first, then):
-        raise AssertionError("compose_perms was called")
-
+    # from key images, and no class is listed.
     def unwalked(*args):
         raise AssertionError("a conjugacy class was walked")
 
@@ -329,7 +329,6 @@ def test_burnside_count_rational_takes_one_image_pass(monkeypatch, q, n):
         return image_perm(self, mat)
 
     monkeypatch.setattr(KeyPermutations, "image_perm", counted)
-    monkeypatch.setattr(ratmap, "compose_perms", uncomposed)
     monkeypatch.setattr(oracle, "enumerate_classes", unwalked)
     monkeypatch.setattr(KeyPermutations, "fix_count", unwalked)
     F = field_of_order(q)
@@ -384,11 +383,12 @@ def test_fullgroup_burnside_charges_the_matrices():
 
 
 def test_orbit_labels_partition_the_keys():
-    labels = orbit_labels(F3, 2)
+    blabels, glabels = KeyPermutations(F3, 2).bruhat_labels()
+    labels = [glabels[b] for b in blabels]
     assert len(labels) == 9
-    assert len(set(labels.values())) == counting.count_rational_classes(3, 2)
+    assert len(set(labels)) == counting.count_rational_classes(3, 2)
     # Orbit sizes must divide the group order and cover all keys.
-    sizes = Counter(labels.values())
+    sizes = Counter(labels)
     group = (9 - 1) * (9 - 3)
     assert sum(sizes.values()) == 9
     for size in sizes.values():
@@ -429,7 +429,7 @@ def test_scaling_fixed_points_from_cycle_lengths_match_composed_powers(q, n):
                                 if k % length == 0), k
         # D^k scales by g^k, of order (q - 1) / gcd(k, q - 1).
         assert fixed[-1] == counting.fix_affine_scale(q, n, (q - 1) // math.gcd(k, q - 1)), k
-        power = compose_perms(power, D)
+        power = perm_product(power, D)
     # The Burnside average over the affine group, on the composed powers.
     total = len(D) + q * sum(fixed) + (q - 1) * fixed_points(T)
     assert burnside_count_poly(F, n) == total // (q * (q - 1))
@@ -450,8 +450,24 @@ def test_orbit_count_poly_budget():
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_poly_equivalence_partitions_agree(q, n):
+def test_poly_equivalence_partitions_agree(monkeypatch, q, n):
+    # Each polynomial's key is read off its coefficients: no gcd, so no
+    # normalize.
+    monkeypatch.setattr(ratmap, "gcd", lambda f, g: pytest.fail("gcd was called"))
     assert poly_equivalence_partitions_agree(field_of_order(q), n)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4) for n in (1, 2, 3)])
+def test_poly_key_rows_index_the_subfield_key(q, n):
+    # The lookup of poly_equivalence_partitions_agree: f/1 has the echelon
+    # rows (f, 1), from X^n down, since f(0) = 0.
+    F = field_of_order(q)
+    engine = KeyPermutations(F, n)
+    one = Poly.one(F)
+    for f in classify.PolyPermutations(F, n).polys:
+        want = engine.key_index(subfield_key(normalize(Poly(F, f), one)))
+        assert want >= 0
+        assert engine.key_index((f[::-1], (0,) * n + (1,))) == want, f
 
 
 # -- appendix mirrors ----------------------------------------------------------

@@ -11,7 +11,7 @@ from ffrat import counting
 from ffrat.gf import field_of_order
 from ffrat.polyring import Poly, gcd, monic_polys
 from ffrat.ratmap import (BudgetExceededError, MoebiusTransform, RationalMap,
-                          SubfieldKey, _row_times, act, enumerate_subfield_keys, is_fixed,
+                          _row_times, act, enumerate_subfield_keys, is_fixed,
                           key_image, normalize, subfield_key, substitution_matrix)
 
 from enumerators import polys_upto
@@ -33,7 +33,7 @@ def inverse(A):
 
 
 def key_rows_as_polys(F, key):
-    r0, r1 = key.rows
+    r0, r1 = key
     return Poly(F, r0[::-1]), Poly(F, r1[::-1])
 
 
@@ -108,9 +108,7 @@ def test_rational_map_equality_and_hash():
 
 def test_subfield_key_example():
     f = normalize(P(F3, 0, 0, 1), P(F3, 1, 1))     # X^2/(X+1)
-    key = subfield_key(f)
-    assert key.n == 2
-    assert key.rows == ((1, 0, 0), (0, 1, 1))
+    assert subfield_key(f) == ((1, 0, 0), (0, 1, 1))
 
 
 def test_key_ignores_left_composition():
@@ -140,7 +138,7 @@ def test_enumerate_key_count(q, n, count):
 
 
 def test_degree_one_key_is_unique():
-    assert list(enumerate_subfield_keys(F2, 1)) == [SubfieldKey(1, ((1, 0), (0, 1)))]
+    assert list(enumerate_subfield_keys(F2, 1)) == [((1, 0), (0, 1))]
 
 
 def _brute_keys(F, n):
@@ -175,8 +173,7 @@ def _gcd_filtered_keys(F, n):
             for q_low in itertools.product(range(F.q), repeat=m):
                 Q = Poly(F, q_low + (1,))
                 if gcd(Poly(F, pc), Q).degree == 0:
-                    keys.append(SubfieldKey(n, (tuple(reversed(pc)),
-                                                (0,) * (n - m) + Q.coeffs[::-1])))
+                    keys.append((tuple(reversed(pc)), (0,) * (n - m) + Q.coeffs[::-1]))
     return keys
 
 
@@ -299,7 +296,7 @@ def test_key_image_matches_act():
     key = subfield_key(f)
     for mat in invertible_mats(F3):
         A = MoebiusTransform(F3, mat)
-        M = substitution_matrix(F3, A.mat, key.n)
+        M = substitution_matrix(F3, A.mat, f.degree)
         assert key_image(key, M, F3) == subfield_key(act(f, A))
 
 

@@ -22,8 +22,10 @@ Everything in ``counting`` has an independent enumeration mirror here:
   class are joined by the images under S of q keys of its first B-orbit,
   q inversions per class (``KeyPermutations.bruhat_labels``);
 * enumerations of the appendix series: the coprime-pair series count the
-  sieved table ``polyring.coprime_flags`` of all monic pairs of two degrees,
-  and the self-dual series walk the monic polynomials over GF(q^2).
+  sieved table ``polyring.coprime_flags`` of all monic pairs of two degrees;
+  over GF(q^2) the self-dual polynomials are walked one constant term at a
+  time, and those coprime to their conjugated reversal are sieved, with no
+  ``gcd`` (only the pairs of self-dual polynomials take one each).
 
 ``verify_grid`` packages the comparisons into a report of named checks, one
 expected/actual pair per check, suitable for JSON serialization.  Cells whose
@@ -36,13 +38,13 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from ffrat import classify, counting
 from ffrat.gf import (ExtFieldCtx, FieldCtx, char_roots, field_of_order, make_ext,
                       mult_order)
-from ffrat.polyring import (conj_reverse, coprime_flags, gcd, monic_polys,
-                            self_dual_scalar)
+from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd,
+                            horner_rank, monic_polys)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, check_budget, cycle_lengths,
                           fixed_points, label_orbits)
@@ -246,22 +248,68 @@ def count_rational_functions(F: FieldCtx, n: int) -> int:
                            if max(a, b) == n)
 
 
+def _self_dual_walk(ctx: ExtFieldCtx, i: int) -> Iterator[tuple[int, ...]]:
+    """The ascending coefficients of every monic self-dual g of degree i over
+    GF(q^2).  conj_reverse(g) = c*g forces c = conj(g_0) from the leading
+    terms, so g_j = conj(g_(i-j)) / conj(g_0) for every j, and at j = 0
+    g_0 = 1/conj(g_0).  Each such g_0 fixes one multiplier table against
+    which the digit strings between g_0 and the leading 1 are tested."""
+    if i == 0:
+        yield (1,)
+        return
+    E, frob = ctx.ext, ctx.frob_table
+    mul = E.mul
+    for g0 in E.units:
+        if mul(g0, frob[g0]) != 1:
+            continue
+        # 1/conj(g0) = g0 here.
+        dual = [mul(frob[x], g0) for x in E.elements]
+        for middle in itertools.product(E.elements, repeat=i - 1):
+            g = (g0, *middle, 1)
+            if all(g[j] == dual[g[i - j]] for j in range(1, i)):
+                yield g
+
+
 def count_self_dual(ctx: ExtFieldCtx, i: int) -> int:
     """Enumeration mirror of counting.self_dual_count."""
-    return sum(1 for g in monic_polys(ctx.ext, i)
-               if self_dual_scalar(g, ctx) is not None)
+    return sum(1 for _ in _self_dual_walk(ctx, i))
 
 
 def count_reversal_coprime(ctx: ExtFieldCtx, i: int) -> int:
-    """Enumeration mirror of counting.reversal_coprime_count."""
-    return sum(1 for g in monic_polys(ctx.ext, i)
-               if gcd(g, conj_reverse(g, ctx)).degree == 0)
+    """Enumeration mirror of counting.reversal_coprime_count, by a sieve over
+    the monic g of degree i, ranked as ``coprime_flags`` ranks them.  X never
+    divides g* = conj_reverse(g), and an irreducible p with p(0) != 0
+    divides g* exactly when p* divides g.  So g and g* share a factor exactly
+    when g is a multiple of a self-dual h of degree 1..i, or of the monic
+    h*h* for a monic h with h(0) != 0 and 2 deg h <= i."""
+    E = ctx.ext
+    Q = E.q
+    factors = {h for d in range(1, i + 1) for h in _self_dual_walk(ctx, d)}
+    for d in range(1, i // 2 + 1):
+        for h in monic_polys(E, d):
+            if h.coeffs[0]:
+                factors.add((h * conj_reverse(h, ctx).monic()).coeffs)
+    add, mul = E.add, E.mul
+    flags = bytearray(b"\x01") * Q ** i
+    for h in factors:
+        e = len(h) - 1
+        for low in itertools.product(E.elements, repeat=i - e):
+            # The low i digits of h * (low + X^(i-e)).
+            g = [0] * (i - e) + list(h[:e])
+            for s, a in enumerate(low):
+                if a:
+                    for t, c in enumerate(h):
+                        g[s + t] = add(g[s + t], mul(a, c))
+            flags[horner_rank(Q, g)] = 0
+    return flags.count(1)
 
 
 def count_self_dual_coprime_pairs(ctx: ExtFieldCtx, i: int, j: int) -> int:
-    """Enumeration mirror of counting.self_dual_coprime_pairs."""
-    left = [g for g in monic_polys(ctx.ext, i) if self_dual_scalar(g, ctx) is not None]
-    right = [g for g in monic_polys(ctx.ext, j) if self_dual_scalar(g, ctx) is not None]
+    """Enumeration mirror of counting.self_dual_coprime_pairs: one ``gcd``
+    per pair of self-dual polynomials."""
+    E = ctx.ext
+    left = [Poly._make(E, g) for g in _self_dual_walk(ctx, i)]
+    right = [Poly._make(E, g) for g in _self_dual_walk(ctx, j)]
     return sum(1 for f in left for g in right if gcd(f, g).degree == 0)
 
 
@@ -365,8 +413,8 @@ def _cell_frak_m(q: int, n: int, budget: int) -> list[CheckResult]:
 
 
 def _cell_appendix(q: int, budget: int) -> list[CheckResult]:
-    # The largest enumerations are q^6: coprime pairs of cubics, and monic
-    # cubics over GF(q^2).
+    # The largest tables are q^6 bytes: the coprime pairs of monic cubics,
+    # and the reversal sieve over the monic cubics over GF(q^2).
     check_budget(q, 3, q ** 6, "polynomials", budget)
     F = field_of_order(q)
     ctx = make_ext(F)

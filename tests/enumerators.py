@@ -6,8 +6,8 @@ import itertools
 from typing import Iterator
 
 from ffrat.counting import is_prime_power
-from ffrat.gf import FieldCtx
-from ffrat.polyring import Poly
+from ffrat.gf import ExtFieldCtx, FieldCtx
+from ffrat.polyring import Poly, conj_reverse, gcd, monic_polys, self_dual_scalar
 
 
 def prime_powers_upto(limit: int) -> list[int]:
@@ -26,3 +26,16 @@ def polys_upto(field: FieldCtx, degree: int) -> Iterator[Poly]:
         for lower in itertools.product(range(field.q), repeat=length - 1):
             for lead in field.units:
                 yield Poly._make(field, lower + (lead,))
+
+
+def self_dual_polys(ctx: ExtFieldCtx, degree: int) -> Iterator[Poly]:
+    """The monic self-dual polynomials of the degree over GF(q^2), by
+    ``self_dual_scalar`` on every monic polynomial."""
+    return (g for g in monic_polys(ctx.ext, degree) if self_dual_scalar(g, ctx) is not None)
+
+
+def reversal_coprime_by_gcd(ctx: ExtFieldCtx, degree: int) -> int:
+    """The monic g of the degree over GF(q^2) with gcd(g, conj_reverse(g)) = 1,
+    counted one gcd at a time."""
+    return sum(1 for g in monic_polys(ctx.ext, degree)
+               if gcd(g, conj_reverse(g, ctx)).degree == 0)

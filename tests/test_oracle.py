@@ -21,14 +21,14 @@ from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           expected_fix, nonsplit_twist_order,
                           orbit_count_poly, orbit_count_rational,
                           poly_equivalence_partitions_agree, verify_grid)
-from ffrat.polyring import Poly
+from ffrat.polyring import Poly, gcd
 from ffrat.ratmap import (BudgetExceededError, KeyPermutations,
                           MoebiusTransform, cycle_lengths,
                           enumerate_subfield_keys, fixed_points, key_image,
                           label_orbits, nonsplit_generator, normalize,
                           subfield_key, substitution_matrix)
 
-from enumerators import perm_product
+from enumerators import perm_product, reversal_coprime_by_gcd, self_dual_polys
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -500,16 +500,52 @@ def test_rational_function_count_mirror(q, n):
     assert count_rational_functions(F, n) == counting.rational_function_count(q, n)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+SELF_DUAL_GRID = [(q, i) for q in (2, 3, 4, 5, 7, 8, 9) for i in range(4 if q <= 4 else 3)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_self_dual_and_reversal_mirrors(q):
     ctx = make_ext(field_of_order(q))
-    for i in range(4):
+    top = 4 if q <= 5 else 3
+    for i in range(top):
         assert count_self_dual(ctx, i) == counting.self_dual_count(q, i)
         assert count_reversal_coprime(ctx, i) == counting.reversal_coprime_count(q, i)
-    for i in range(3):
-        for j in range(3):
+    for i in range(top - 1):
+        for j in range(top - 1):
             assert (count_self_dual_coprime_pairs(ctx, i, j)
                     == counting.self_dual_coprime_pairs(q, i, j))
+
+
+@pytest.mark.parametrize("q,i", SELF_DUAL_GRID)
+def test_self_dual_walk_matches_scalar_filter(q, i):
+    ctx = make_ext(field_of_order(q))
+    walked = list(oracle._self_dual_walk(ctx, i))
+    assert len(walked) == len(set(walked))
+    assert set(walked) == {g.coeffs for g in self_dual_polys(ctx, i)}
+
+
+@pytest.mark.parametrize("q,i", SELF_DUAL_GRID)
+def test_reversal_sieve_matches_gcd_loop(q, i):
+    ctx = make_ext(field_of_order(q))
+    assert count_reversal_coprime(ctx, i) == reversal_coprime_by_gcd(ctx, i)
+
+
+def test_self_dual_mirrors_call_gcd_once_per_pair_only(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+    monkeypatch.setattr(oracle, "gcd", counted)
+    ctx = make_ext(F3)
+    for i in range(4):
+        count_self_dual(ctx, i)
+        count_reversal_coprime(ctx, i)
+    assert calls == []
+    report = verify_grid([2], [1], kinds=("appendix-lemmas",))
+    assert report.failed == 0
+    # Pairs of self-dual polynomials of degrees 0..2 each: (q^2 + 2q + 2)^2.
+    assert len(calls) == 100
 
 
 # -- verification grid ---------------------------------------------------------

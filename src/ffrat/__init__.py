@@ -25,8 +25,7 @@ from ffrat.polyring import (NEG_INFINITY, Poly, affine_substitute, compose,
                             conj, conj_reverse, gcd, monic_polys, poly_str,
                             self_dual_scalar)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
-                          MoebiusTransform, RationalMap, act,
-                          enumerate_subfield_keys, is_fixed, normalize,
-                          subfield_key)
+                          RationalMap, act, enumerate_subfield_keys,
+                          is_fixed, normalize, subfield_key)
 
 __version__ = "0.1.0"

@@ -167,7 +167,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     qs = _validated_q_list(args.q)
     ns = _validated_n_list(args.n)
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+    kinds = tuple(dict.fromkeys(k.strip() for k in args.kinds.split(",") if k.strip()))
     expected = ", ".join(oracle.VERIFY_KINDS)
     if not kinds:
         raise UsageError("--kinds %r names no check kind (expected %s)"

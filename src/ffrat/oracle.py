@@ -3,14 +3,14 @@
 Everything in ``counting`` has an independent enumeration mirror here:
 
 * conjugacy classes of the invertible 2x2 matrices over GF(q), with their
-  centralizer orders, built directly from eigenvalue data;
+  centralizer and projective orders, built directly from eigenvalue data;
 * per-class fixed-subfield counts by walking every subfield key, as fixed
   points of the permutation a matrix induces on the indexed keys
   (``ratmap.fixed_points`` of ``KeyPermutations.image_perm``), or read off
   one table of cyclic subgroups (``KeyPermutations.fix_count``): conjugate
   matrices fix equally many keys, so a class's count follows from its type,
-  its projective order and the cycles of X -> gX, of a nonsplit R of order
-  q + 1 or of X -> X + 1;
+  its projective order by matrix products (``ratmap.projective_order``) and
+  the cycles of X -> gX, of a nonsplit R of order q + 1 or of X -> X + 1;
 * Burnside averages for both actions by one rule over the cyclic subgroups
   that partition each group (``_burnside_average``), listing no class, and
   orbit closures on index permutations of the subfield keys or of the
@@ -41,7 +41,7 @@ import time
 from typing import Iterator, NamedTuple
 
 from ffrat import classify, counting
-from ffrat.gf import (ExtFieldCtx, FieldCtx, char_roots, field_of_order, make_ext,
+from ffrat.gf import (ExtFieldCtx, FieldCtx, field_of_order, make_ext,
                       mult_order)
 from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd,
                             horner_rank, monic_polys)
@@ -59,11 +59,14 @@ class ConjClassRep(NamedTuple):
     (conjugate eigenvalues in GF(q^2) only), or "unipotent" (one repeated
     eigenvalue, nondiagonalizable).  params identifies the class within its
     kind; matrix is a representative as a row-major (a, b, c, d) tuple.
+    order is the projective order, from the eigenvalues a, b and not from
+    matrix products: the order of a/b, or p for a unipotent class.
     """
     kind: str
     params: tuple[int, ...]
     matrix: tuple[int, int, int, int]
     centralizer: int
+    order: int
 
 
 def enumerate_classes(F: FieldCtx) -> list[ConjClassRep]:
@@ -72,37 +75,27 @@ def enumerate_classes(F: FieldCtx) -> list[ConjClassRep]:
     out = []
     for a in F.units:
         out.append(ConjClassRep("central", (a,), (a, 0, 0, a),
-                                q * (q - 1) ** 2 * (q + 1)))
+                                q * (q - 1) ** 2 * (q + 1), 1))
     for a in F.units:
         for b in F.units:
             if a < b:
                 out.append(ConjClassRep("split", (a, b), (a, 0, 0, b),
-                                        (q - 1) ** 2))
-    for t in F.elements:
-        for s in F.units:
-            # X^2 - tX + s irreducible over GF(q): no root.
-            if char_roots(F, t, s) == 0:
-                out.append(ConjClassRep("nonsplit", (t, s),
-                                        (t, F.neg(s), 1, 0), q * q - 1))
+                                        (q - 1) ** 2, mult_order(F, F.div(a, b))))
+    # x and y = x^q outside GF(q) are the roots of one irreducible
+    # X^2 - tX + s, t = x + y and s = xy; the lesser of the two gives it.
+    ctx = make_ext(F)
+    E, base = ctx.ext, ctx.embed_table
+    nonsplit = sorted((base.index(E.add(x, y)), base.index(E.mul(x, y)),
+                       mult_order(E, E.div(y, x)))
+                      for x, y in enumerate(ctx.frob_table) if x < y)
+    for t, s, d in nonsplit:
+        out.append(ConjClassRep("nonsplit", (t, s), (t, F.neg(s), 1, 0),
+                                q * q - 1, d))
     for a in F.units:
-        out.append(ConjClassRep("unipotent", (a,), (a, a, 0, a), q * (q - 1)))
+        out.append(ConjClassRep("unipotent", (a,), (a, a, 0, a), q * (q - 1), F.p))
     if len(out) != q * q - 1:
         raise AssertionError("expected %d classes, found %d" % (q * q - 1, len(out)))
     return out
-
-
-def nonsplit_twist_order(ctx: ExtFieldCtx, t: int, s: int) -> int:
-    """For an irreducible X^2 - tX + s over GF(q) with root x in GF(q^2),
-    the order of conj(x)/x; always divides q + 1 and exceeds 1."""
-    E = ctx.ext
-    te, se = ctx.embed(t), ctx.embed(s)
-    for x in E.elements:
-        if E.add(E.sub(E.mul(x, x), E.mul(te, x)), se) == 0:
-            d = mult_order(E, E.div(ctx.frobenius(x), x))
-            if (ctx.base.q + 1) % d or d < 2:
-                raise AssertionError("twist order %d invalid" % d)
-            return d
-    raise ValueError("X^2 - %d*X + %d has no root in the extension" % (t, s))
 
 
 def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep) -> int:
@@ -111,11 +104,9 @@ def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep) -> int:
     if rep.kind == "central":
         return counting.fix_central(q, n)
     if rep.kind == "split":
-        a, b = rep.params
-        return counting.fix_diagonal(q, n, mult_order(F, F.div(a, b)))
+        return counting.fix_diagonal(q, n, rep.order)
     if rep.kind == "nonsplit":
-        t, s = rep.params
-        return counting.fix_nonsplit(q, n, nonsplit_twist_order(make_ext(F), t, s))
+        return counting.fix_nonsplit(q, n, rep.order)
     if rep.kind == "unipotent":
         return counting.fix_unipotent(q, n)
     raise ValueError("unknown class kind %r" % rep.kind)
@@ -374,6 +365,8 @@ def _timed(name: str, q: int, n: int, expected: int, actual_fn) -> CheckResult:
 
 
 def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
+    # q^2 - 1 classes, each typed in at most q + 1 products of 2x2 matrices.
+    check_budget(q, n, (q * q - 1) * (q + 1), "matrix products", budget)
     F = field_of_order(q)
     # The first check builds the engine, so check times add up to the cell's.
     engine = functools.cache(lambda: KeyPermutations(F, n, budget))

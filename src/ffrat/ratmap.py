@@ -10,13 +10,13 @@ subfield key of f is the reduced row-echelon basis of that span, the tuple
 constant term; it is a complete, hashable invariant for "same subfield", and
 its degree is len(r0) - 1.
 
-An invertible matrix A = [[a, b], [c, d]] acts by the substitution
-X -> (aX + b)/(cX + d): the pair (P, Q) is replaced by its homogeneous
-substitute (sum_i p_i (aX+b)^i (cX+d)^(n-i), same for Q), which spans the key
-of f((aX+b)/(cX+d)).  ``substitution_matrix`` builds those powers once, and
-both ``act`` and ``key_image`` apply it.  The action factors through scalars,
-so ``MoebiusTransform`` stores matrices projectively normalized (first nonzero
-entry of (a, b, c, d) scaled to 1).
+An invertible matrix A = [[a, b], [c, d]], the tuple (a, b, c, d), acts by
+the substitution X -> (aX + b)/(cX + d): the pair (P, Q) is replaced by its
+homogeneous substitute (sum_i p_i (aX+b)^i (cX+d)^(n-i), same for Q), which
+spans the key of f((aX+b)/(cX+d)).  ``substitution_matrix`` builds those
+powers once and refuses a singular A, and both ``act`` and ``key_image``
+apply it.  The action factors through scalars, so A acts with its projective
+order, the least d for which A^d is scalar (``projective_order``).
 
 ``enumerate_subfield_keys`` lists each of the q^(2(n-1)) keys exactly once by
 walking the canonical bases directly: pairs (P, Q) with P monic of degree n,
@@ -55,62 +55,6 @@ def check_budget(q: int, n: int, cost: int, what: str, budget: int) -> None:
     if cost > budget:
         raise BudgetExceededError("q=%d n=%d needs %d %s, budget is %d"
                                   % (q, n, cost, what, budget))
-
-
-class MoebiusTransform:
-    """An invertible fractional-linear substitution X -> (aX+b)/(cX+d)."""
-
-    __slots__ = ("field", "mat")
-
-    def __init__(self, field: FieldCtx, mat):
-        a, b, c, d = mat
-        det = field.sub(field.mul(a, d), field.mul(b, c))
-        if det == 0:
-            raise ValueError("matrix %r is singular" % (mat,))
-        for entry in (a, b, c, d):
-            if entry:
-                s = field.inv(entry)
-                break
-        mul = field.mul
-        self.field = field
-        self.mat = (mul(s, a), mul(s, b), mul(s, c), mul(s, d))
-
-    @classmethod
-    def identity(cls, field: FieldCtx) -> "MoebiusTransform":
-        return cls(field, (1, 0, 0, 1))
-
-    def __matmul__(self, other: "MoebiusTransform") -> "MoebiusTransform":
-        if self.field is not other.field:
-            raise ValueError("mixed-field composition")
-        F = self.field
-        a, b, c, d = self.mat
-        e, f, g, h = other.mat
-        add, mul = F.add, F.mul
-        return MoebiusTransform(F, (add(mul(a, e), mul(b, g)),
-                                    add(mul(a, f), mul(b, h)),
-                                    add(mul(c, e), mul(d, g)),
-                                    add(mul(c, f), mul(d, h))))
-
-    def order(self) -> int:
-        """Order as a projective transformation."""
-        ident = MoebiusTransform.identity(self.field)
-        power, d = self, 1
-        while power != ident:
-            power = power @ self
-            d += 1
-            if d > self.field.q + 1:
-                raise AssertionError("projective order above q+1")
-        return d
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MoebiusTransform)
-                and self.field is other.field and self.mat == other.mat)
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.mat))
-
-    def __repr__(self) -> str:
-        return "MoebiusTransform(GF(%d), %r)" % (self.field.q, self.mat)
 
 
 class RationalMap:
@@ -213,10 +157,18 @@ def subfield_key(f: RationalMap) -> Key:
     return _echelon2(f.field, _descending(f.num, n), _descending(f.den, n))
 
 
+def _check_invertible(F: FieldCtx, mat) -> None:
+    a, b, c, d = mat
+    if F.sub(F.mul(a, d), F.mul(b, c)) == 0:
+        raise ValueError("matrix %r is singular" % (mat,))
+
+
 def substitution_matrix(F: FieldCtx, mat, n: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of the homogeneous substitution by [[a,b],[c,d]] on coefficient
     vectors of length n+1 in descending order: row i is the vector of
-    (aX+b)^(n-i) (cX+d)^i, so transformed = sum_i v[i] * M[i]."""
+    (aX+b)^(n-i) (cX+d)^i, so transformed = sum_i v[i] * M[i].  Raises
+    ValueError for a singular matrix."""
+    _check_invertible(F, mat)
     a, b, c, d = mat
     U = Poly(F, (b, a))
     V = Poly(F, (d, c))
@@ -226,6 +178,21 @@ def substitution_matrix(F: FieldCtx, mat, n: int) -> tuple[tuple[int, ...], ...]
         upow.append(upow[-1] * U)
         vpow.append(vpow[-1] * V)
     return tuple(tuple(_descending(upow[n - i] * vpow[i], n)) for i in range(n + 1))
+
+
+def projective_order(F: FieldCtx, mat) -> int:
+    """The least d for which the invertible matrix mat^d is scalar, found by
+    2x2 products; raises ValueError for a singular matrix."""
+    _check_invertible(F, mat)
+    add, mul = F.add, F.mul
+    a, b, c, d = mat
+    e, f, g, h = mat
+    order = 1
+    while f or g or e != h:
+        e, f, g, h = (add(mul(e, a), mul(f, c)), add(mul(e, b), mul(f, d)),
+                      add(mul(g, a), mul(h, c)), add(mul(g, b), mul(h, d)))
+        order += 1
+    return order
 
 
 def _row_times(F: FieldCtx, row, M) -> list[int]:
@@ -254,16 +221,15 @@ def key_image(key: Key, M, F: FieldCtx, products: dict | None = None) -> Key:
     return _echelon2(F, *images)
 
 
-def act(f: RationalMap, A: MoebiusTransform) -> RationalMap:
+def act(f: RationalMap, mat) -> RationalMap:
     """The substituted map f((aX+b)/(cX+d)), reduced.
 
-    This is a right action: act(f, A @ B) == act(act(f, A), B).
+    This is a right action: act(f, AB) == act(act(f, A), B) for the matrix
+    product AB.
     """
     F = f.field
-    if A.field is not F:
-        raise ValueError("transform field does not match map field")
     n = f.degree
-    M = substitution_matrix(F, A.mat, n)
+    M = substitution_matrix(F, mat, n)
     num, den = (Poly(F, _row_times(F, _descending(P, n), M)[::-1])
                 for P in (f.num, f.den))
     image = normalize(num, den)
@@ -272,10 +238,10 @@ def act(f: RationalMap, A: MoebiusTransform) -> RationalMap:
     return image
 
 
-def is_fixed(key: Key, A: MoebiusTransform) -> bool:
-    """Whether the substitution by A maps the subfield onto itself."""
-    M = substitution_matrix(A.field, A.mat, len(key[0]) - 1)
-    return key_image(key, M, A.field) == key
+def is_fixed(key: Key, mat, F: FieldCtx) -> bool:
+    """Whether the substitution by the matrix maps the subfield onto itself."""
+    M = substitution_matrix(F, mat, len(key[0]) - 1)
+    return key_image(key, M, F) == key
 
 
 def _rank_offsets(q: int, n: int) -> list[int]:
@@ -490,7 +456,7 @@ class KeyPermutations:
         points on the generator's cycles of length dividing N/d."""
         F = self.F
         a, b, c, d = mat
-        order = MoebiusTransform(F, mat).order()
+        order = projective_order(F, mat)
         if order == 1:
             return len(self.keys)
         roots = char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c)))
@@ -505,7 +471,7 @@ def nonsplit_generator(F: FieldCtx) -> tuple[int, int, int, int]:
     for t in F.elements:
         for s in F.units:
             mat = (t, F.neg(s), 1, 0)
-            if char_roots(F, t, s) == 0 and MoebiusTransform(F, mat).order() == F.q + 1:
+            if char_roots(F, t, s) == 0 and projective_order(F, mat) == F.q + 1:
                 return mat
     raise AssertionError("no nonsplit element of order q + 1")
 

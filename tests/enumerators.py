@@ -6,7 +6,7 @@ import itertools
 from typing import Iterator
 
 from ffrat.counting import is_prime_power
-from ffrat.gf import ExtFieldCtx, FieldCtx
+from ffrat.gf import ExtFieldCtx, FieldCtx, char_roots, mult_order
 from ffrat.polyring import Poly, conj_reverse, gcd, monic_polys, self_dual_scalar
 
 
@@ -39,3 +39,21 @@ def reversal_coprime_by_gcd(ctx: ExtFieldCtx, degree: int) -> int:
     counted one gcd at a time."""
     return sum(1 for g in monic_polys(ctx.ext, degree)
                if gcd(g, conj_reverse(g, ctx)).degree == 0)
+
+
+def irreducible_quadratics(field: FieldCtx) -> list[tuple[int, int]]:
+    """The (t, s) for which X^2 - tX + s is irreducible, by t and then s,
+    each tested for a root in the field."""
+    return [(t, s) for t in field.elements for s in field.units
+            if char_roots(field, t, s) == 0]
+
+
+def twist_order_by_root_search(ctx: ExtFieldCtx, t: int, s: int) -> int:
+    """For an irreducible X^2 - tX + s over GF(q), the order of conj(x)/x,
+    with its first root x in GF(q^2) found by testing every element."""
+    E = ctx.ext
+    te, se = ctx.embed(t), ctx.embed(s)
+    for x in E.elements:
+        if E.add(E.sub(E.mul(x, x), E.mul(te, x)), se) == 0:
+            return mult_order(E, E.div(ctx.frobenius(x), x))
+    raise ValueError("X^2 - %d*X + %d has no root in the extension" % (t, s))

@@ -332,6 +332,18 @@ def test_verify_report_carries_meta(capsys, tmp_path):
     assert isinstance(meta["wall_s"], float) and meta["wall_s"] >= 0
 
 
+def test_verify_runs_a_repeated_kind_once(capsys):
+    # Kept in the order first named, as --q and --n keep each value once.
+    code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "1",
+                           "--kinds", "frakN,frakM,frakN")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"]] == [
+        "frakN/burnside", "frakN/orbit", "frakN/lowdeg",
+        "frakM/orbit", "frakM/burnside", "frakM/lowdeg"]
+    assert report["meta"]["kinds"] == ["frakN", "frakM"]
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--q", "2", "--n", "1"],
     ["table", "--q", "2", "--n", "1"],
@@ -361,14 +373,16 @@ def test_verify_names_every_skipped_cell(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--budget", "100", "--out", str(target))
     assert code == EXIT_OK
     report = json.loads(target.read_text())
-    # Keys: q^(2n-2) > 100 at n = 3 for q = 4, 5; appendix: q^6 > 100 for q >= 3.
+    # Keys: q^(2n-2) > 100 at n = 3 for q = 4, 5; appendix: q^6 > 100 for
+    # q >= 3; fix-formulas: (q^2 - 1)(q + 1) = 144 matrix products at q = 5.
     assert [(c["q"], c["n"], c["kind"]) for c in report["skipped_cells"]] == [
         (3, None, "appendix-lemmas"),
         (4, 3, "fix-formulas"), (4, 3, "frakN"), (4, None, "appendix-lemmas"),
+        (5, 1, "fix-formulas"), (5, 2, "fix-formulas"),
         (5, 3, "fix-formulas"), (5, 3, "frakN"), (5, None, "appendix-lemmas")]
     assert report["skipped_cells"][1]["reason"] == "q=4 n=3 needs 256 keys, budget is 100"
-    assert report["summary"]["skipped"] == 7
-    assert out == "%d checks, 0 failed, 7 cells skipped\n" % report["summary"]["total"]
+    assert report["summary"]["skipped"] == 9
+    assert out == "%d checks, 0 failed, 9 cells skipped\n" % report["summary"]["total"]
 
 
 def test_verify_strict_names_the_first_skipped_cell(capsys):

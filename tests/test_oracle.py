@@ -18,17 +18,18 @@ from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           count_coprime_pairs_upto, count_rational_functions,
                           count_reversal_coprime, count_self_dual,
                           count_self_dual_coprime_pairs, enumerate_classes,
-                          expected_fix, nonsplit_twist_order,
-                          orbit_count_poly, orbit_count_rational,
+                          expected_fix, orbit_count_poly, orbit_count_rational,
                           poly_equivalence_partitions_agree, verify_grid)
 from ffrat.polyring import Poly, gcd
 from ffrat.ratmap import (BudgetExceededError, KeyPermutations,
-                          MoebiusTransform, cycle_lengths,
-                          enumerate_subfield_keys, fixed_points, key_image,
-                          label_orbits, nonsplit_generator, normalize,
+                          cycle_lengths, enumerate_subfield_keys,
+                          fixed_points, key_image, label_orbits,
+                          nonsplit_generator, normalize, projective_order,
                           subfield_key, substitution_matrix)
 
-from enumerators import perm_product, reversal_coprime_by_gcd, self_dual_polys
+from enumerators import (irreducible_quadratics, perm_product,
+                         reversal_coprime_by_gcd, self_dual_polys,
+                         twist_order_by_root_search)
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -69,8 +70,8 @@ def test_centralizer_orders_for_q3():
 
 def test_class_representatives_are_invertible():
     for rep in enumerate_classes(F4):
-        A = MoebiusTransform(F4, rep.matrix)   # would raise on a singular matrix
-        assert A.field is F4
+        a, b, c, d = rep.matrix
+        assert F4.sub(F4.mul(a, d), F4.mul(b, c)) != 0
 
 
 def test_centralizers_via_direct_count():
@@ -98,22 +99,31 @@ def test_centralizers_via_direct_count():
 
 
 def test_nonsplit_twist_orders():
-    ctx2, ctx3 = make_ext(F2), make_ext(F3)
-    orders2 = Counter(nonsplit_twist_order(ctx2, *rep.params)
-                      for rep in enumerate_classes(F2) if rep.kind == "nonsplit")
+    orders2 = Counter(rep.order for rep in enumerate_classes(F2) if rep.kind == "nonsplit")
     assert orders2 == {3: 1}
-    orders3 = Counter(nonsplit_twist_order(ctx3, *rep.params)
-                      for rep in enumerate_classes(F3) if rep.kind == "nonsplit")
+    orders3 = Counter(rep.order for rep in enumerate_classes(F3) if rep.kind == "nonsplit")
     assert orders3 == {2: 1, 4: 2}
 
 
 def test_nonsplit_twist_order_divides_q_plus_one():
-    ctx = make_ext(F4)
     for rep in enumerate_classes(F4):
-        if rep.kind != "nonsplit":
-            continue
-        d = nonsplit_twist_order(ctx, *rep.params)
-        assert d > 1 and (F4.q + 1) % d == 0
+        if rep.kind == "nonsplit":
+            assert rep.order > 1 and (F4.q + 1) % rep.order == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25])
+def test_nonsplit_classes_match_the_root_tests(q):
+    # One pass over GF(q^2) against a root test per (t, s) and a root search
+    # per class; and the order from eigenvalues against matrix products.
+    F = field_of_order(q)
+    ctx = make_ext(F)
+    classes = enumerate_classes(F)
+    nonsplit = [rep for rep in classes if rep.kind == "nonsplit"]
+    assert [rep.params for rep in nonsplit] == irreducible_quadratics(F)
+    for rep in nonsplit:
+        assert rep.order == twist_order_by_root_search(ctx, *rep.params), rep
+    for rep in classes:
+        assert projective_order(F, rep.matrix) == rep.order, rep
 
 
 # -- per-class fixed counts ----------------------------------------------------
@@ -130,7 +140,7 @@ def test_bruteforce_fix_matches_closed_forms(q, n):
 
 def test_expected_fix_rejects_unknown_kind():
     rep = enumerate_classes(F2)[0]
-    bogus = type(rep)("twisted", rep.params, rep.matrix, rep.centralizer)
+    bogus = rep._replace(kind="twisted")
     with pytest.raises(ValueError):
         expected_fix(F2, 2, bogus)
 
@@ -187,7 +197,7 @@ def test_nonsplit_generator_has_projective_order_q_plus_one(q):
     F = field_of_order(q)
     a, b, c, d = mat = nonsplit_generator(F)
     assert char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c))) == 0
-    assert MoebiusTransform(F, mat).order() == q + 1
+    assert projective_order(F, mat) == q + 1
 
 
 def test_engine_builds_its_keys_within_the_budget():
@@ -345,6 +355,17 @@ def test_burnside_count_rational_charges_the_class_walk():
     report = verify_grid([5], [1], kinds=("frakN",), budget=99)
     assert report.checks == []
     assert [(c.kind, "root tests" in c.reason) for c in report.skipped_cells] == [("frakN", True)]
+
+
+def test_fix_formulas_charges_the_class_walk():
+    # q^2 - 1 = 24 classes, each typed by its projective order in at most
+    # q + 1 = 6 matrix products.
+    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=143)
+    assert report.checks == []
+    assert [(c.kind, "matrix products" in c.reason)
+            for c in report.skipped_cells] == [("fix-formulas", True)]
+    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=144)
+    assert (report.total, report.failed, report.skipped) == (24, 0, 0)
 
 
 # -- class counts three ways ---------------------------------------------------

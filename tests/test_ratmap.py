@@ -10,9 +10,10 @@ import pytest
 from ffrat import counting
 from ffrat.gf import field_of_order
 from ffrat.polyring import Poly, gcd, monic_polys
-from ffrat.ratmap import (BudgetExceededError, MoebiusTransform, RationalMap,
+from ffrat.ratmap import (BudgetExceededError, KeyPermutations, RationalMap,
                           _row_times, act, enumerate_subfield_keys, is_fixed,
-                          key_image, normalize, subfield_key, substitution_matrix)
+                          key_image, normalize, projective_order, subfield_key,
+                          substitution_matrix)
 
 from enumerators import polys_upto
 
@@ -26,10 +27,19 @@ def P(field, *coeffs):
     return Poly(field, coeffs)
 
 
-def inverse(A):
-    """The adjugate of A, its inverse up to the scalar det(A)."""
-    a, b, c, d = A.mat
-    return MoebiusTransform(A.field, (d, A.field.neg(b), A.field.neg(c), a))
+def inverse(F, mat):
+    """The adjugate of the matrix, its inverse up to the scalar det(mat)."""
+    a, b, c, d = mat
+    return (d, F.neg(b), F.neg(c), a)
+
+
+def mat_product(F, A, B):
+    """The row-major product AB of two 2x2 matrices."""
+    a, b, c, d = A
+    e, f, g, h = B
+    add, mul = F.add, F.mul
+    return (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+            add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
 
 
 def key_rows_as_polys(F, key):
@@ -201,49 +211,38 @@ def test_enumerate_rejects_degree_zero():
         list(enumerate_subfield_keys(F2, 0))
 
 
-# -- Moebius transformations --------------------------------------------------
+# -- matrices and their projective orders ------------------------------------
 
 
-def test_transform_is_projectively_normalized():
-    A = MoebiusTransform(F3, (2, 0, 0, 1))
-    assert A.mat == (1, 0, 0, 2)
-    assert A == MoebiusTransform(F3, (1, 0, 0, 2))
-    assert hash(A) == hash(MoebiusTransform(F3, (1, 0, 0, 2)))
+SINGULAR_ENTRY_POINTS = {
+    "act": lambda mat: act(normalize(P(F3, 1, 0, 1), P(F3, 0, 1)), mat),
+    "is_fixed": lambda mat: is_fixed(((1, 0, 0), (0, 0, 1)), mat, F3),
+    "substitution_matrix": lambda mat: substitution_matrix(F3, mat, 2),
+    "image_perm": lambda mat: KeyPermutations(F3, 2).image_perm(mat),
+    "fix_count": lambda mat: KeyPermutations(F3, 2).fix_count(mat),
+    "projective_order": lambda mat: projective_order(F3, mat),
+}
 
 
 def test_transform_rejects_singular_matrix():
-    with pytest.raises(ValueError):
-        MoebiusTransform(F2, (1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        MoebiusTransform(F3, (0, 0, 1, 1))
-
-
-def test_identity_and_inverse():
-    ident = MoebiusTransform.identity(F3)
-    assert ident.mat == (1, 0, 0, 1)
-    for mat in invertible_mats(F3):
-        A = MoebiusTransform(F3, mat)
-        assert A @ inverse(A) == ident
-        assert inverse(A) @ A == ident
-
-
-def test_composition_rejects_mixed_fields():
-    with pytest.raises(ValueError):
-        MoebiusTransform.identity(F2) @ MoebiusTransform.identity(F3)
+    for name, entry in SINGULAR_ENTRY_POINTS.items():
+        for mat in ((1, 1, 1, 1), (0, 0, 1, 1), (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match=r"matrix \(.*\) is singular"):
+                entry(mat)
 
 
 def test_transform_orders():
-    assert MoebiusTransform.identity(F2).order() == 1
-    assert MoebiusTransform(F3, (1, 1, 0, 1)).order() == 3   # X+1
-    assert MoebiusTransform(F3, (2, 0, 0, 1)).order() == 2   # 2X, projectively
-    assert MoebiusTransform(F3, (0, 1, 1, 0)).order() == 2   # 1/X
-    assert MoebiusTransform(F2, (0, 1, 1, 1)).order() == 3   # 1/(X+1)
+    assert projective_order(F2, (1, 0, 0, 1)) == 1
+    assert projective_order(F3, (1, 1, 0, 1)) == 3   # X+1
+    assert projective_order(F3, (2, 0, 0, 1)) == 2   # 2X, projectively
+    assert projective_order(F3, (0, 1, 1, 0)) == 2   # 1/X
+    assert projective_order(F2, (0, 1, 1, 1)) == 3   # 1/(X+1)
 
 
 def test_order_multiset_over_all_invertible_matrices():
     # Each projective class contains q-1 matrices, so the matrix-level order
     # counts are q-1 times the class-level ones.
-    orders = Counter(MoebiusTransform(F3, mat).order() for mat in invertible_mats(F3))
+    orders = Counter(projective_order(F3, mat) for mat in invertible_mats(F3))
     assert orders == {1: 2, 2: 18, 3: 16, 4: 12}
     assert sum(orders.values()) == 48
 
@@ -253,40 +252,32 @@ def test_order_multiset_over_all_invertible_matrices():
 
 def test_act_identity():
     f = normalize(P(F3, 1, 0, 1), P(F3, 0, 1))
-    assert act(f, MoebiusTransform.identity(F3)) == f
+    assert act(f, (1, 0, 0, 1)) == f
 
 
 def test_act_example():
     f = normalize(P(F3, 0, 0, 1), Poly.one(F3))
-    shifted = act(f, MoebiusTransform(F3, (1, 1, 0, 1)))
+    shifted = act(f, (1, 1, 0, 1))
     assert shifted == normalize(P(F3, 1, 2, 1), Poly.one(F3))  # (X+1)^2
 
 
 def test_act_scale_keeps_square_but_not_key_partner():
     f = normalize(P(F3, 0, 0, 1), Poly.one(F3))
-    assert act(f, MoebiusTransform(F3, (2, 0, 0, 1))) == f    # (2X)^2 = X^2
+    assert act(f, (2, 0, 0, 1)) == f    # (2X)^2 = X^2
 
 
 def test_act_is_right_action():
     f = normalize(P(F3, 1, 0, 1), P(F3, 0, 1))
     mats = [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0), (1, 2, 1, 1), (2, 1, 1, 1)]
-    transforms = [MoebiusTransform(F3, m) for m in mats]
-    for A in transforms:
-        for B in transforms:
-            assert act(f, A @ B) == act(act(f, A), B)
+    for A in mats:
+        for B in mats:
+            assert act(f, mat_product(F3, A, B)) == act(act(f, A), B)
 
 
 def test_act_inverse_restores_the_map():
     f = normalize(P(F2, 0, 1, 0, 1), P(F2, 1, 1))
     for mat in invertible_mats(F2):
-        A = MoebiusTransform(F2, mat)
-        assert act(act(f, A), inverse(A)) == f
-
-
-def test_act_rejects_mixed_fields():
-    f = normalize(P(F3, 1, 0, 1), P(F3, 0, 1))
-    with pytest.raises(ValueError):
-        act(f, MoebiusTransform.identity(F2))
+        assert act(act(f, mat), inverse(F2, mat)) == f
 
 
 def test_key_image_matches_act():
@@ -295,9 +286,8 @@ def test_key_image_matches_act():
     f = normalize(P(F3, 1, 0, 1), P(F3, 0, 1))
     key = subfield_key(f)
     for mat in invertible_mats(F3):
-        A = MoebiusTransform(F3, mat)
-        M = substitution_matrix(F3, A.mat, f.degree)
-        assert key_image(key, M, F3) == subfield_key(act(f, A))
+        M = substitution_matrix(F3, mat, f.degree)
+        assert key_image(key, M, F3) == subfield_key(act(f, mat))
 
 
 def test_substitution_matrix_identity():
@@ -338,24 +328,23 @@ def test_substitution_matrix_matches_the_substitution_pointwise(q):
 
 
 def test_identity_fixes_every_key():
-    ident = MoebiusTransform.identity(F3)
     keys = list(enumerate_subfield_keys(F3, 2))
-    assert sum(is_fixed(k, ident) for k in keys) == counting.fix_central(3, 2)
+    assert sum(is_fixed(k, (1, 0, 0, 1), F3) for k in keys) == counting.fix_central(3, 2)
 
 
 def test_fixed_counts_match_closed_forms():
     keys22 = list(enumerate_subfield_keys(F2, 2))
     keys32 = list(enumerate_subfield_keys(F3, 2))
-    unipotent = MoebiusTransform(F2, (1, 1, 0, 1))
-    assert sum(is_fixed(k, unipotent) for k in keys22) == counting.fix_unipotent(2, 2)
-    diagonal = MoebiusTransform(F3, (2, 0, 0, 1))
-    assert sum(is_fixed(k, diagonal) for k in keys32) == counting.fix_diagonal(3, 2, 2)
-    nonsplit = MoebiusTransform(F2, (0, 1, 1, 1))   # order 3, no eigenvalues
-    assert sum(is_fixed(k, nonsplit) for k in keys22) == counting.fix_nonsplit(2, 2, 3)
+    unipotent = (1, 1, 0, 1)
+    assert sum(is_fixed(k, unipotent, F2) for k in keys22) == counting.fix_unipotent(2, 2)
+    diagonal = (2, 0, 0, 1)
+    assert sum(is_fixed(k, diagonal, F3) for k in keys32) == counting.fix_diagonal(3, 2, 2)
+    nonsplit = (0, 1, 1, 1)   # order 3, no eigenvalues
+    assert sum(is_fixed(k, nonsplit, F2) for k in keys22) == counting.fix_nonsplit(2, 2, 3)
 
 
 def test_is_fixed_agrees_with_act_on_representatives():
-    A = MoebiusTransform(F3, (1, 1, 0, 1))
+    A = (1, 1, 0, 1)
     for key in enumerate_subfield_keys(F3, 2):
         f = normalize(*key_rows_as_polys(F3, key))
-        assert is_fixed(key, A) == (subfield_key(act(f, A)) == key)
+        assert is_fixed(key, A, F3) == (subfield_key(act(f, A)) == key)

@@ -4,23 +4,22 @@ Everything in ``counting`` has an independent enumeration mirror here:
 
 * conjugacy classes of the invertible 2x2 matrices over GF(q), with their
   centralizer and projective orders, built directly from eigenvalue data;
-* per-class fixed-subfield counts by walking every subfield key, as fixed
-  points of the permutation a matrix induces on the indexed keys
-  (``ratmap.fixed_points`` of ``KeyPermutations.image_perm``), or read off
-  one table of cyclic subgroups (``KeyPermutations.fix_count``): conjugate
-  matrices fix equally many keys, so a class's count follows from its type,
-  its projective order by matrix products (``ratmap.projective_order``) and
-  the cycles of X -> gX, of a nonsplit R of order q + 1 or of X -> X + 1;
+* per-class fixed-subfield counts on the invariant planes of the matrix's
+  substitution matrix (``ratmap.fixed_key_counts``): a plane inside the left
+  kernel of M - x, or spanned by v and vM for v in the left kernel of a
+  quadratic in M, whose roots are eigenvalues of M; no key is listed;
 * Burnside averages for both actions by one rule over the cyclic subgroups
-  that partition each group (``_burnside_average``), listing no class, and
-  orbit closures on index permutations of the subfield keys or of the
+  that partition each group (``_burnside_average``), listing no class: for
+  rational maps, the split, nonsplit and unipotent tori of ``_tori``, with
+  one plane count per kind and projective order;
+* orbit closures on index permutations of the subfield keys or of the
   normalized polynomials (``ratmap.KeyPermutations``,
   ``classify.PolyPermutations``, each listing its own points), with one
-  orbit search (``ratmap.label_orbits``) for both.  The rational closure searches only
-  the affine group B, generated by X -> gX and X -> X + 1: the whole group
-  is the disjoint union of B and B.S.B, S = X -> 1/X, so the B-orbits of a
-  class are joined by the images under S of q keys of its first B-orbit,
-  q inversions per class (``KeyPermutations.bruhat_labels``);
+  orbit search (``ratmap.label_orbits``) for both.  The rational closure
+  searches only the affine group B, generated by X -> gX and X -> X + 1: the
+  whole group is the disjoint union of B and B.S.B, S = X -> 1/X, so the
+  B-orbits of a class are joined by the images under S of q keys of its
+  first B-orbit, q inversions per class (``KeyPermutations.bruhat_labels``);
 * enumerations of the appendix series: the coprime-pair series count the
   sieved table ``polyring.coprime_flags`` of all monic pairs of two degrees;
   over GF(q^2) the self-dual polynomials are walked one constant term at a
@@ -41,13 +40,13 @@ import time
 from typing import Iterator, NamedTuple
 
 from ffrat import classify, counting
-from ffrat.gf import (ExtFieldCtx, FieldCtx, field_of_order, make_ext,
-                      mult_order)
+from ffrat.gf import (ExtFieldCtx, FieldCtx, char_roots, field_of_order,
+                      make_ext, mat_pow, mult_order)
 from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd,
                             horner_rank, monic_polys)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
                           KeyPermutations, check_budget, cycle_lengths,
-                          fixed_points, label_orbits)
+                          fixed_key_counts, fixed_points, label_orbits)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
@@ -123,54 +122,46 @@ def _burnside_average(points: int, group: int, families) -> int:
     return counting.exact_div(points + sum(k * fixed for k, _, fixed in families), order)
 
 
-def _burnside(engine: KeyPermutations, budget: int) -> int:
-    # PGL(2, q): q(q+1)/2 split tori <D>, q(q-1)/2 nonsplit <R> and
-    # (q^2-1)/(p-1) unipotent <T>.  <g> of order N adds N * cycles(g) - points,
-    # as g^i fixes a cycle of length L when L divides i.  Finding R tests
-    # X^2 - tX + s for roots in GF(q) for up to every t and unit s.
-    q, p, points = engine.F.q, engine.F.p, len(engine.keys)
-    check_budget(q, engine.n, q * q * (q - 1), "root tests", budget)
-    tori = engine.cyclic_subgroups
-    families = [(q * (q + 1) // 2, *tori[2]), (q * (q - 1) // 2, *tori[0]),
-                ((q * q - 1) // (p - 1), *tori[1])]
-    return _burnside_average(points, q * (q * q - 1), [
-        (k, N, N * sum(cycles.values()) - points) for k, N, cycles in families])
+def _tori(F: FieldCtx) -> list[tuple[int, int, str, tuple[int, ...]]]:
+    """(k, N, kind, generator) for the k conjugate cyclic subgroups of order
+    N that hold each non-identity element of PGL(2, q) once: split <D>,
+    D = X -> gX; nonsplit <R>, R the first C + cI, C the companion matrix of
+    the first irreducible X^2 - tX + s, whose (q+1)/r-th power is not scalar
+    for any prime r dividing q + 1; and unipotent <T>, T = X -> X + 1."""
+    q, p = F.q, F.p
+    t, s = next((t, s) for t in F.elements for s in F.units if not char_roots(F, t, s))
+    R = next(mat for mat in ((F.add(t, c), F.neg(s), 1, c) for c in F.elements)
+             if all(power[1] or power[2] or power[0] != power[3]
+                    for power in (mat_pow(F, mat, (q + 1) // r)
+                                  for r in counting.prime_factors(q + 1))))
+    return [(q * (q + 1) // 2, q - 1, "split", (F.generator, 0, 0, 1)),
+            (q * (q - 1) // 2, q + 1, "nonsplit", R),
+            ((q * q - 1) // (p - 1), p, "unipotent", (1, 1, 0, 1))]
 
 
 def burnside_count_rational(F: FieldCtx, n: int,
                             budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Class count as the Burnside average over the cyclic subgroups of
-    PGL(2, q); must agree with counting.count_rational_classes."""
-    return _burnside(KeyPermutations(F, n, budget), budget)
-
-
-def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
-                                      budget: int = DEFAULT_KEY_BUDGET) -> int:
-    """Burnside average over all q^4 matrices, each typed on its own by
-    ``fix_count``: a cross-check of the subgroup counts k that
-    ``burnside_count_rational`` uses, for tiny fields."""
-    engine = KeyPermutations(F, n, budget)
-    check_budget(F.q, n, F.q ** 4, "matrices", budget)
-    total = 0
-    group_order = 0
-    for a, b, c, d in itertools.product(F.elements, repeat=4):
-        if F.sub(F.mul(a, d), F.mul(b, c)):
-            group_order += 1
-            total += engine.fix_count((a, b, c, d))
-    if group_order != (F.q ** 2 - 1) * (F.q ** 2 - F.q):
-        raise AssertionError("group order mismatch")
-    return counting.exact_div(total, group_order)
-
-
-def _class_count(engine: KeyPermutations) -> int:
-    return max(engine.bruhat_labels()[1]) + 1
+    ``_tori``.  A cyclic group of order N has phi(d) elements of each order
+    d dividing N, and its elements of one order generate one subgroup, so
+    they fix the same keys: each (kind, order) is counted once, on the
+    invariant planes of a power of the generator (``ratmap.fixed_key_counts``).
+    Must agree with counting.count_rational_classes."""
+    q = F.q
+    tori = _tori(F)
+    points, fixed = fixed_key_counts(
+        F, n, {(kind, d): mat_pow(F, gen, N // d)
+               for _, N, kind, gen in tori for d in counting.divisors(N) if d > 1}, budget)
+    return _burnside_average(points, q * (q * q - 1), [
+        (k, N, sum(counting.euler_phi(d) * fixed[kind, d]
+                   for d in counting.divisors(N) if d > 1)) for k, N, kind, _ in tori])
 
 
 def orbit_count_rational(F: FieldCtx, n: int,
                          budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Number of orbits of subfield keys under the full substitution group:
     the affine orbits, joined by q inversions X -> 1/X per class."""
-    return _class_count(KeyPermutations(F, n, budget))
+    return max(KeyPermutations(F, n, budget).bruhat_labels()[1]) + 1
 
 
 # -- polynomial action ------------------------------------------------------
@@ -214,27 +205,28 @@ def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
 # -- direct enumerations of the counting series -----------------------------
 
 
-def count_coprime_pairs(F: FieldCtx, m: int, n: int) -> int:
-    """Enumeration mirror of counting.coprime_monic_pairs."""
-    return coprime_flags(F, m, n).count(1)
+def count_coprime_pairs(F: FieldCtx, m: int, n: int, sieve=coprime_flags) -> int:
+    """Enumeration mirror of counting.coprime_monic_pairs.  ``sieve`` builds
+    the table of ``polyring.coprime_flags``; a caller may pass a memo of it."""
+    return sieve(F, m, n).count(1)
 
 
-def count_coprime_pairs_upto(F: FieldCtx, n: int) -> int:
+def count_coprime_pairs_upto(F: FieldCtx, n: int, sieve=coprime_flags) -> int:
     """Enumeration mirror of counting.coprime_monic_pairs_upto."""
-    return sum(count_coprime_pairs(F, m, n) for m in range(n))
+    return sum(count_coprime_pairs(F, m, n, sieve) for m in range(n))
 
 
-def count_coprime_nonzero_const(F: FieldCtx, m: int, n: int) -> int:
+def count_coprime_nonzero_const(F: FieldCtx, m: int, n: int, sieve=coprime_flags) -> int:
     """Enumeration mirror of counting.coprime_pairs_nonzero_constant."""
     # f(0) is the most significant digit of f's rank: f(0) != 0 from q^(m-1) up.
-    return coprime_flags(F, m, n).count(1, F.q ** (m - 1 + n) if m else 0)
+    return sieve(F, m, n).count(1, F.q ** (m - 1 + n) if m else 0)
 
 
-def count_rational_functions(F: FieldCtx, n: int) -> int:
+def count_rational_functions(F: FieldCtx, n: int, sieve=coprime_flags) -> int:
     """Enumeration mirror of counting.rational_function_count: reduced pairs
     (P, Q) with Q monic and max degree exactly n: q - 1 units times the
     coprime monic pairs of degrees (a, b) with max(a, b) = n."""
-    return (F.q - 1) * sum(count_coprime_pairs(F, a, b)
+    return (F.q - 1) * sum(count_coprime_pairs(F, a, b, sieve)
                            for a in range(n + 1) for b in range(n + 1)
                            if max(a, b) == n)
 
@@ -365,27 +357,30 @@ def _timed(name: str, q: int, n: int, expected: int, actual_fn) -> CheckResult:
 
 
 def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
-    # q^2 - 1 classes, each typed in at most q + 1 products of 2x2 matrices.
-    check_budget(q, n, (q * q - 1) * (q + 1), "matrix products", budget)
     F = field_of_order(q)
-    # The first check builds the engine, so check times add up to the cell's.
-    engine = functools.cache(lambda: KeyPermutations(F, n, budget))
-    out = []
-    for rep in enumerate_classes(F):
-        want = expected_fix(F, n, rep)
-        name = "fix-formulas/%s%r" % (rep.kind, rep.params)
-        out.append(_timed(name, q, n, want,
-                          lambda rep=rep: engine().fix_count(rep.matrix)))
-    return out
+    classes = enumerate_classes(F)
+    # The first check counts every (kind, order) on invariant planes, so
+    # check times add up to the cell's.  The central classes fix every key.
+    counts = functools.cache(lambda: fixed_key_counts(
+        F, n, {(rep.kind, rep.order): rep.matrix for rep in classes
+               if rep.kind != "central"}, budget))
+
+    def fixed(rep: ConjClassRep) -> int:
+        points, by_kind = counts()
+        return points if rep.kind == "central" else by_kind[rep.kind, rep.order]
+
+    return [_timed("fix-formulas/%s%r" % (rep.kind, rep.params), q, n,
+                   expected_fix(F, n, rep), lambda rep=rep: fixed(rep))
+            for rep in classes]
 
 
 def _cell_frak_n(q: int, n: int, budget: int) -> list[CheckResult]:
     F = field_of_order(q)
     want = counting.count_rational_classes(q, n)
-    engine = functools.cache(lambda: KeyPermutations(F, n, budget))
-    out = [_timed("frakN/burnside", q, n, want, lambda: _burnside(engine(), budget)),
+    out = [_timed("frakN/burnside", q, n, want,
+                  lambda: burnside_count_rational(F, n, budget)),
            _timed("frakN/orbit", q, n, want,
-                  lambda: _class_count(engine()))]
+                  lambda: orbit_count_rational(F, n, budget))]
     if n <= 4:
         out.append(_timed("frakN/lowdeg", q, n, want,
                           lambda: counting.count_rational_classes_lowdeg(q, n)))
@@ -411,24 +406,26 @@ def _cell_appendix(q: int, budget: int) -> list[CheckResult]:
     check_budget(q, 3, q ** 6, "polynomials", budget)
     F = field_of_order(q)
     ctx = make_ext(F)
+    # One table per (m, n), shared by the four coprime-pair mirrors.
+    sieve = functools.cache(coprime_flags)
     out = []
     for m in range(4):
         for n in range(4):
             out.append(_timed("appendix/coprime-pairs[m=%d]" % m, q, n,
                               counting.coprime_monic_pairs(q, m, n),
-                              lambda m=m, n=n: count_coprime_pairs(F, m, n)))
+                              lambda m=m, n=n: count_coprime_pairs(F, m, n, sieve)))
     for n in range(1, 4):
         out.append(_timed("appendix/coprime-pairs-upto", q, n,
                           counting.coprime_monic_pairs_upto(q, n),
-                          lambda n=n: count_coprime_pairs_upto(F, n)))
+                          lambda n=n: count_coprime_pairs_upto(F, n, sieve)))
         out.append(_timed("appendix/rational-count", q, n - 1,
                           counting.rational_function_count(q, n - 1),
-                          lambda n=n: count_rational_functions(F, n - 1)))
+                          lambda n=n: count_rational_functions(F, n - 1, sieve)))
     for m in range(4):
         for n in range(4):
             out.append(_timed("appendix/nonzero-const[m=%d]" % m, q, n,
                               counting.coprime_pairs_nonzero_constant(q, m, n),
-                              lambda m=m, n=n: count_coprime_nonzero_const(F, m, n)))
+                              lambda m=m, n=n: count_coprime_nonzero_const(F, m, n, sieve)))
     for i in range(4):
         out.append(_timed("appendix/self-dual", q, i,
                           counting.self_dual_count(q, i),

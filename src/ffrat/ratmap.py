@@ -15,8 +15,10 @@ the substitution X -> (aX + b)/(cX + d): the pair (P, Q) is replaced by its
 homogeneous substitute (sum_i p_i (aX+b)^i (cX+d)^(n-i), same for Q), which
 spans the key of f((aX+b)/(cX+d)).  ``substitution_matrix`` builds those
 powers once and refuses a singular A, and both ``act`` and ``key_image``
-apply it.  The action factors through scalars, so A acts with its projective
-order, the least d for which A^d is scalar (``projective_order``).
+apply it.  A fixes a key exactly when its span is an invariant plane of that
+matrix M, so ``fixed_key_counts`` counts fixed keys on the invariant planes
+of M (``invariant_planes``), found from the left kernels of M - x and of
+quadratics in M (``gf.left_kernel``), with no key enumerated.
 
 ``enumerate_subfield_keys`` lists each of the q^(2(n-1)) keys exactly once by
 walking the canonical bases directly: pairs (P, Q) with P monic of degree n,
@@ -35,8 +37,9 @@ import itertools
 import operator
 from typing import Iterator
 
-from ffrat.counting import exact_div
-from ffrat.gf import FieldCtx, char_roots
+from ffrat.gf import (FieldCtx, char_roots, echelon_planes, jordan_pairs,
+                      left_kernel, line_pairs, point_pairs, row_echelon,
+                      row_times)
 from ffrat.polyring import (Poly, coprime_flags, gcd, horner_rank, poly_str,
                             substitute_raw)
 
@@ -120,47 +123,10 @@ def _descending(f: Poly, n: int) -> list[int]:
     return [cs[i] if i < len(cs) else 0 for i in range(n, -1, -1)]
 
 
-def _echelon2(F: FieldCtx, v0: list[int], v1: list[int]) -> Key:
-    # Reduced row echelon form of a rank-2 matrix with rows v0, v1.
-    width = len(v0)
-    j0 = 0
-    while v0[j0] == 0 and v1[j0] == 0:
-        j0 += 1
-    if v0[j0] == 0:
-        v0, v1 = v1, v0
-    add, mul = F.add, F.mul
-    piv = v0[j0]
-    if piv != 1:
-        s = F.inv(piv)
-        v0 = [mul(s, x) for x in v0]
-    if v1[j0]:
-        c = F.neg(v1[j0])
-        v1 = [add(x, mul(c, y)) if y else x for x, y in zip(v1, v0)]
-    j1 = j0 + 1
-    while j1 < width and v1[j1] == 0:
-        j1 += 1
-    if j1 == width:
-        raise ValueError("rows are linearly dependent")
-    piv = v1[j1]
-    if piv != 1:
-        s = F.inv(piv)
-        v1 = [mul(s, x) for x in v1]
-    if v0[j1]:
-        c = F.neg(v0[j1])
-        v0 = [add(x, mul(c, y)) if y else x for x, y in zip(v0, v1)]
-    return tuple(v0), tuple(v1)
-
-
 def subfield_key(f: RationalMap) -> Key:
     """Canonical invariant of the subfield GF(q)(f)."""
     n = f.degree
-    return _echelon2(f.field, _descending(f.num, n), _descending(f.den, n))
-
-
-def _check_invertible(F: FieldCtx, mat) -> None:
-    a, b, c, d = mat
-    if F.sub(F.mul(a, d), F.mul(b, c)) == 0:
-        raise ValueError("matrix %r is singular" % (mat,))
+    return row_echelon(f.field, (_descending(f.num, n), _descending(f.den, n)))
 
 
 def substitution_matrix(F: FieldCtx, mat, n: int) -> tuple[tuple[int, ...], ...]:
@@ -168,8 +134,9 @@ def substitution_matrix(F: FieldCtx, mat, n: int) -> tuple[tuple[int, ...], ...]
     vectors of length n+1 in descending order: row i is the vector of
     (aX+b)^(n-i) (cX+d)^i, so transformed = sum_i v[i] * M[i].  Raises
     ValueError for a singular matrix."""
-    _check_invertible(F, mat)
     a, b, c, d = mat
+    if F.sub(F.mul(a, d), F.mul(b, c)) == 0:
+        raise ValueError("matrix %r is singular" % (mat,))
     U = Poly(F, (b, a))
     V = Poly(F, (d, c))
     upow = [Poly.one(F)]
@@ -178,33 +145,6 @@ def substitution_matrix(F: FieldCtx, mat, n: int) -> tuple[tuple[int, ...], ...]
         upow.append(upow[-1] * U)
         vpow.append(vpow[-1] * V)
     return tuple(tuple(_descending(upow[n - i] * vpow[i], n)) for i in range(n + 1))
-
-
-def projective_order(F: FieldCtx, mat) -> int:
-    """The least d for which the invertible matrix mat^d is scalar, found by
-    2x2 products; raises ValueError for a singular matrix."""
-    _check_invertible(F, mat)
-    add, mul = F.add, F.mul
-    a, b, c, d = mat
-    e, f, g, h = mat
-    order = 1
-    while f or g or e != h:
-        e, f, g, h = (add(mul(e, a), mul(f, c)), add(mul(e, b), mul(f, d)),
-                      add(mul(g, a), mul(h, c)), add(mul(g, b), mul(h, d)))
-        order += 1
-    return order
-
-
-def _row_times(F: FieldCtx, row, M) -> list[int]:
-    # The coefficient vector sum_i row[i] * M[i].
-    add, mul = F.add, F.mul
-    acc = [0] * len(row)
-    for c, mi in zip(row, M):
-        if c:
-            for j, m in enumerate(mi):
-                if m:
-                    acc[j] = add(acc[j], m if c == 1 else mul(c, m))
-    return acc
 
 
 def key_image(key: Key, M, F: FieldCtx, products: dict | None = None) -> Key:
@@ -216,9 +156,9 @@ def key_image(key: Key, M, F: FieldCtx, products: dict | None = None) -> Key:
     for row in key:
         image = products.get(row)
         if image is None:
-            image = products[row] = _row_times(F, row, M)
+            image = products[row] = row_times(F, row, M)
         images.append(image)
-    return _echelon2(F, *images)
+    return row_echelon(F, images)
 
 
 def act(f: RationalMap, mat) -> RationalMap:
@@ -230,7 +170,7 @@ def act(f: RationalMap, mat) -> RationalMap:
     F = f.field
     n = f.degree
     M = substitution_matrix(F, mat, n)
-    num, den = (Poly(F, _row_times(F, _descending(P, n), M)[::-1])
+    num, den = (Poly(F, row_times(F, _descending(P, n), M)[::-1])
                 for P in (f.num, f.den))
     image = normalize(num, den)
     if image.degree != n:
@@ -242,6 +182,73 @@ def is_fixed(key: Key, mat, F: FieldCtx) -> bool:
     """Whether the substitution by the matrix maps the subfield onto itself."""
     M = substitution_matrix(F, mat, len(key[0]) - 1)
     return key_image(key, M, F) == key
+
+
+def invariant_planes(F: FieldCtx, n: int, mat) -> tuple[int, Iterator[tuple]]:
+    """The length of a walk over row pairs, and the walk, which spans once
+    each plane V with VM = V, M = ``substitution_matrix(F, mat, n)``, that
+    holds a vector of degree n.  M's eigenvalues lambda^(n-i) mu^i and
+    lambda^i mu^(n-i), lambda and mu those of mat, are the roots of
+    X^2 - s^i (lambda^k + mu^k) X + s^n, k = n - 2i, s = det mat.  Either M
+    is a scalar x on V, inside the left kernel of M - x, or V = span(v, vM)
+    for v in the left kernel of M's characteristic polynomial on V: a
+    product of two such roots, or one of those quadratics with no root."""
+    q, add, mul, neg = F.q, F.add, F.mul, F.neg
+    M = substitution_matrix(F, mat, n)
+    a, b, c, d = mat
+    t, s = add(a, d), F.sub(mul(a, d), mul(b, c))
+    lucas = [add(1, 1), t]      # lambda^k + mu^k from k = 0 up
+    for _ in range(n):
+        lucas.append(F.sub(mul(t, lucas[-1]), mul(s, lucas[-2])))
+    roots, irreducible, sn = set(), set(), F.pow(s, n)
+    for i in range(n // 2 + 1):
+        sigma = mul(F.pow(s, i), lucas[n - 2 * i])
+        found = char_roots(F, sigma, sn)
+        roots.update(found)
+        if not found:
+            irreducible.add((sn, neg(sigma), 1))
+
+    def points(k: int) -> int:
+        return (q ** k - 1) // (q - 1)
+
+    spaces = {x: left_kernel(F, M, (neg(x), 1)) for x in roots}
+    walks = [(q ** (len(E) - 2) * points(len(E) - 1), echelon_planes(F, E))
+             for E in spaces.values() if len(E) > 1 and E[0][0]]
+    for x, E in spaces.items():
+        K = left_kernel(F, M, (mul(x, x), neg(add(x, x)), 1))
+        walks.append((points(len(K) - len(E)) * q ** (len(E) - 1),
+                      jordan_pairs(F, E, K, M, x)))
+    walks += [(points(len(spaces[x])) * points(len(spaces[y])),
+               point_pairs(F, spaces[x], spaces[y]))
+              for x, y in itertools.combinations(spaces, 2)]
+    for p in irreducible:
+        K = left_kernel(F, M, p)
+        walks.append(((q ** len(K) - 1) // (q * q - 1), line_pairs(F, K, M)))
+    return (sum(cost for cost, _ in walks),
+            itertools.chain.from_iterable(pairs for _, pairs in walks))
+
+
+def fixed_key_counts(F: FieldCtx, n: int, mats: dict,
+                     budget: int = DEFAULT_KEY_BUDGET) -> tuple[int, dict]:
+    """The number of degree-n keys, and for each labelled invertible matrix
+    the number of keys it fixes: the ``invariant_planes`` whose echelon form
+    (r0, r1) has r0[0] == 1 and is set in the pinned ``coprime_flags`` table
+    of m = deg Q that ``enumerate_subfield_keys`` walks.  The budget is
+    charged with the q^(2n-2) keys and with the row pairs of every walk."""
+    q = F.q
+    check_budget(q, n, q ** (2 * n - 2), "keys", budget)
+    walks = {label: invariant_planes(F, n, mat) for label, mat in mats.items()}
+    check_budget(q, n, sum(cost for cost, _ in walks.values()),
+                 "row pairs in the invariant-plane walk", budget)
+    flags = [coprime_flags(F, n, m, zero_digit=m) for m in range(n)]
+
+    def is_key(r0, r1) -> int:
+        j = r1.index(1)
+        return r0[0] and flags[n - j][horner_rank(q, r0[n:j:-1] + r0[j - 1:0:-1])
+                                      * q ** (n - j) + horner_rank(q, r1[n:j:-1])]
+    return sum(f.count(1) for f in flags), {
+        label: sum(1 for v, w in pairs if is_key(*row_echelon(F, (v, w))))
+        for label, (_, pairs) in walks.items()}
 
 
 def _rank_offsets(q: int, n: int) -> list[int]:
@@ -295,8 +302,7 @@ def _closed(perm: list[int]) -> list[int]:
 
 class KeyPermutations:
     """The subfield keys that ``enumerate_subfield_keys`` lists, indexed 0..N-1,
-    the index permutations that invertible matrices induce, and the number of
-    keys each matrix fixes.
+    and the index permutations that invertible matrices induce.
 
     Every key has a rank, offset[m] + rank(P free digits) * q^m +
     rank(Q low digits), which orders the keys strictly; a table maps ranks to
@@ -305,7 +311,6 @@ class KeyPermutations:
     ``translation`` are the permutations of D = (g, 0, 0, 1) and
     T = (1, 1, 0, 1); both keep the pivots of a key, so their images are
     ranked by digit arithmetic, with no ``key_image``.
-    ``fix_count`` reads one table, ``cyclic_subgroups``.
 
     ``bruhat_labels`` labels the orbits without S's permutation.  D and T
     generate the affine group B, and PGL(2, q) is the disjoint union of B and
@@ -436,44 +441,6 @@ class KeyPermutations:
                     glabels[blabels[image]] = orbits
                 orbits += 1
         return blabels, glabels
-
-    @functools.cached_property
-    def cyclic_subgroups(self) -> dict[int, tuple[int, dict[int, int]]]:
-        """By root count of X^2 - trace*X + det in GF(q), 2, 0 or 1: the order
-        N of <D>, <R> or <T>, which holds every non-scalar matrix of that type
-        up to conjugacy, and the generator's cycle counts by length; T's
-        cycles other than its fixed points have length p."""
-        F = self.F
-        fixed = fixed_points(self.translation)
-        return {2: (F.q - 1, cycle_lengths(self.scaling)),
-                0: (F.q + 1, cycle_lengths(self.image_perm(nonsplit_generator(F)))),
-                1: (F.p, {1: fixed, F.p: exact_div(len(self.keys) - fixed, F.p)})}
-
-    def fix_count(self, mat) -> int:
-        """Number of keys that an invertible matrix fixes, as conjugates do.  A
-        scalar fixes every key; any other of projective order d lies in a
-        cyclic subgroup of order N (``cyclic_subgroups``), where it fixes the
-        points on the generator's cycles of length dividing N/d."""
-        F = self.F
-        a, b, c, d = mat
-        order = projective_order(F, mat)
-        if order == 1:
-            return len(self.keys)
-        roots = char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c)))
-        N, cycles = self.cyclic_subgroups[roots]
-        return sum(length * count for length, count in cycles.items()
-                   if (N // order) % length == 0)
-
-
-def nonsplit_generator(F: FieldCtx) -> tuple[int, int, int, int]:
-    """The first companion matrix (t, -s, 1, 0) of an irreducible X^2 - tX + s
-    of projective order q + 1, a generator of a nonsplit torus of PGL(2, q)."""
-    for t in F.elements:
-        for s in F.units:
-            mat = (t, F.neg(s), 1, 0)
-            if char_roots(F, t, s) == 0 and projective_order(F, mat) == F.q + 1:
-                return mat
-    raise AssertionError("no nonsplit element of order q + 1")
 
 
 def fixed_points(perm: list[int]) -> int:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from ffrat.counting import is_prime_power
+from ffrat.counting import exact_div, is_prime_power
 from ffrat.gf import ExtFieldCtx, FieldCtx, char_roots, mult_order
 from ffrat.polyring import Poly, conj_reverse, gcd, monic_polys, self_dual_scalar
+from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, check_budget,
+                          fixed_points, substitution_matrix)
 
 
 def prime_powers_upto(limit: int) -> list[int]:
@@ -45,7 +47,7 @@ def irreducible_quadratics(field: FieldCtx) -> list[tuple[int, int]]:
     """The (t, s) for which X^2 - tX + s is irreducible, by t and then s,
     each tested for a root in the field."""
     return [(t, s) for t in field.elements for s in field.units
-            if char_roots(field, t, s) == 0]
+            if not char_roots(field, t, s)]
 
 
 def twist_order_by_root_search(ctx: ExtFieldCtx, t: int, s: int) -> int:
@@ -57,3 +59,37 @@ def twist_order_by_root_search(ctx: ExtFieldCtx, t: int, s: int) -> int:
         if E.add(E.sub(E.mul(x, x), E.mul(te, x)), se) == 0:
             return mult_order(E, E.div(ctx.frobenius(x), x))
     raise ValueError("X^2 - %d*X + %d has no root in the extension" % (t, s))
+
+
+def projective_order(F: FieldCtx, mat) -> int:
+    """The least d for which the invertible matrix mat^d is scalar, found by
+    2x2 products; raises ValueError for a singular matrix."""
+    substitution_matrix(F, mat, 1)
+    add, mul = F.add, F.mul
+    a, b, c, d = mat
+    e, f, g, h = mat
+    order = 1
+    while f or g or e != h:
+        e, f, g, h = (add(mul(e, a), mul(f, c)), add(mul(e, b), mul(f, d)),
+                      add(mul(g, a), mul(h, c)), add(mul(g, b), mul(h, d)))
+        order += 1
+    return order
+
+
+def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
+                                      budget: int = DEFAULT_KEY_BUDGET) -> int:
+    """Burnside average over all q^4 matrices, each fixing the fixed points
+    of its own ``image_perm``: a check of the subgroup counts k and of the
+    fixed counts that ``oracle.burnside_count_rational`` uses, for tiny
+    fields."""
+    engine = KeyPermutations(F, n, budget)
+    check_budget(F.q, n, F.q ** 4, "matrices", budget)
+    total = 0
+    group_order = 0
+    for a, b, c, d in itertools.product(F.elements, repeat=4):
+        if F.sub(F.mul(a, d), F.mul(b, c)):
+            group_order += 1
+            total += fixed_points(engine.image_perm((a, b, c, d)))
+    if group_order != (F.q ** 2 - 1) * (F.q ** 2 - F.q):
+        raise AssertionError("group order mismatch")
+    return exact_div(total, group_order)

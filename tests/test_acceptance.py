@@ -95,9 +95,11 @@ def test_oracle_agreement_for_rational_classes():
 
 
 # Residue branches of count_rational_classes_lowdeg that the per-class grid
-# above does not reach: n=3 with q = 1 mod 6, n=4 with q = 7, 8 and 9 mod 12.
+# above does not reach: n=3 with q = 1 mod 6, n=4 with q = 7, 8, 9, 11 and
+# 1 mod 12.
 LOWDEG_BRANCH_CELLS = [(7, 3, "burnside"), (7, 3, "orbit"),
-                       (7, 4, "burnside"), (8, 4, "orbit"), (9, 4, "orbit")]
+                       (7, 4, "burnside"), (8, 4, "orbit"), (9, 4, "orbit"),
+                       (11, 4, "burnside"), (13, 4, "burnside")]
 
 
 def test_low_degree_branches_against_brute_force():
@@ -136,9 +138,8 @@ def test_polynomial_low_degree_branches_against_brute_force():
     _finish("polynomial low-degree branches against brute force", started, failures, 60.0)
 
 
-# The rational n = 4 branches that no Tier-1 cell brute-forces yet: r = 11
-# (q = 11, 1.77 M keys) and r = 1 (q = 13, 4.8 M keys).
-OPEN_RATIONAL_BRANCH_CELLS = [(11, 4), (13, 4)]
+# The rational n = 4 branches that no Tier-1 cell brute-forces yet.
+OPEN_RATIONAL_BRANCH_CELLS: list[tuple[int, int]] = []
 
 
 def _return_lines(fn) -> set[int]:

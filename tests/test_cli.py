@@ -156,6 +156,19 @@ def test_count_budget_exceeded(capsys):
     assert "error:" in err
 
 
+def test_count_burnside_charges_the_keys_and_the_plane_walk(capsys):
+    # One key at n = 1 and a few row pairs in the walk, at any q.
+    code, out, _ = run_cli(capsys, "count", "--kind", "rational", "--method",
+                           "burnside", "--q", "257", "--n", "1")
+    assert (code, out) == (EXIT_OK, "1\n")
+    # At (3, 2): 9 keys, but 12 row pairs.
+    code, out, err = run_cli(capsys, "count", "--kind", "rational", "--method",
+                             "burnside", "--q", "3", "--n", "2", "--budget", "11")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == ("error: q=3 n=2 needs 12 row pairs in the invariant-plane walk, "
+                   "budget is 11\n")
+
+
 def test_missing_required_argument(capsys):
     code, _, _ = run_cli(capsys, "count", "--n", "2")
     assert code == EXIT_USAGE
@@ -374,15 +387,14 @@ def test_verify_names_every_skipped_cell(capsys, tmp_path):
     assert code == EXIT_OK
     report = json.loads(target.read_text())
     # Keys: q^(2n-2) > 100 at n = 3 for q = 4, 5; appendix: q^6 > 100 for
-    # q >= 3; fix-formulas: (q^2 - 1)(q + 1) = 144 matrix products at q = 5.
+    # q >= 3.  The invariant-plane walks stay below 100 row pairs.
     assert [(c["q"], c["n"], c["kind"]) for c in report["skipped_cells"]] == [
         (3, None, "appendix-lemmas"),
         (4, 3, "fix-formulas"), (4, 3, "frakN"), (4, None, "appendix-lemmas"),
-        (5, 1, "fix-formulas"), (5, 2, "fix-formulas"),
         (5, 3, "fix-formulas"), (5, 3, "frakN"), (5, None, "appendix-lemmas")]
     assert report["skipped_cells"][1]["reason"] == "q=4 n=3 needs 256 keys, budget is 100"
-    assert report["summary"]["skipped"] == 9
-    assert out == "%d checks, 0 failed, 9 cells skipped\n" % report["summary"]["total"]
+    assert report["summary"]["skipped"] == 7
+    assert out == "%d checks, 0 failed, 7 cells skipped\n" % report["summary"]["total"]
 
 
 def test_verify_strict_names_the_first_skipped_cell(capsys):

@@ -10,10 +10,9 @@ from collections import Counter
 import pytest
 
 from ffrat import classify, counting, oracle, ratmap
-from ffrat.gf import char_roots, field_of_order, make_ext
+from ffrat.gf import char_roots, field_of_order, make_ext, mat_pow
 from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           burnside_count_rational,
-                          burnside_count_rational_fullgroup,
                           count_coprime_nonzero_const, count_coprime_pairs,
                           count_coprime_pairs_upto, count_rational_functions,
                           count_reversal_coprime, count_self_dual,
@@ -23,13 +22,14 @@ from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
 from ffrat.polyring import Poly, gcd
 from ffrat.ratmap import (BudgetExceededError, KeyPermutations,
                           cycle_lengths, enumerate_subfield_keys,
-                          fixed_points, key_image, label_orbits,
-                          nonsplit_generator, normalize, projective_order,
-                          subfield_key, substitution_matrix)
+                          fixed_key_counts, fixed_points, invariant_planes,
+                          key_image, label_orbits, normalize, subfield_key,
+                          substitution_matrix)
 
-from enumerators import (irreducible_quadratics, perm_product,
-                         reversal_coprime_by_gcd, self_dual_polys,
-                         twist_order_by_root_search)
+from enumerators import (burnside_count_rational_fullgroup,
+                         irreducible_quadratics, perm_product,
+                         projective_order, reversal_coprime_by_gcd,
+                         self_dual_polys, twist_order_by_root_search)
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -145,7 +145,7 @@ def test_expected_fix_rejects_unknown_kind():
         expected_fix(F2, 2, bogus)
 
 
-# -- the key-permutation engine against scalar key images ----------------------
+# -- fixed counts on invariant planes against the key-permutation engine ------
 
 
 def _invertible(F):
@@ -157,47 +157,75 @@ ENGINE_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)
                 if q ** (2 * n - 2) <= 2500]
 
 
-@pytest.mark.parametrize("q,n", ENGINE_CELLS)
+@pytest.mark.parametrize("q,n", ENGINE_CELLS + [(5, 4), (7, 4)])
 def test_engine_fix_counts_match_scalar_key_images(q, n):
-    # is_fixed, with the substitution matrix built once per class.
+    # The plane count of every class against one engine: D and T by digit
+    # arithmetic, and the key images of the nonsplit generator R.  Up to
+    # conjugacy, a class of order d is a power of D, R or T, of order N,
+    # and fixes the points on the generator's cycles of length dividing N/d.
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
-    keys = engine.keys
-    for rep in enumerate_classes(F):
-        M = substitution_matrix(F, rep.matrix, n)
-        scalar = sum(1 for key in keys if key_image(key, M, F) == key)
-        assert engine.fix_count(rep.matrix) == scalar, rep
+    classes = enumerate_classes(F)
+    points, fixed = fixed_key_counts(F, n, {rep: rep.matrix for rep in classes
+                                             if rep.kind != "central"})
+    assert points == len(engine.keys)
+    R = oracle._tori(F)[1][3]
+    cycles = {"split": (q - 1, cycle_lengths(engine.scaling)),
+              "nonsplit": (q + 1, cycle_lengths(engine.image_perm(R))),
+              "unipotent": (F.p, cycle_lengths(engine.translation))}
+    for rep in classes:
+        if rep.kind != "central":
+            N, lengths = cycles[rep.kind]
+            assert fixed[rep] == sum(length * count for length, count in lengths.items()
+                                     if (N // rep.order) % length == 0), rep
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_engine_perm_matches_key_image_on_all_of_gl2(q):
-    # fix_count types each matrix and reads the subgroup cycles; image_perm
-    # counts the fixed keys one by one.
+    # The plane count of every invertible matrix against the fixed points
+    # of its image_perm, which images the keys one by one.
     F = field_of_order(q)
-    for n in (2, 3):
+    mats = _invertible(F)
+    for n in (1, 2, 3):
         engine = KeyPermutations(F, n)
         keys = engine.keys
-        for mat in _invertible(F):
+        points, fixed = fixed_key_counts(F, n, {mat: mat for mat in mats})
+        assert points == len(keys)
+        for mat in mats:
             M = substitution_matrix(F, mat, n)
             want = [engine.key_index(key_image(key, M, F)) for key in keys]
             assert engine.image_perm(mat) == want, mat
-            assert engine.fix_count(mat) == fixed_points(want), mat
+            assert fixed[mat] == fixed_points(want), mat
 
 
 def test_engine_rejects_singular_matrices():
-    engine = KeyPermutations(F3, 2)
-    with pytest.raises(ValueError):
-        engine.fix_count((1, 2, 2, 1))
-    with pytest.raises(ValueError):
-        engine.fix_count((1, 1, 0, 0))
+    for mat in ((1, 2, 2, 1), (1, 1, 0, 0)):
+        with pytest.raises(ValueError, match="singular"):
+            invariant_planes(F3, 2, mat)
+        with pytest.raises(ValueError, match="singular"):
+            fixed_key_counts(F3, 2, {"A": (1, 0, 0, 1), "B": mat})
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_nonsplit_generator_has_projective_order_q_plus_one(q):
+    # Each torus of the Burnside average is cyclic, generated by a matrix of
+    # projective order N; the nonsplit one has no eigenvalue in GF(q).  Its
+    # powers by squaring agree with repeated products.
     F = field_of_order(q)
-    a, b, c, d = mat = nonsplit_generator(F)
-    assert char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c))) == 0
-    assert projective_order(F, mat) == q + 1
+    tori = oracle._tori(F)
+    assert [(kind, N) for _, N, kind, _ in tori] == [
+        ("split", q - 1), ("nonsplit", q + 1), ("unipotent", F.p)]
+    add, mul = F.add, F.mul
+    for _, N, _, gen in tori:
+        assert projective_order(F, gen) == N
+        a, b, c, d = power = gen
+        for e in range(1, N + 2):
+            assert mat_pow(F, gen, e) == power, (gen, e)
+            w, x, y, z = power
+            power = (add(mul(w, a), mul(x, c)), add(mul(w, b), mul(x, d)),
+                     add(mul(y, a), mul(z, c)), add(mul(y, b), mul(z, d)))
+    a, b, c, d = tori[1][3]
+    assert char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c))) == []
 
 
 def test_engine_builds_its_keys_within_the_budget():
@@ -324,47 +352,43 @@ def test_orbit_count_rational_inverts_q_keys_per_class(monkeypatch, q, n):
 
 
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (2, 4), (9, 2)])
-def test_burnside_count_rational_takes_one_image_pass(monkeypatch, q, n):
-    # D and T come from digit arithmetic and each subgroup family reads the
-    # cycles of D, T or the nonsplit R: R's permutation is the only one built
-    # from key images, and no class is listed.
-    def unwalked(*args):
-        raise AssertionError("a conjugacy class was walked")
+def test_burnside_count_rational_takes_no_key_image(monkeypatch, q, n):
+    # The fixed counts come from invariant planes: no class is listed, and
+    # no key is listed, imaged or permuted.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class or a key was walked")
 
-    passes = []
-    image_perm = KeyPermutations.image_perm
-
-    def counted(self, mat):
-        passes.append(mat)
-        return image_perm(self, mat)
-
-    monkeypatch.setattr(KeyPermutations, "image_perm", counted)
-    monkeypatch.setattr(oracle, "enumerate_classes", unwalked)
-    monkeypatch.setattr(KeyPermutations, "fix_count", unwalked)
+    monkeypatch.setattr(KeyPermutations, "image_perm", refuse)
+    monkeypatch.setattr(ratmap, "key_image", refuse)
+    monkeypatch.setattr(ratmap, "enumerate_subfield_keys", refuse)
+    monkeypatch.setattr(oracle, "enumerate_classes", refuse)
     F = field_of_order(q)
     assert burnside_count_rational(F, n) == counting.count_rational_classes(q, n)
-    assert passes == [nonsplit_generator(F)]
 
 
 def test_burnside_count_rational_charges_the_class_walk():
-    # Finding R may test q^2(q - 1) = 100 quadratics for roots, while the
-    # degree-1 engine holds one key.
-    assert burnside_count_rational(F5, 1, budget=100) == 1
-    with pytest.raises(BudgetExceededError, match="root tests"):
-        burnside_count_rational(F5, 1, budget=99)
-    report = verify_grid([5], [1], kinds=("frakN",), budget=99)
+    # At (3, 2) the sieve flags 9 keys, and the walks over the invariant
+    # planes of one matrix per (kind, order) visit 12 row pairs.
+    assert burnside_count_rational(F3, 2, budget=12) == 2
+    with pytest.raises(BudgetExceededError,
+                       match="needs 12 row pairs in the invariant-plane walk"):
+        burnside_count_rational(F3, 2, budget=11)
+    with pytest.raises(BudgetExceededError, match="needs 9 keys"):
+        burnside_count_rational(F3, 2, budget=8)
+    report = verify_grid([3], [2], kinds=("frakN",), budget=11)
     assert report.checks == []
-    assert [(c.kind, "root tests" in c.reason) for c in report.skipped_cells] == [("frakN", True)]
+    assert [(c.kind, "invariant-plane walk" in c.reason)
+            for c in report.skipped_cells] == [("frakN", True)]
 
 
 def test_fix_formulas_charges_the_class_walk():
-    # q^2 - 1 = 24 classes, each typed by its projective order in at most
-    # q + 1 = 6 matrix products.
-    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=143)
+    # At (5, 1): one key, and 6 row pairs over the walks of the 6 kinds and
+    # orders of the non-central classes.
+    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=5)
     assert report.checks == []
-    assert [(c.kind, "matrix products" in c.reason)
+    assert [(c.kind, "invariant-plane walk" in c.reason)
             for c in report.skipped_cells] == [("fix-formulas", True)]
-    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=144)
+    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=6)
     assert (report.total, report.failed, report.skipped) == (24, 0, 0)
 
 
@@ -567,6 +591,21 @@ def test_self_dual_mirrors_call_gcd_once_per_pair_only(monkeypatch):
     assert report.failed == 0
     # Pairs of self-dual polynomials of degrees 0..2 each: (q^2 + 2q + 2)^2.
     assert len(calls) == 100
+
+
+def test_appendix_cell_builds_each_coprime_table_once(monkeypatch):
+    # The four coprime-pair mirrors share one table per (m, n) in the cell,
+    # 16 in all, though their 47 checks read 47 tables.
+    from ffrat import polyring
+    builds = []
+
+    def counted(F, m, n):
+        builds.append((m, n))
+        return polyring.coprime_flags(F, m, n)
+    monkeypatch.setattr(oracle, "coprime_flags", counted)
+    report = verify_grid([3], [1], kinds=("appendix-lemmas",))
+    assert (report.total, report.failed) == (60, 0)
+    assert sorted(builds) == [(m, n) for m in range(4) for n in range(4)]
 
 
 # -- verification grid ---------------------------------------------------------

@@ -8,14 +8,14 @@ from collections import Counter
 import pytest
 
 from ffrat import counting
-from ffrat.gf import field_of_order
+from ffrat.gf import field_of_order, row_echelon, row_times
 from ffrat.polyring import Poly, gcd, monic_polys
 from ffrat.ratmap import (BudgetExceededError, KeyPermutations, RationalMap,
-                          _row_times, act, enumerate_subfield_keys, is_fixed,
-                          key_image, normalize, projective_order, subfield_key,
+                          act, enumerate_subfield_keys, invariant_planes,
+                          is_fixed, key_image, normalize, subfield_key,
                           substitution_matrix)
 
-from enumerators import polys_upto
+from enumerators import polys_upto, projective_order
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -219,7 +219,7 @@ SINGULAR_ENTRY_POINTS = {
     "is_fixed": lambda mat: is_fixed(((1, 0, 0), (0, 0, 1)), mat, F3),
     "substitution_matrix": lambda mat: substitution_matrix(F3, mat, 2),
     "image_perm": lambda mat: KeyPermutations(F3, 2).image_perm(mat),
-    "fix_count": lambda mat: KeyPermutations(F3, 2).fix_count(mat),
+    "invariant_planes": lambda mat: invariant_planes(F3, 2, mat),
     "projective_order": lambda mat: projective_order(F3, mat),
 }
 
@@ -316,12 +316,55 @@ def test_substitution_matrix_matches_the_substitution_pointwise(q):
             M = substitution_matrix(F, (a, b, c, d), n)
             for row in rows:
                 f = Poly(F, row[::-1])
-                image = Poly(F, _row_times(F, row, M)[::-1])
+                image = Poly(F, row_times(F, row, M)[::-1])
                 for x in F.elements:
                     den = add(mul(c, x), d)
                     if den:
                         y = F.div(add(mul(a, x), b), den)
                         assert image(x) == mul(F.pow(den, n), f(y)), (a, b, c, d, row, x)
+
+
+# -- echelon forms -------------------------------------------------------------
+
+
+DEPENDENT_ROWS = [[(0, 0, 0), (0, 0, 0)], [(1, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 2, 1)],
+                  [(1, 2, 0), (2, 1, 0)], [(0, 0, 0)], [(1, 0, 1), (0, 1, 1), (1, 1, 2)]]
+
+
+def test_row_echelon_refuses_dependent_rows():
+    # Zero rows included, which once sent the two-row echelon form of keys
+    # past the row end.
+    for key in (((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (1, 0, 0))):
+        with pytest.raises(ValueError, match="rows are linearly dependent"):
+            is_fixed(key, (1, 0, 0, 1), F3)
+    for rows in DEPENDENT_ROWS:
+        with pytest.raises(ValueError, match="rows are linearly dependent"):
+            row_echelon(F3, rows)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_row_echelon_is_the_reduced_form_of_the_span(q):
+    # Every independent pair of length 3 against the reduced basis found in
+    # its span: with j the first column the span reaches, r1 is the vector
+    # with a 0 at j whose first nonzero entry is 1, and r0 the one with a 1
+    # at j and a 0 at r1's first nonzero entry.
+    F = field_of_order(q)
+    vectors = list(itertools.product(F.elements, repeat=3))
+
+    def lead(w):
+        return next((i for i, x in enumerate(w) if x), None)
+    for u, v in itertools.product(vectors, repeat=2):
+        span = {tuple(F.add(F.mul(x, a), F.mul(y, b)) for a, b in zip(u, v))
+                for x in F.elements for y in F.elements}
+        if len(span) < q * q:
+            continue
+        j = min(lead(w) for w in span if any(w))
+        [r1] = [w for w in span if any(w) and w[j] == 0 and w[lead(w)] == 1]
+        [r0] = [w for w in span if w[j] == 1 and w[lead(r1)] == 0]
+        assert row_echelon(F, [u, v]) == (r0, r1), (u, v)
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert row_echelon(F, [(1, 1, 1), (0, 1, 1), (0, 0, 1)]) == identity
+    assert row_echelon(F, [(0, 0, 1), (0, 1, 0), (1, 0, 1)]) == identity
 
 
 # -- fixed keys under the action -----------------------------------------------

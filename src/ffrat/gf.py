@@ -20,10 +20,7 @@ byte-for-byte interchangeable:
 Row vectors over a field are lists or tuples of element indices:
 ``row_echelon`` is the one reduced echelon form, ``row_times`` multiplies a
 row by a matrix, ``left_kernel`` solves vP = 0 for a polynomial P in a
-matrix, ``span_sums`` / ``span_points`` walk a span, and
-``echelon_planes``, ``point_pairs``, ``line_pairs`` and ``jordan_pairs``
-walk the planes that a matrix maps onto themselves, one row pair per plane.
-``mat_pow`` raises a 2x2 matrix to a power by squaring.
+matrix, and ``span_sums`` walks a coset of a span.
 
 Multiplication runs on log/antilog tables relative to ``generator`` whenever
 q <= 2**16, with full q x q lookup tables layered on top for very small
@@ -300,22 +297,6 @@ def char_roots(F: FieldCtx, trace: int, det: int) -> list[int]:
     return [x for x in F.elements if add(mul(x, sub(x, trace)), det) == 0]
 
 
-def mat_pow(F: FieldCtx, mat, e: int) -> tuple[int, ...]:
-    """The 2x2 matrix power mat^e, e >= 1, of a row-major (a, b, c, d) tuple,
-    by squaring."""
-    add, mul = F.add, F.mul
-
-    def times(x, y):
-        return tuple(add(mul(x[i], y[j]), mul(x[i + 1], y[j + 2]))
-                     for i in (0, 2) for j in (0, 1))
-    out = mat
-    for bit in bin(e)[3:]:
-        out = times(out, out)
-        if bit == "1":
-            out = times(out, mat)
-    return out
-
-
 def row_echelon(F: FieldCtx, rows) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form of linearly independent rows, ordered by
     pivot; raises ValueError for dependent rows, zero rows among them."""
@@ -382,60 +363,6 @@ def span_sums(F: FieldCtx, base, free) -> Iterator[tuple[int, ...]]:
     for v in span_sums(F, base, free[:-1]):
         for m in multiples:
             yield tuple(map(F.add, v, m))
-
-
-def span_points(F: FieldCtx, rows) -> Iterator[tuple[int, ...]]:
-    """One vector per line of the span of independent rows: the one whose
-    first nonzero coordinate on the rows is 1."""
-    for j, row in enumerate(rows):
-        yield from span_sums(F, row, rows[j + 1:])
-
-
-def echelon_planes(F: FieldCtx, E) -> Iterator[tuple]:
-    """The planes of the span of echelon rows E that start at E[0]'s pivot,
-    each once, as its echelon row pair."""
-    for j in range(1, len(E)):
-        for r1 in span_sums(F, E[j], E[j + 1:]):
-            for r0 in span_sums(F, E[0], E[1:j] + E[j + 1:]):
-                yield r0, r1
-
-
-def point_pairs(F: FieldCtx, E1, E2) -> Iterator[tuple]:
-    """One vector of each of two independent spans per plane they span."""
-    for u in span_points(F, E1):
-        yield from ((u, w) for w in span_points(F, E2))
-
-
-def line_pairs(F: FieldCtx, K, M) -> Iterator[tuple]:
-    """The planes span(v, vM), one v each, inside the rows K, on which M
-    acts as a root of an irreducible quadratic: the lines of K as a space
-    over GF(q^2)."""
-    # A basis w_1, w_2, ..., each outside the span of the w_i and w_i M
-    # before it, spans the lines by w_j + sum_(i > j) (a_i w_i + b_i w_i M).
-    basis, span = [], ()
-    for w in K:
-        pair = (w, tuple(row_times(F, w, M)))
-        try:
-            span = row_echelon(F, span + pair)
-        except ValueError:
-            continue
-        basis.append(pair)
-    for j, (w, _) in enumerate(basis):
-        for v in span_sums(F, w, sum(basis[j + 1:], ())):
-            yield v, row_times(F, v, M)
-
-
-def jordan_pairs(F: FieldCtx, E, K, M, x) -> Iterator[tuple]:
-    """The planes span(v, vN), N = M - x, one v each, for v in the left
-    kernel K of N^2 outside the left kernel E of N (both echelon rows)."""
-    # v = c + e for c on a line of the rows of K whose pivots E lacks, and
-    # e in E with a zero coordinate where cN has its first nonzero one.
-    pivots = [r.index(1) for r in E]
-    for c in span_points(F, [r for r in K if r.index(1) not in pivots]):
-        u = [F.sub(y, F.mul(x, z)) for y, z in zip(row_times(F, c, M), c)]
-        i = next(i for i, j in enumerate(pivots) if u[j])
-        for v in span_sums(F, c, E[:i] + E[i + 1:]):
-            yield v, u
 
 
 class ExtFieldCtx:

@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple
 
 from ffrat import classify, counting
 from ffrat.gf import (ExtFieldCtx, FieldCtx, char_roots, field_of_order,
-                      make_ext, mat_pow, mult_order)
+                      make_ext, mult_order)
 from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd,
                             horner_rank, monic_polys)
 from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
@@ -122,6 +122,16 @@ def _burnside_average(points: int, group: int, families) -> int:
     return counting.exact_div(points + sum(k * fixed for k, _, fixed in families), order)
 
 
+def _power(F: FieldCtx, mat, e: int) -> tuple[int, ...]:
+    """mat^e, e >= 1, of a row-major 2x2 (a, b, c, d), by e - 1 products."""
+    add, mul = F.add, F.mul
+    out = mat
+    for _ in range(e - 1):
+        out = tuple(add(mul(out[i], mat[j]), mul(out[i + 1], mat[j + 2]))
+                    for i in (0, 2) for j in (0, 1))
+    return out
+
+
 def _tori(F: FieldCtx) -> list[tuple[int, int, str, tuple[int, ...]]]:
     """(k, N, kind, generator) for the k conjugate cyclic subgroups of order
     N that hold each non-identity element of PGL(2, q) once: split <D>,
@@ -132,7 +142,7 @@ def _tori(F: FieldCtx) -> list[tuple[int, int, str, tuple[int, ...]]]:
     t, s = next((t, s) for t in F.elements for s in F.units if not char_roots(F, t, s))
     R = next(mat for mat in ((F.add(t, c), F.neg(s), 1, c) for c in F.elements)
              if all(power[1] or power[2] or power[0] != power[3]
-                    for power in (mat_pow(F, mat, (q + 1) // r)
+                    for power in (_power(F, mat, (q + 1) // r)
                                   for r in counting.prime_factors(q + 1))))
     return [(q * (q + 1) // 2, q - 1, "split", (F.generator, 0, 0, 1)),
             (q * (q - 1) // 2, q + 1, "nonsplit", R),
@@ -150,7 +160,7 @@ def burnside_count_rational(F: FieldCtx, n: int,
     q = F.q
     tori = _tori(F)
     points, fixed = fixed_key_counts(
-        F, n, {(kind, d): mat_pow(F, gen, N // d)
+        F, n, {(kind, d): _power(F, gen, N // d)
                for _, N, kind, gen in tori for d in counting.divisors(N) if d > 1}, budget)
     return _burnside_average(points, q * (q * q - 1), [
         (k, N, sum(counting.euler_phi(d) * fixed[kind, d]
@@ -205,30 +215,44 @@ def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
 # -- direct enumerations of the counting series -----------------------------
 
 
-def count_coprime_pairs(F: FieldCtx, m: int, n: int, sieve=coprime_flags) -> int:
-    """Enumeration mirror of counting.coprime_monic_pairs.  ``sieve`` builds
-    the table of ``polyring.coprime_flags``; a caller may pass a memo of it."""
-    return sieve(F, m, n).count(1)
+def count_coprime_pairs(F: FieldCtx, m: int, n: int) -> int:
+    """Enumeration mirror of counting.coprime_monic_pairs."""
+    return coprime_flags(F, m, n).count(1)
 
 
-def count_coprime_pairs_upto(F: FieldCtx, n: int, sieve=coprime_flags) -> int:
+def count_coprime_pairs_upto(F: FieldCtx, n: int) -> int:
     """Enumeration mirror of counting.coprime_monic_pairs_upto."""
-    return sum(count_coprime_pairs(F, m, n, sieve) for m in range(n))
+    return _pairs_upto(functools.partial(coprime_flags, F), n)
 
 
-def count_coprime_nonzero_const(F: FieldCtx, m: int, n: int, sieve=coprime_flags) -> int:
+def count_coprime_nonzero_const(F: FieldCtx, m: int, n: int) -> int:
     """Enumeration mirror of counting.coprime_pairs_nonzero_constant."""
-    # f(0) is the most significant digit of f's rank: f(0) != 0 from q^(m-1) up.
-    return sieve(F, m, n).count(1, F.q ** (m - 1 + n) if m else 0)
+    return _nonzero_const(F.q, functools.partial(coprime_flags, F), m, n)
 
 
-def count_rational_functions(F: FieldCtx, n: int, sieve=coprime_flags) -> int:
+def count_rational_functions(F: FieldCtx, n: int) -> int:
     """Enumeration mirror of counting.rational_function_count: reduced pairs
     (P, Q) with Q monic and max degree exactly n: q - 1 units times the
     coprime monic pairs of degrees (a, b) with max(a, b) = n."""
-    return (F.q - 1) * sum(count_coprime_pairs(F, a, b, sieve)
-                           for a in range(n + 1) for b in range(n + 1)
-                           if max(a, b) == n)
+    return _rational_functions(F.q, functools.partial(coprime_flags, F), n)
+
+
+# The mirrors above on table(m, n), the ``coprime_flags`` table of (m, n)
+# over one field, which ``_cell_appendix`` builds once per (m, n).
+
+
+def _pairs_upto(table, n: int) -> int:
+    return sum(table(m, n).count(1) for m in range(n))
+
+
+def _nonzero_const(q: int, table, m: int, n: int) -> int:
+    # f(0) is the most significant digit of f's rank: f(0) != 0 from q^(m-1) up.
+    return table(m, n).count(1, q ** (m - 1 + n) if m else 0)
+
+
+def _rational_functions(q: int, table, n: int) -> int:
+    return (q - 1) * sum(table(a, b).count(1) for a in range(n + 1)
+                         for b in range(n + 1) if max(a, b) == n)
 
 
 def _self_dual_walk(ctx: ExtFieldCtx, i: int) -> Iterator[tuple[int, ...]]:
@@ -357,6 +381,10 @@ def _timed(name: str, q: int, n: int, expected: int, actual_fn) -> CheckResult:
 
 
 def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
+    # The q^2 - 1 classes: the nonsplit ones come from a walk of GF(q^2)
+    # that looks up a trace and a norm of each pair among the q elements of
+    # GF(q).
+    check_budget(q, n, (q * q - 1) * (q + 1), "class-walk steps", budget)
     F = field_of_order(q)
     classes = enumerate_classes(F)
     # The first check counts every (kind, order) on invariant planes, so
@@ -407,25 +435,25 @@ def _cell_appendix(q: int, budget: int) -> list[CheckResult]:
     F = field_of_order(q)
     ctx = make_ext(F)
     # One table per (m, n), shared by the four coprime-pair mirrors.
-    sieve = functools.cache(coprime_flags)
+    table = functools.cache(functools.partial(coprime_flags, F))
     out = []
     for m in range(4):
         for n in range(4):
             out.append(_timed("appendix/coprime-pairs[m=%d]" % m, q, n,
                               counting.coprime_monic_pairs(q, m, n),
-                              lambda m=m, n=n: count_coprime_pairs(F, m, n, sieve)))
+                              lambda m=m, n=n: table(m, n).count(1)))
     for n in range(1, 4):
         out.append(_timed("appendix/coprime-pairs-upto", q, n,
                           counting.coprime_monic_pairs_upto(q, n),
-                          lambda n=n: count_coprime_pairs_upto(F, n, sieve)))
+                          lambda n=n: _pairs_upto(table, n)))
         out.append(_timed("appendix/rational-count", q, n - 1,
                           counting.rational_function_count(q, n - 1),
-                          lambda n=n: count_rational_functions(F, n - 1, sieve)))
+                          lambda n=n: _rational_functions(q, table, n - 1)))
     for m in range(4):
         for n in range(4):
             out.append(_timed("appendix/nonzero-const[m=%d]" % m, q, n,
                               counting.coprime_pairs_nonzero_constant(q, m, n),
-                              lambda m=m, n=n: count_coprime_nonzero_const(F, m, n, sieve)))
+                              lambda m=m, n=n: _nonzero_const(q, table, m, n)))
     for i in range(4):
         out.append(_timed("appendix/self-dual", q, i,
                           counting.self_dual_count(q, i),

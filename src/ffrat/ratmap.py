@@ -37,9 +37,8 @@ import itertools
 import operator
 from typing import Iterator
 
-from ffrat.gf import (FieldCtx, char_roots, echelon_planes, jordan_pairs,
-                      left_kernel, line_pairs, point_pairs, row_echelon,
-                      row_times)
+from ffrat.gf import (FieldCtx, char_roots, left_kernel, row_echelon,
+                      row_times, span_sums)
 from ffrat.polyring import (Poly, coprime_flags, gcd, horner_rank, poly_str,
                             substitute_raw)
 
@@ -184,16 +183,22 @@ def is_fixed(key: Key, mat, F: FieldCtx) -> bool:
     return key_image(key, M, F) == key
 
 
-def invariant_planes(F: FieldCtx, n: int, mat) -> tuple[int, Iterator[tuple]]:
-    """The length of a walk over row pairs, and the walk, which spans once
-    each plane V with VM = V, M = ``substitution_matrix(F, mat, n)``, that
-    holds a vector of degree n.  M's eigenvalues lambda^(n-i) mu^i and
+def invariant_planes(F: FieldCtx, n: int, mat) -> list[tuple]:
+    """Blocks (base, free) of rows of length 2(n + 1), each a pair (v, w):
+    the sums base + x_1 free_1 + x_2 free_2 + ... over GF(q) give each plane
+    V = span(v, w) with VM = V, M = ``substitution_matrix(F, mat, n)``, that
+    holds a vector of degree n, once.  M's eigenvalues lambda^(n-i) mu^i and
     lambda^i mu^(n-i), lambda and mu those of mat, are the roots of
-    X^2 - s^i (lambda^k + mu^k) X + s^n, k = n - 2i, s = det mat.  Either M
-    is a scalar x on V, inside the left kernel of M - x, or V = span(v, vM)
-    for v in the left kernel of M's characteristic polynomial on V: a
-    product of two such roots, or one of those quadratics with no root."""
-    q, add, mul, neg = F.q, F.add, F.mul, F.neg
+    X^2 - s^i (lambda^k + mu^k) X + s^n, k = n - 2i, s = det mat.  Either
+    M = x on V, inside the left kernel E of M - x: echelon pairs of E that
+    start at E[0]'s pivot.  Or V holds eigenvectors of two roots: a line of
+    each kernel.  Or V = span(v, vM), v in the left kernel K of (M - x)^2
+    or of a quadratic with no root: with w_1, w_2, ... the rows of K each
+    outside the span of the w_i and w_i M before it, and Z the rows of E
+    outside that span, v = w_j + sum_(i > j) (a_i w_i + b_i w_i M)
+    + sum_(i < j) b_i w_i (M - x) + z, z in the span of Z; the quadratic
+    with no root has neither Z nor the w_i (M - x)."""
+    add, mul, neg = F.add, F.mul, F.neg
     M = substitution_matrix(F, mat, n)
     a, b, c, d = mat
     t, s = add(a, d), F.sub(mul(a, d), mul(b, c))
@@ -207,25 +212,36 @@ def invariant_planes(F: FieldCtx, n: int, mat) -> tuple[int, Iterator[tuple]]:
         roots.update(found)
         if not found:
             irreducible.add((sn, neg(sigma), 1))
+    zero = (0,) * (n + 1)
 
-    def points(k: int) -> int:
-        return (q ** k - 1) // (q - 1)
+    def lift(v) -> tuple[int, ...]:     # the pair (v, vM)
+        return tuple(v) + tuple(row_times(F, v, M))
+
+    def pair(u, U, w, W) -> tuple:      # u + span U beside w + span W
+        return u + w, [r + zero for r in U] + [zero + r for r in W]
 
     spaces = {x: left_kernel(F, M, (neg(x), 1)) for x in roots}
-    walks = [(q ** (len(E) - 2) * points(len(E) - 1), echelon_planes(F, E))
-             for E in spaces.values() if len(E) > 1 and E[0][0]]
-    for x, E in spaces.items():
-        K = left_kernel(F, M, (mul(x, x), neg(add(x, x)), 1))
-        walks.append((points(len(K) - len(E)) * q ** (len(E) - 1),
-                      jordan_pairs(F, E, K, M, x)))
-    walks += [(points(len(spaces[x])) * points(len(spaces[y])),
-               point_pairs(F, spaces[x], spaces[y]))
-              for x, y in itertools.combinations(spaces, 2)]
-    for p in irreducible:
-        K = left_kernel(F, M, p)
-        walks.append(((q ** len(K) - 1) // (q * q - 1), line_pairs(F, K, M)))
-    return (sum(cost for cost, _ in walks),
-            itertools.chain.from_iterable(pairs for _, pairs in walks))
+    blocks = [pair(E[0], E[1:j] + E[j + 1:], E[j], E[j + 1:])
+              for E in spaces.values() if E[0][0] for j in range(1, len(E))]
+    blocks += [pair(P[i], P[i + 1:], Q[j], Q[j + 1:])
+               for x, y in itertools.combinations(spaces, 2)
+               for P, Q in [(spaces[x], spaces[y])]
+               for i in range(len(P)) for j in range(len(Q))]
+    for p, x in ([((mul(x, x), neg(add(x, x)), 1), x) for x in roots]
+                 + [(p, None) for p in irreducible]):
+        pairs, Z, span = [], [], ()
+        for rows in ([(w, row_times(F, w, M)) for w in left_kernel(F, M, p)]
+                     + [(e,) for e in spaces.get(x, ())]):
+            try:
+                span = row_echelon(F, span + rows)
+            except ValueError:
+                continue
+            (pairs if len(rows) == 2 else Z).append(lift(rows[0]))
+        nil = [] if x is None else [
+            lift([F.sub(y, mul(x, z)) for y, z in zip(w[n + 1:], w)]) for w in pairs]
+        blocks += [(w, [lift(u[k:k + n + 1]) for u in pairs[j + 1:] for k in (0, n + 1)]
+                    + nil[:j] + Z) for j, w in enumerate(pairs)]
+    return blocks
 
 
 def fixed_key_counts(F: FieldCtx, n: int, mats: dict,
@@ -238,7 +254,8 @@ def fixed_key_counts(F: FieldCtx, n: int, mats: dict,
     q = F.q
     check_budget(q, n, q ** (2 * n - 2), "keys", budget)
     walks = {label: invariant_planes(F, n, mat) for label, mat in mats.items()}
-    check_budget(q, n, sum(cost for cost, _ in walks.values()),
+    check_budget(q, n, sum(q ** len(free) for blocks in walks.values()
+                           for _, free in blocks),
                  "row pairs in the invariant-plane walk", budget)
     flags = [coprime_flags(F, n, m, zero_digit=m) for m in range(n)]
 
@@ -247,8 +264,9 @@ def fixed_key_counts(F: FieldCtx, n: int, mats: dict,
         return r0[0] and flags[n - j][horner_rank(q, r0[n:j:-1] + r0[j - 1:0:-1])
                                       * q ** (n - j) + horner_rank(q, r1[n:j:-1])]
     return sum(f.count(1) for f in flags), {
-        label: sum(1 for v, w in pairs if is_key(*row_echelon(F, (v, w))))
-        for label, (_, pairs) in walks.items()}
+        label: sum(1 for base, free in blocks for pair in span_sums(F, base, free)
+                   if is_key(*row_echelon(F, (pair[:n + 1], pair[n + 1:]))))
+        for label, blocks in walks.items()}
 
 
 def _rank_offsets(q: int, n: int) -> list[int]:

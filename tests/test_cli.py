@@ -387,14 +387,16 @@ def test_verify_names_every_skipped_cell(capsys, tmp_path):
     assert code == EXIT_OK
     report = json.loads(target.read_text())
     # Keys: q^(2n-2) > 100 at n = 3 for q = 4, 5; appendix: q^6 > 100 for
-    # q >= 3.  The invariant-plane walks stay below 100 row pairs.
+    # q >= 3; fix-formulas: (q^2 - 1)(q + 1) = 144 class-walk steps at q = 5.
+    # The invariant-plane walks stay below 100 row pairs.
     assert [(c["q"], c["n"], c["kind"]) for c in report["skipped_cells"]] == [
         (3, None, "appendix-lemmas"),
         (4, 3, "fix-formulas"), (4, 3, "frakN"), (4, None, "appendix-lemmas"),
+        (5, 1, "fix-formulas"), (5, 2, "fix-formulas"),
         (5, 3, "fix-formulas"), (5, 3, "frakN"), (5, None, "appendix-lemmas")]
     assert report["skipped_cells"][1]["reason"] == "q=4 n=3 needs 256 keys, budget is 100"
-    assert report["summary"]["skipped"] == 7
-    assert out == "%d checks, 0 failed, 7 cells skipped\n" % report["summary"]["total"]
+    assert report["summary"]["skipped"] == 9
+    assert out == "%d checks, 0 failed, 9 cells skipped\n" % report["summary"]["total"]
 
 
 def test_verify_strict_names_the_first_skipped_cell(capsys):

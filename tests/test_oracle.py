@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from ffrat import classify, counting, oracle, ratmap
-from ffrat.gf import char_roots, field_of_order, make_ext, mat_pow
+from ffrat.gf import char_roots, field_of_order, make_ext
 from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           burnside_count_rational,
                           count_coprime_nonzero_const, count_coprime_pairs,
@@ -157,27 +157,38 @@ ENGINE_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)
                 if q ** (2 * n - 2) <= 2500]
 
 
-@pytest.mark.parametrize("q,n", ENGINE_CELLS + [(5, 4), (7, 4)])
+@pytest.mark.parametrize("q,n", ENGINE_CELLS)
 def test_engine_fix_counts_match_scalar_key_images(q, n):
-    # The plane count of every class against one engine: D and T by digit
-    # arithmetic, and the key images of the nonsplit generator R.  Up to
-    # conjugacy, a class of order d is a power of D, R or T, of order N,
-    # and fixes the points on the generator's cycles of length dividing N/d.
+    # The plane count of every class, the central ones too, against the
+    # fixed points of its image_perm, which images the keys one by one.
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
     classes = enumerate_classes(F)
-    points, fixed = fixed_key_counts(F, n, {rep: rep.matrix for rep in classes
-                                             if rep.kind != "central"})
+    points, fixed = fixed_key_counts(F, n, {rep: rep.matrix for rep in classes})
+    assert points == len(engine.keys)
+    for rep in classes:
+        assert fixed[rep] == fixed_points(engine.image_perm(rep.matrix)), rep
+
+
+@pytest.mark.parametrize("q,n", [(5, 4), (7, 4)])
+def test_plane_fix_counts_match_torus_cycles(q, n):
+    # Too many keys to image once per class: D and T come from digit
+    # arithmetic, and the nonsplit generator R from its key images.  Up to
+    # conjugacy, a class of order d is a power of D, R or T, of order N, and
+    # fixes the points on the generator's cycles of length dividing N/d.
+    F = field_of_order(q)
+    engine = KeyPermutations(F, n)
+    classes = [rep for rep in enumerate_classes(F) if rep.kind != "central"]
+    points, fixed = fixed_key_counts(F, n, {rep: rep.matrix for rep in classes})
     assert points == len(engine.keys)
     R = oracle._tori(F)[1][3]
     cycles = {"split": (q - 1, cycle_lengths(engine.scaling)),
               "nonsplit": (q + 1, cycle_lengths(engine.image_perm(R))),
               "unipotent": (F.p, cycle_lengths(engine.translation))}
     for rep in classes:
-        if rep.kind != "central":
-            N, lengths = cycles[rep.kind]
-            assert fixed[rep] == sum(length * count for length, count in lengths.items()
-                                     if (N // rep.order) % length == 0), rep
+        N, lengths = cycles[rep.kind]
+        assert fixed[rep] == sum(length * count for length, count in lengths.items()
+                                 if (N // rep.order) % length == 0), rep
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -209,21 +220,16 @@ def test_engine_rejects_singular_matrices():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_nonsplit_generator_has_projective_order_q_plus_one(q):
     # Each torus of the Burnside average is cyclic, generated by a matrix of
-    # projective order N; the nonsplit one has no eigenvalue in GF(q).  Its
-    # powers by squaring agree with repeated products.
+    # projective order N; the nonsplit one has no eigenvalue in GF(q).
     F = field_of_order(q)
     tori = oracle._tori(F)
     assert [(kind, N) for _, N, kind, _ in tori] == [
         ("split", q - 1), ("nonsplit", q + 1), ("unipotent", F.p)]
-    add, mul = F.add, F.mul
     for _, N, _, gen in tori:
         assert projective_order(F, gen) == N
-        a, b, c, d = power = gen
-        for e in range(1, N + 2):
-            assert mat_pow(F, gen, e) == power, (gen, e)
-            w, x, y, z = power
-            power = (add(mul(w, a), mul(x, c)), add(mul(w, b), mul(x, d)),
-                     add(mul(y, a), mul(z, c)), add(mul(y, b), mul(z, d)))
+        for e in range(1, N + 1):
+            a, b, c, d = oracle._power(F, gen, e)
+            assert (b == c == 0 and a == d) == (e == N), (gen, e)
     a, b, c, d = tori[1][3]
     assert char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c))) == []
 
@@ -382,14 +388,39 @@ def test_burnside_count_rational_charges_the_class_walk():
 
 
 def test_fix_formulas_charges_the_class_walk():
-    # At (5, 1): one key, and 6 row pairs over the walks of the 6 kinds and
-    # orders of the non-central classes.
-    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=5)
+    # q^2 - 1 = 24 classes, the nonsplit ones from a walk of GF(q^2) charged
+    # q + 1 = 6 steps per class, before any class is listed.
+    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=143)
     assert report.checks == []
-    assert [(c.kind, "invariant-plane walk" in c.reason)
+    assert [(c.kind, "class-walk steps" in c.reason)
             for c in report.skipped_cells] == [("fix-formulas", True)]
-    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=6)
+    report = verify_grid([5], [1], kinds=("fix-formulas",), budget=144)
     assert (report.total, report.failed, report.skipped) == (24, 0, 0)
+
+
+def test_fix_formulas_skips_a_large_field_before_walking_it(monkeypatch):
+    # At q = 257 the class walk is charged 66,048 * 258 steps, more than the
+    # default budget, so the cell is skipped without building GF(q^2).
+    def refuse(*args):
+        raise AssertionError("the classes were walked")
+    monkeypatch.setattr(oracle, "enumerate_classes", refuse)
+    report = verify_grid([257], [1], kinds=("fix-formulas",))
+    assert (report.total, report.skipped) == (0, 1)
+    assert report.skipped_cells[0].reason == (
+        "q=257 n=1 needs 17040384 class-walk steps, budget is 10000000")
+
+
+def test_fix_formulas_charges_the_plane_walk():
+    # At (5, 1), below the class-walk charge: one key, and 6 row pairs over
+    # the walks of one class per kind and order, as the cell's first check
+    # counts them.
+    mats = {(rep.kind, rep.order): rep.matrix for rep in enumerate_classes(F5)
+            if rep.kind != "central"}
+    assert len(mats) == 6
+    assert fixed_key_counts(F5, 1, mats, budget=6)[0] == 1
+    with pytest.raises(BudgetExceededError,
+                       match="needs 6 row pairs in the invariant-plane walk"):
+        fixed_key_counts(F5, 1, mats, budget=5)
 
 
 # -- class counts three ways ---------------------------------------------------

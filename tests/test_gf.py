@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from ffrat import gf
 from ffrat.counting import divisors, euler_phi
-from ffrat.gf import (FieldSizeError, field_of_order, is_prime, make_ext,
-                      make_field, mult_order)
+from ffrat.gf import (FieldSizeError, field_of_order, is_prime, left_kernel,
+                      make_ext, make_field, mult_order, row_echelon, row_times)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -174,3 +176,32 @@ def test_frobenius_is_qth_power():
 def test_make_field_is_cached():
     assert make_field(3, 1) is make_field(3, 1)
     assert field_of_order(9) is make_field(3, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_left_kernel_is_the_echelon_basis_of_every_solution(q):
+    # For every 3x3 matrix M with entries 0 and 1 and a few polynomials P:
+    # the basis is in reduced echelon form, and its span is exactly the v
+    # with v P(M) = 0, found by trying every v.  [P | I] always has full
+    # rank, so no input is refused.
+    F = field_of_order(q)
+    vectors = list(itertools.product(F.elements, repeat=3))
+    polys = [(0,), (1,), (F.neg(1), 1), (0, 0, 1), (1, 1, 1)]
+
+    def image(v, M, coeffs):
+        acc = (0, 0, 0)
+        for c in coeffs:
+            acc = tuple(F.add(x, F.mul(c, y)) for x, y in zip(acc, v))
+            v = row_times(F, v, M)
+        return acc
+    for entries in itertools.product((0, 1), repeat=9):
+        M = [entries[0:3], entries[3:6], entries[6:9]]
+        for coeffs in polys:
+            basis = left_kernel(F, M, coeffs)
+            if basis:
+                assert row_echelon(F, basis) == tuple(basis), (M, coeffs)
+            span = {(0, 0, 0)}
+            for row in basis:
+                span = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(u, row))
+                        for u in span for c in F.elements}
+            assert span == {v for v in vectors if not any(image(v, M, coeffs))}, (M, coeffs)

@@ -178,29 +178,29 @@ def test_make_field_is_cached():
     assert field_of_order(9) is make_field(3, 2)
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_left_kernel_is_the_echelon_basis_of_every_solution(q):
-    # For every 3x3 matrix M with entries 0 and 1 and a few polynomials P:
-    # the basis is in reduced echelon form, and its span is exactly the v
-    # with v P(M) = 0, found by trying every v.  [P | I] always has full
-    # rank, so no input is refused.
+@pytest.mark.parametrize("q,w", [(2, 3), (3, 2), (4, 2)])
+def test_left_kernel_is_the_echelon_basis_of_every_solution(q, w):
+    # For every w x w matrix M and a few polynomials P: the basis is in
+    # reduced echelon form, and its span is exactly the v with v P(M) = 0,
+    # found by trying every v.  [P | I] always has full rank, so no input is
+    # refused.
     F = field_of_order(q)
-    vectors = list(itertools.product(F.elements, repeat=3))
+    vectors = list(itertools.product(F.elements, repeat=w))
     polys = [(0,), (1,), (F.neg(1), 1), (0, 0, 1), (1, 1, 1)]
 
     def image(v, M, coeffs):
-        acc = (0, 0, 0)
+        acc = (0,) * w
         for c in coeffs:
             acc = tuple(F.add(x, F.mul(c, y)) for x, y in zip(acc, v))
             v = row_times(F, v, M)
         return acc
-    for entries in itertools.product((0, 1), repeat=9):
-        M = [entries[0:3], entries[3:6], entries[6:9]]
+    for entries in itertools.product(F.elements, repeat=w * w):
+        M = [entries[i:i + w] for i in range(0, w * w, w)]
         for coeffs in polys:
             basis = left_kernel(F, M, coeffs)
             if basis:
                 assert row_echelon(F, basis) == tuple(basis), (M, coeffs)
-            span = {(0, 0, 0)}
+            span = {(0,) * w}
             for row in basis:
                 span = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(u, row))
                         for u in span for c in F.elements}

@@ -403,24 +403,12 @@ def test_fix_formulas_skips_a_large_field_before_walking_it(monkeypatch):
     # default budget, so the cell is skipped without building GF(q^2).
     def refuse(*args):
         raise AssertionError("the classes were walked")
+
     monkeypatch.setattr(oracle, "enumerate_classes", refuse)
     report = verify_grid([257], [1], kinds=("fix-formulas",))
     assert (report.total, report.skipped) == (0, 1)
     assert report.skipped_cells[0].reason == (
         "q=257 n=1 needs 17040384 class-walk steps, budget is 10000000")
-
-
-def test_fix_formulas_charges_the_plane_walk():
-    # At (5, 1), below the class-walk charge: one key, and 6 row pairs over
-    # the walks of one class per kind and order, as the cell's first check
-    # counts them.
-    mats = {(rep.kind, rep.order): rep.matrix for rep in enumerate_classes(F5)
-            if rep.kind != "central"}
-    assert len(mats) == 6
-    assert fixed_key_counts(F5, 1, mats, budget=6)[0] == 1
-    with pytest.raises(BudgetExceededError,
-                       match="needs 6 row pairs in the invariant-plane walk"):
-        fixed_key_counts(F5, 1, mats, budget=5)
 
 
 # -- class counts three ways ---------------------------------------------------

@@ -14,9 +14,9 @@ from ffrat.counting import (count_polynomial_classes,
                             count_polynomial_classes_lowdeg,
                             count_rational_classes,
                             count_rational_classes_lowdeg)
-from ffrat.gf import (DEFAULT_SIZE_BOUND, ExtFieldCtx, FieldCtx,
-                      FieldSizeError, field_of_order, make_ext, make_field,
-                      mult_order)
+from ffrat.gf import (DEFAULT_SIZE_BOUND, BudgetExceededError, ExtFieldCtx,
+                      FieldCtx, FieldSizeError, field_of_order, make_ext,
+                      make_field, mult_order)
 from ffrat.oracle import (ConjClassRep, VerificationReport,
                           burnside_count_poly, burnside_count_rational,
                           enumerate_classes, orbit_count_poly,
@@ -24,8 +24,8 @@ from ffrat.oracle import (ConjClassRep, VerificationReport,
 from ffrat.polyring import (NEG_INFINITY, Poly, affine_substitute, compose,
                             conj, conj_reverse, gcd, monic_polys, poly_str,
                             self_dual_scalar)
-from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
-                          RationalMap, act, enumerate_subfield_keys,
-                          is_fixed, normalize, subfield_key)
+from ffrat.ratmap import (DEFAULT_KEY_BUDGET, RationalMap, act,
+                          enumerate_subfield_keys, is_fixed, normalize,
+                          subfield_key)
 
 __version__ = "0.1.0"

@@ -29,10 +29,9 @@ from itertools import product
 from typing import NamedTuple
 
 from ffrat import counting
-from ffrat.gf import FieldCtx
+from ffrat.gf import FieldCtx, check_budget
 from ffrat.polyring import Poly, substitute_raw as _substitute_raw
-from ffrat.ratmap import (DEFAULT_KEY_BUDGET, RationalMap, check_budget,
-                          label_orbits, normalize)
+from ffrat.ratmap import DEFAULT_KEY_BUDGET, RationalMap, label_orbits, normalize
 
 
 def _normalized_raw(F: FieldCtx, coeffs: list[int]) -> tuple[int, ...]:
@@ -181,7 +180,7 @@ def classify_all(F: FieldCtx, n: int,
             firsts.append(rank)
             sizes.append(1)
 
-    tags = _family_tag_map(F, n) if n <= 5 else {}
+    tags = _family_tag_map(table_families(F, n)) if n <= 5 else {}
     reps = []
     for rank, size in zip(firsts, sizes):
         canon = _poly_of_rank(q, n, rank)
@@ -308,9 +307,9 @@ def _table_cost(q: int, n: int) -> int:
     return counting.count_polynomial_classes(q, n) * q * (q - 1)
 
 
-def _family_tag_map(F: FieldCtx, n: int) -> dict[tuple[int, ...], str]:
+def _family_tag_map(families) -> dict[tuple[int, ...], str]:
     tags: dict[tuple[int, ...], str] = {}
-    for tag, members in table_families(F, n):
+    for tag, members in families:
         for member in members:
             tags[canonical_poly(member).coeffs] = tag
     return tags
@@ -323,11 +322,9 @@ def verify_table(F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET) -> bool:
     form."""
     check_budget(F.q, n, _table_cost(F.q, n), "substitutions", budget)
     families = table_families(F, n)
-    canons = [canonical_poly(member).coeffs
-              for _, members in families for member in members]
-    expected = counting.count_polynomial_classes(F.q, n)
-    lowdeg = counting.count_polynomial_classes_lowdeg(F.q, n)
-    return len(canons) == expected == lowdeg and len(set(canons)) == len(canons)
+    return (len(_family_tag_map(families)) == sum(len(m) for _, m in families)
+            == counting.count_polynomial_classes(F.q, n)
+            == counting.count_polynomial_classes_lowdeg(F.q, n))
 
 
 def degree2_rational_reps(F: FieldCtx) -> list[RationalMap]:

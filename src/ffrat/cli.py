@@ -8,7 +8,7 @@ Subcommands:
 * ``classify``: representative lists with orbit sizes and family tags.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
-invalid q), 3 enumeration budget exceeded.
+invalid q), 3 budget or field-size bound exceeded.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
 
 from ffrat import __version__, classify, counting, oracle
-from ffrat.gf import FieldSizeError, field_of_order
-from ffrat.polyring import poly_str
-from ffrat.ratmap import BudgetExceededError, DEFAULT_KEY_BUDGET
+from ffrat.gf import BudgetExceededError, check_budget, field_of_order
+from ffrat.polyring import Poly, poly_str
+from ffrat.ratmap import DEFAULT_KEY_BUDGET, normalize
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -74,9 +75,12 @@ def _parse_int_set(text: str) -> list[int]:
     return sorted(out)
 
 
-def _validated_q_list(text: str) -> list[int]:
+def _validated_q_list(text: str, budget: int) -> list[int]:
     qs = _parse_int_set(text)
     for q in qs:
+        # Validating q, and the closed forms' divisors of q - 1 and q + 1,
+        # trial-divide up to sqrt(q) each.
+        check_budget(q, None, 3 * math.isqrt(q), "trial divisions", budget)
         if not counting.is_prime_power(q):
             raise UsageError("%d is not a prime power" % q)
     return qs
@@ -130,22 +134,21 @@ def _one_count(kind: str, q: int, n: int, method: str, budget: int) -> int:
     return oracle.orbit_count_poly(field_of_order(q), n, budget)
 
 
-def _single_q(text: str) -> int:
-    qs = _validated_q_list(text)
+def _single_q(text: str, budget: int) -> int:
+    qs = _validated_q_list(text, budget)
     if len(qs) != 1:
         raise UsageError("expected a single q, got %r" % text)
     return qs[0]
 
 
 def cmd_count(args) -> int:
-    if args.n < 1:
-        raise UsageError("degree must be at least 1")
-    print(_one_count(args.kind, _single_q(args.q), args.n, args.method, args.budget))
+    print(_one_count(args.kind, _single_q(args.q, args.budget), args.n, args.method,
+                     args.budget))
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    qs = _validated_q_list(args.q)
+    qs = _validated_q_list(args.q, args.budget)
     ns = _validated_n_list(args.n)
     rows = [(q, n, args.kind, _one_count(args.kind, q, n, args.method, args.budget))
             for q in qs for n in ns]
@@ -165,7 +168,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    qs = _validated_q_list(args.q)
+    qs = _validated_q_list(args.q, args.budget)
     ns = _validated_n_list(args.n)
     kinds = tuple(dict.fromkeys(k.strip() for k in args.kinds.split(",") if k.strip()))
     expected = ", ".join(oracle.VERIFY_KINDS)
@@ -211,15 +214,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    q = _single_q(args.q)
     n = args.n
-    if n < 1:
-        raise UsageError("degree must be at least 1")
-    F = field_of_order(q)
+    F = field_of_order(_single_q(args.q, args.budget))
     if args.kind == "rational":
         if n == 1:
-            from ffrat.polyring import Poly
-            from ffrat.ratmap import normalize
             reps = [normalize(Poly.x(F), Poly.one(F))]
         elif n == 2:
             reps = classify.degree2_rational_reps(F)
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="print one exact class count")
     p_count.add_argument("--kind", choices=("rational", "poly"), default="rational")
     p_count.add_argument("--q", required=True, help="field order (prime power)")
-    p_count.add_argument("--n", required=True, type=int, help="degree")
+    p_count.add_argument("--n", required=True, type=positive_int, help="degree")
     p_count.add_argument("--method", choices=("formula", "burnside", "orbit"),
                          default="formula")
     add_budget(p_count)
@@ -298,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="list class representatives")
     p_classify.add_argument("--kind", choices=("rational", "poly"), default="poly")
     p_classify.add_argument("--q", required=True)
-    p_classify.add_argument("--n", required=True, type=int)
+    p_classify.add_argument("--n", required=True, type=positive_int)
     p_classify.add_argument("--format", choices=("text", "json"), default="text")
     add_budget(p_classify)
     p_classify.set_defaults(func=cmd_classify)
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExceededError, FieldSizeError) as exc:
+    except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:

@@ -1,7 +1,9 @@
 """Closed-form exact counts over GF(q).
 
 Everything here is integer arithmetic on q and the degree parameters; no
-field tables are built.  The headline quantities are
+field tables are built.  The closed forms cost O(sqrt(q)): they trial-divide
+q, q - 1 and q + 1 (``char_and_degree``, ``divisors``, ``euler_phi``).  The
+headline quantities are
 
 * ``count_rational_classes(q, n)``: the number of equivalence classes of
   degree-n rational functions over GF(q), where f and g are equivalent when

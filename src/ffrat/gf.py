@@ -25,7 +25,9 @@ matrix, and ``span_sums`` walks a coset of a span.
 Multiplication runs on log/antilog tables relative to ``generator`` whenever
 q <= 2**16, with full q x q lookup tables layered on top for very small
 fields; larger fields fall back to direct polynomial reduction.  Fields above
-``DEFAULT_SIZE_BOUND`` (2**20) elements are refused at construction.
+``DEFAULT_SIZE_BOUND`` (2**20) elements are refused at construction with
+``FieldSizeError``; like every refusal of oversize work, it is a
+``BudgetExceededError`` (``check_budget`` raises the others).
 """
 
 from __future__ import annotations
@@ -41,8 +43,21 @@ _TABLE_LIMIT = 512       # full q x q add/mul tables up to this order
 _LOG_LIMIT = 1 << 16     # log/antilog tables up to this order
 
 
-class FieldSizeError(ValueError):
-    """Field order exceeds ``DEFAULT_SIZE_BOUND``."""
+class BudgetExceededError(RuntimeError):
+    """An enumeration would exceed the configured budget."""
+
+
+def check_budget(q: int, n: int | None, cost: int, what: str, budget: int) -> None:
+    """Raise BudgetExceededError before work whose cost exceeds the budget;
+    n is None for work on q alone."""
+    if cost > budget:
+        where = "q=%d" % q if n is None else "q=%d n=%d" % (q, n)
+        raise BudgetExceededError("%s needs %d %s, budget is %d"
+                                  % (where, cost, what, budget))
+
+
+class FieldSizeError(BudgetExceededError, ValueError):
+    """Field order over ``DEFAULT_SIZE_BOUND``: a budget refusal and bad input."""
 
 
 def is_prime(n: int) -> bool:
@@ -368,10 +383,11 @@ def span_sums(F: FieldCtx, base, free) -> Iterator[tuple[int, ...]]:
 class ExtFieldCtx:
     """A field GF(q) together with its quadratic extension GF(q^2).
 
-    ``embed`` carries base elements into the extension (the base generator is
-    mapped to the least-index root of the base modulus), and ``frobenius`` is
-    x -> x**q on the extension, computed by k-fold p-th powering.  Fixed
-    points of ``frobenius`` are exactly the embedded base field.
+    ``embed_table`` carries base elements into the extension (the base
+    generator is mapped to the least-index root of the base modulus), and
+    ``frob_table`` is x -> x**q on the extension, computed by k-fold p-th
+    powering.  Fixed points of ``frob_table`` are exactly the embedded base
+    field.
     """
 
     def __init__(self, base: FieldCtx, ext: FieldCtx,
@@ -380,12 +396,6 @@ class ExtFieldCtx:
         self.ext = ext
         self.embed_table = embed_table
         self.frob_table = frob_table
-
-    def embed(self, a: int) -> int:
-        return self.embed_table[a]
-
-    def frobenius(self, x: int) -> int:
-        return self.frob_table[x]
 
     def __repr__(self) -> str:
         return "GF(%d) in GF(%d)" % (self.base.q, self.ext.q)

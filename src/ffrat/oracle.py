@@ -40,12 +40,11 @@ import time
 from typing import Iterator, NamedTuple
 
 from ffrat import classify, counting
-from ffrat.gf import (ExtFieldCtx, FieldCtx, char_roots, field_of_order,
-                      make_ext, mult_order)
+from ffrat.gf import (BudgetExceededError, ExtFieldCtx, FieldCtx, char_roots,
+                      check_budget, field_of_order, make_ext, mult_order)
 from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd,
                             horner_rank, monic_polys)
-from ffrat.ratmap import (BudgetExceededError, DEFAULT_KEY_BUDGET,
-                          KeyPermutations, check_budget, cycle_lengths,
+from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, cycle_lengths,
                           fixed_key_counts, fixed_points, label_orbits)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
@@ -69,8 +68,10 @@ class ConjClassRep(NamedTuple):
 
 
 def enumerate_classes(F: FieldCtx) -> list[ConjClassRep]:
-    """All q^2 - 1 conjugacy classes, deterministic order."""
+    """All q^2 - 1 conjugacy classes, deterministic order.  GF(q^2) is
+    built first, so a field over the size bound is refused before any walk."""
     q = F.q
+    ctx = make_ext(F)
     out = []
     for a in F.units:
         out.append(ConjClassRep("central", (a,), (a, 0, 0, a),
@@ -82,7 +83,6 @@ def enumerate_classes(F: FieldCtx) -> list[ConjClassRep]:
                                         (q - 1) ** 2, mult_order(F, F.div(a, b))))
     # x and y = x^q outside GF(q) are the roots of one irreducible
     # X^2 - tX + s, t = x + y and s = xy; the lesser of the two gives it.
-    ctx = make_ext(F)
     E, base = ctx.ext, ctx.embed_table
     nonsplit = sorted((base.index(E.add(x, y)), base.index(E.mul(x, y)),
                        mult_order(E, E.div(y, x)))

@@ -37,26 +37,14 @@ import itertools
 import operator
 from typing import Iterator
 
-from ffrat.gf import (FieldCtx, char_roots, left_kernel, row_echelon,
-                      row_times, span_sums)
+from ffrat.gf import (FieldCtx, char_roots, check_budget, left_kernel,
+                      row_echelon, row_times, span_sums)
 from ffrat.polyring import (Poly, coprime_flags, gcd, horner_rank, poly_str,
                             substitute_raw)
 
 DEFAULT_KEY_BUDGET = 10 ** 7
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured budget."""
-
-
-def check_budget(q: int, n: int, cost: int, what: str, budget: int) -> None:
-    """Raise BudgetExceededError before an enumeration whose cost exceeds
-    the budget."""
-    if cost > budget:
-        raise BudgetExceededError("q=%d n=%d needs %d %s, budget is %d"
-                                  % (q, n, cost, what, budget))
 
 
 class RationalMap:

@@ -6,10 +6,10 @@ import itertools
 from typing import Iterator
 
 from ffrat.counting import exact_div, is_prime_power
-from ffrat.gf import ExtFieldCtx, FieldCtx, char_roots, mult_order
+from ffrat.gf import ExtFieldCtx, FieldCtx, char_roots, check_budget, mult_order
 from ffrat.polyring import Poly, conj_reverse, gcd, monic_polys, self_dual_scalar
-from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, check_budget,
-                          fixed_points, substitution_matrix)
+from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, fixed_points,
+                          substitution_matrix)
 
 
 def prime_powers_upto(limit: int) -> list[int]:
@@ -54,10 +54,10 @@ def twist_order_by_root_search(ctx: ExtFieldCtx, t: int, s: int) -> int:
     """For an irreducible X^2 - tX + s over GF(q), the order of conj(x)/x,
     with its first root x in GF(q^2) found by testing every element."""
     E = ctx.ext
-    te, se = ctx.embed(t), ctx.embed(s)
+    te, se = ctx.embed_table[t], ctx.embed_table[s]
     for x in E.elements:
         if E.add(E.sub(E.mul(x, x), E.mul(te, x)), se) == 0:
-            return mult_order(E, E.div(ctx.frobenius(x), x))
+            return mult_order(E, E.div(ctx.frob_table[x], x))
     raise ValueError("X^2 - %d*X + %d has no root in the extension" % (t, s))
 
 

@@ -13,9 +13,9 @@ from ffrat.classify import (PolyClassRep, PolyPermutations, _normalized_raw,
                             classify_all, coset_representatives, degree2_rational_reps,
                             least_nonsquare, left_normalize, normalized_polys,
                             table_families, verify_table)
-from ffrat.gf import field_of_order
+from ffrat.gf import BudgetExceededError, field_of_order
 from ffrat.polyring import Poly, affine_substitute, compose
-from ffrat.ratmap import BudgetExceededError, KeyPermutations, subfield_key
+from ffrat.ratmap import KeyPermutations, subfield_key
 
 from enumerators import perm_product
 

@@ -169,6 +169,24 @@ def test_count_burnside_charges_the_keys_and_the_plane_walk(capsys):
                    "budget is 11\n")
 
 
+@pytest.mark.parametrize("command", ["count", "table", "verify", "classify"])
+def test_every_subcommand_charges_the_trial_divisions_of_q(capsys, monkeypatch, command):
+    # Validating q, and the closed forms' divisors of q - 1 and q + 1, take
+    # about 3 sqrt(q) trial divisions: refused at once with exit 3.
+    from ffrat import oracle
+    monkeypatch.setattr(oracle, "verify_grid", lambda *a, **k: pytest.fail("a cell ran"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--q", "10000000000000061", "--n", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == ("error: q=10000000000000061 needs 300000000 trial divisions, "
+                   "budget is 10000000\n")
+
+
+def test_count_of_a_large_prime_within_the_trial_division_budget(capsys):
+    assert run_cli(capsys, "count", "--q", "1000000007", "--n", "2")[:2] == (EXIT_OK, "2\n")
+
+
 def test_missing_required_argument(capsys):
     code, _, _ = run_cli(capsys, "count", "--n", "2")
     assert code == EXIT_USAGE
@@ -405,6 +423,29 @@ def test_verify_strict_names_the_first_skipped_cell(capsys):
     assert code == EXIT_BUDGET
     assert err == ("error: 1 cells skipped, the first frakN at q=3 n=3: "
                    "q=3 n=3 needs 81 keys, budget is 20\n")
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_verify_skips_a_field_over_the_size_bound(capsys, tmp_path, strict):
+    # GF(1031^2) is over the size bound: q = 1031's appendix cell is skipped
+    # like a budget cell, and the old report is replaced by the full one.
+    target = tmp_path / "r.json"
+    target.write_text("old report\n")
+    code, out, err = run_cli(capsys, "verify", "--q", "2,1031", "--n", "1", "--kinds",
+                             "appendix-lemmas,frakM", "--budget", str(10 ** 19),
+                             "--out", str(target), *(["--strict"] if strict else []))
+    report = json.loads(target.read_text())
+    reason = "GF(1031**2) exceeds size bound 1048576"
+    assert report["skipped_cells"] == [
+        {"q": 1031, "n": None, "kind": "appendix-lemmas", "reason": reason}]
+    assert report["summary"] == {"total": 66, "failed": 0, "skipped": 1}
+    assert out == "66 checks, 0 failed, 1 cells skipped\n"
+    if strict:
+        assert code == EXIT_BUDGET
+        assert err == ("error: 1 cells skipped, the first appendix-lemmas at "
+                       "q=1031: %s\n" % reason)
+    else:
+        assert (code, err) == (EXIT_OK, "")
 
 
 def test_verify_out_path_that_cannot_be_written(capsys, tmp_path, monkeypatch):

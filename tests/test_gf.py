@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from ffrat import gf
 from ffrat.counting import divisors, euler_phi
-from ffrat.gf import (FieldSizeError, field_of_order, is_prime, left_kernel,
-                      make_ext, make_field, mult_order, row_echelon, row_times)
+from ffrat.gf import (BudgetExceededError, FieldSizeError, field_of_order,
+                      is_prime, left_kernel, make_ext, make_field, mult_order,
+                      row_echelon, row_times)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -60,6 +62,15 @@ def test_size_bound_enforced(monkeypatch):
     assert (2, 21) not in gf._FIELD_CACHE
 
 
+def test_field_size_error_is_a_budget_refusal_and_a_value_error():
+    # Callers that refuse oversize work catch the one BudgetExceededError;
+    # callers of make_field that catch bad input still catch it.
+    assert issubclass(FieldSizeError, BudgetExceededError)
+    assert issubclass(FieldSizeError, ValueError)
+    with pytest.raises(BudgetExceededError, match="GF\\(1031\\*\\*2\\) exceeds"):
+        make_field(1031, 2)
+
+
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_field_of_order(q):
     assert field_of_order(q).q == q
@@ -89,6 +100,31 @@ def test_field_axioms_exhaustive(q):
                 assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [729, 1031, 65537, 66049])
+def test_field_axioms_sampled_past_the_full_tables(q):
+    # Digitwise addition with log-table multiplication (729, 1031), and with
+    # direct polynomial reduction (65537, 66049): tiers too large for the
+    # exhaustive test, checked on seeded samples against the raw arithmetic.
+    F = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        digits = zip(F.element_coeffs(a), F.element_coeffs(b))
+        assert F.element_coeffs(F.add(a, b)) == tuple((x + y) % F.p for x, y in digits)
+        assert F.add(a, F.neg(a)) == 0
+        assert F.mul(a, b) == F.mul(b, a) == F._raw_mul(a, b)
+        if F.k == 1:
+            assert F.mul(a, b) == a * b % q
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        if a:
+            e = rng.randrange(-q, q)
+            assert F.mul(a, F.inv(a)) == 1
+            assert F.pow(a, e) == F._pow_raw(a, e % (q - 1))
+            assert F.mul(F.pow(a, e), a) == F.pow(a, e + 1)
+    assert mult_order(F, F.generator) == q - 1
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)
@@ -147,11 +183,12 @@ def test_ext_frobenius_involution_and_fixed_field(q):
     F = field_of_order(q)
     ctx = make_ext(F)
     ext = ctx.ext
-    image = {ctx.embed(a) for a in F.elements}
+    embed, frob = ctx.embed_table, ctx.frob_table
+    image = {embed[a] for a in F.elements}
     assert len(image) == q
     for x in ext.elements:
-        assert ctx.frobenius(ctx.frobenius(x)) == x
-    fixed = {x for x in ext.elements if ctx.frobenius(x) == x}
+        assert frob[frob[x]] == x
+    fixed = {x for x in ext.elements if frob[x] == x}
     assert fixed == image
 
 
@@ -159,18 +196,18 @@ def test_ext_frobenius_involution_and_fixed_field(q):
 def test_ext_embedding_is_homomorphism(q):
     F = field_of_order(q)
     ctx = make_ext(F)
-    ext = ctx.ext
+    ext, embed = ctx.ext, ctx.embed_table
     for a in F.elements:
         for b in F.elements:
-            assert ctx.embed(F.add(a, b)) == ext.add(ctx.embed(a), ctx.embed(b))
-            assert ctx.embed(F.mul(a, b)) == ext.mul(ctx.embed(a), ctx.embed(b))
+            assert embed[F.add(a, b)] == ext.add(embed[a], embed[b])
+            assert embed[F.mul(a, b)] == ext.mul(embed[a], embed[b])
 
 
 def test_frobenius_is_qth_power():
     F = make_field(2, 2)
     ctx = make_ext(F)
     for x in ctx.ext.elements:
-        assert ctx.frobenius(x) == ctx.ext.pow(x, 4)
+        assert ctx.frob_table[x] == ctx.ext.pow(x, 4)
 
 
 def test_make_field_is_cached():

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from ffrat import classify, counting, oracle, ratmap
-from ffrat.gf import char_roots, field_of_order, make_ext
+from ffrat.gf import BudgetExceededError, char_roots, field_of_order, make_ext
 from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           burnside_count_rational,
                           count_coprime_nonzero_const, count_coprime_pairs,
@@ -20,10 +20,10 @@ from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           expected_fix, orbit_count_poly, orbit_count_rational,
                           poly_equivalence_partitions_agree, verify_grid)
 from ffrat.polyring import Poly, gcd
-from ffrat.ratmap import (BudgetExceededError, KeyPermutations,
-                          cycle_lengths, enumerate_subfield_keys,
-                          fixed_key_counts, fixed_points, invariant_planes,
-                          key_image, label_orbits, normalize, subfield_key,
+from ffrat.ratmap import (KeyPermutations, cycle_lengths,
+                          enumerate_subfield_keys, fixed_key_counts,
+                          fixed_points, invariant_planes, key_image,
+                          label_orbits, normalize, subfield_key,
                           substitution_matrix)
 
 from enumerators import (burnside_count_rational_fullgroup,
@@ -409,6 +409,35 @@ def test_fix_formulas_skips_a_large_field_before_walking_it(monkeypatch):
     assert (report.total, report.skipped) == (0, 1)
     assert report.skipped_cells[0].reason == (
         "q=257 n=1 needs 17040384 class-walk steps, budget is 10000000")
+
+
+def test_fix_formulas_refuses_an_oversize_extension_before_walking(monkeypatch):
+    # Within the budget, but GF(1031^2) is over the size bound: the cell is
+    # skipped before any class is walked.
+    def refuse(*args):
+        raise AssertionError("the classes were walked")
+
+    monkeypatch.setattr(oracle, "mult_order", refuse)
+    report = verify_grid([1031], [1], kinds=("fix-formulas",), budget=10 ** 12)
+    assert report.checks == []
+    assert report.skipped_cells == [SkippedCell(
+        1031, 1, "fix-formulas", "GF(1031**2) exceeds size bound 1048576")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cell_over_the_field_bound_is_skipped_and_the_grid_runs_on(jobs):
+    # GF(1031^2) is over the size bound, so q = 1031's appendix cell is
+    # skipped like a budget cell; its frakM cell and all of q = 2 still run.
+    report = verify_grid([2, 1031], [1], kinds=("appendix-lemmas", "frakM"),
+                         budget=10 ** 19, jobs=jobs)
+    assert report.skipped_cells == [SkippedCell(
+        1031, None, "appendix-lemmas", "GF(1031**2) exceeds size bound 1048576")]
+    alone = verify_grid([2], [1], kinds=("appendix-lemmas", "frakM"))
+    assert [(c.name, c.q, c.n) for c in report.checks] == (
+        [(c.name, c.q, c.n) for c in alone.checks]
+        + [("frakM/orbit", 1031, 1), ("frakM/burnside", 1031, 1),
+           ("frakM/lowdeg", 1031, 1)])
+    assert (report.total, report.failed) == (66, 0)
 
 
 # -- class counts three ways ---------------------------------------------------

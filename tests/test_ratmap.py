@@ -8,11 +8,11 @@ from collections import Counter
 import pytest
 
 from ffrat import counting
-from ffrat.gf import field_of_order, row_echelon, row_times
+from ffrat.gf import BudgetExceededError, field_of_order, row_echelon, row_times
 from ffrat.polyring import Poly, gcd, monic_polys
-from ffrat.ratmap import (BudgetExceededError, KeyPermutations, RationalMap,
-                          act, enumerate_subfield_keys, invariant_planes,
-                          is_fixed, key_image, normalize, subfield_key,
+from ffrat.ratmap import (KeyPermutations, RationalMap, act,
+                          enumerate_subfield_keys, invariant_planes, is_fixed,
+                          key_image, normalize, subfield_key,
                           substitution_matrix)
 
 from enumerators import polys_upto, projective_order

@@ -8,7 +8,9 @@ correspond to orbits of the q^(n-1) normalized polynomials under the right
 substitution action f -> normalize(f(aX+b)).
 
 ``canonical_poly`` picks the orbit member whose descending coefficient tuple
-is lexicographically least, the scalar reference.  ``classify_all`` labels
+is lexicographically least, from one Taylor shift per b and a digit-by-digit
+minimum over the scalings; the tests hold the q(q-1) substitutions that define
+it as their reference.  ``classify_all`` labels
 the orbits on ``PolyPermutations``, which ranks the normalized polynomials in
 that same order and images them by digit arithmetic, and reports each
 orbit's least rank as its canonical representative, with its orbit size.
@@ -131,21 +133,43 @@ class PolyPermutations:
 
 def canonical_poly(f: Poly) -> Poly:
     """Lexicographically least normalized member of the class of f,
-    comparing coefficients from the top degree down."""
+    comparing coefficients from the top degree down.
+
+    With g = f(X + b), one Taylor shift per b, the normalized image of f
+    under X -> aX + b has digit k equal to a^(k-n) g_k.  For each b the least
+    digit tuple over the q - 1 scalings is found one digit at a time, keeping
+    only the scalings that reach each digit's least value, and b is dropped
+    as soon as its prefix exceeds the best so far.  While every scaling is
+    kept and n - k is prime to q - 1, a -> a^(k-n) permutes the units, so a
+    nonzero g_k has least digit 1, reached by the one a = g_k^(1/(n-k))."""
     F = f.field
-    if f.degree < 1:
+    n, q, mul = f.degree, F.q, F.mul
+    if n < 1:
         raise ValueError("classification needs degree >= 1")
-    base = left_normalize(f)
-    best = None
-    best_key = None
-    for a in F.units:
-        for b in F.elements:
-            cand = _normalized_raw(F, _substitute_raw(F, base.coeffs, a, b))
-            key = cand[::-1]
-            if best_key is None or key < best_key:
-                best_key = key
-                best = cand
-    return Poly._make(F, best)
+    base = _normalized_raw(F, list(f.coeffs))
+    # powers[k][a] = a^(k-n) for every unit a; roots[k] = 1/(n-k) mod q-1.
+    powers = {k: [0, *(F.pow(a, k - n) for a in F.units)] for k in range(1, n)}
+    roots = {k: pow(n - k, -1, q - 1) for k in range(1, n) if math.gcd(n - k, q - 1) == 1}
+    best = [q] * (n - 1)                # above every digit tuple
+    for b in F.elements:
+        g = _substitute_raw(F, base, 1, b)
+        scalings = F.units
+        digits: list[int] = []
+        for k in range(n - 1, 0, -1):
+            gk, least = g[k], 0
+            if gk and len(scalings) == q - 1 and k in roots:
+                least, scalings = 1, [F.pow(gk, roots[k])]
+            elif gk:
+                row = powers[k]
+                values = [mul(row[a], gk) for a in scalings]
+                least = min(values)
+                scalings = [a for a, v in zip(scalings, values) if v == least]
+            digits.append(least)
+            if digits > best[:len(digits)]:
+                break
+        else:
+            best = min(best, digits)
+    return Poly._make(F, (0, *best[::-1], 1))
 
 
 class PolyClassRep(NamedTuple):
@@ -164,8 +188,9 @@ def classify_all(F: FieldCtx, n: int,
     Orbit sizes sum to q^(n-1).  Classes are the orbits of ``PolyPermutations``,
     which ``label_orbits`` numbers as it scans the ranks upward: each orbit's
     first rank is its least member, the canonical one, so the classes come
-    out sorted.  For n <= 5 each family-table member costs a canonical form
-    of q(q-1) substitutions, and the budget covers those too.
+    out sorted.  For n <= 5 each family-table member's tag costs a canonical
+    form, q Taylor shifts and a first digit pass of at most q(q-1) products,
+    and the budget charges q(q-1) per member for it.
     """
     q = F.q
     if 1 <= n <= 5:
@@ -302,8 +327,9 @@ def table_families(F: FieldCtx, n: int) -> list[tuple[str, list[Poly]]]:
 
 
 def _table_cost(q: int, n: int) -> int:
-    # The family-table members are one per class, and the canonical form of
-    # each costs q(q-1) substitutions.
+    # The family-table members are one per class, and the first digit pass
+    # of each one's canonical form makes at most q(q-1) products, one per
+    # substitution X -> aX + b.
     return counting.count_polynomial_classes(q, n) * q * (q - 1)
 
 
@@ -318,8 +344,8 @@ def _family_tag_map(families) -> dict[tuple[int, ...], str]:
 def verify_table(F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET) -> bool:
     """Check the degree-n family table against the closed-form class count:
     members must be pairwise inequivalent and exactly exhaust the classes.
-    The budget covers the q(q-1) substitutions of each member's canonical
-    form."""
+    The budget charges q(q-1) per member, the bound on the first digit pass
+    of its canonical form."""
     check_budget(F.q, n, _table_cost(F.q, n), "substitutions", budget)
     families = table_families(F, n)
     return (len(_family_tag_map(families)) == sum(len(m) for _, m in families)

@@ -410,12 +410,14 @@ def make_field(p: int, k: int) -> FieldCtx:
     """Construct (and cache) GF(p**k) with the canonical modulus."""
     if not isinstance(p, int) or not isinstance(k, int):
         raise ValueError("p and k must be integers")
-    if not is_prime(p):
-        raise ValueError("%r is not prime" % (p,))
     if k < 1:
         raise ValueError("extension degree must be at least 1")
-    if p ** k > DEFAULT_SIZE_BOUND:
+    # The bound comes before the trial division of p; 2**k alone passes it
+    # for every k of DEFAULT_SIZE_BOUND's bit length or more.
+    if p > 1 and (k >= DEFAULT_SIZE_BOUND.bit_length() or p ** k > DEFAULT_SIZE_BOUND):
         raise FieldSizeError("GF(%d**%d) exceeds size bound %d" % (p, k, DEFAULT_SIZE_BOUND))
+    if not is_prime(p):
+        raise ValueError("%r is not prime" % (p,))
     F = _FIELD_CACHE.get((p, k))
     if F is None:
         F = _FIELD_CACHE[(p, k)] = FieldCtx(p, k, _least_irreducible(p, k))
@@ -423,7 +425,10 @@ def make_field(p: int, k: int) -> FieldCtx:
 
 
 def field_of_order(q: int) -> FieldCtx:
-    """Construct (and cache) the field with q elements; q must be a prime power."""
+    """Construct (and cache) the field with q elements; q must be a prime power.
+    An order over ``DEFAULT_SIZE_BOUND`` is refused before q is factored."""
+    if isinstance(q, int) and q > DEFAULT_SIZE_BOUND:
+        raise FieldSizeError("GF(%d) exceeds size bound %d" % (q, DEFAULT_SIZE_BOUND))
     p, k = char_and_degree(q)
     return make_field(p, k)
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
+from ffrat.classify import _normalized_raw, left_normalize
 from ffrat.counting import exact_div, is_prime_power
 from ffrat.gf import ExtFieldCtx, FieldCtx, char_roots, check_budget, mult_order
-from ffrat.polyring import Poly, conj_reverse, gcd, monic_polys, self_dual_scalar
+from ffrat.polyring import (Poly, conj_reverse, gcd, monic_polys, self_dual_scalar,
+                            substitute_raw)
 from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, fixed_points,
                           substitution_matrix)
 
@@ -28,6 +30,17 @@ def polys_upto(field: FieldCtx, degree: int) -> Iterator[Poly]:
         for lower in itertools.product(range(field.q), repeat=length - 1):
             for lead in field.units:
                 yield Poly._make(field, lower + (lead,))
+
+
+def canonical_poly_by_substitution(f: Poly) -> Poly:
+    """The reference definition of ``classify.canonical_poly``: the least
+    normalized image of f under all q(q-1) substitutions X -> aX + b,
+    comparing coefficients from the top degree down."""
+    F = f.field
+    base = left_normalize(f).coeffs
+    return Poly._make(F, min((_normalized_raw(F, substitute_raw(F, base, a, b))
+                              for a in F.units for b in F.elements),
+                             key=lambda cand: cand[::-1]))
 
 
 def self_dual_polys(ctx: ExtFieldCtx, degree: int) -> Iterator[Poly]:

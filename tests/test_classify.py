@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -17,7 +18,7 @@ from ffrat.gf import BudgetExceededError, field_of_order
 from ffrat.polyring import Poly, affine_substitute, compose
 from ffrat.ratmap import KeyPermutations, subfield_key
 
-from enumerators import perm_product
+from enumerators import canonical_poly_by_substitution, perm_product
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -92,6 +93,36 @@ def test_canonical_poly_is_class_invariant():
 
 def test_canonical_poly_separates_classes():
     assert canonical_poly(P(F2, 0, 0, 0, 1)) != canonical_poly(P(F2, 0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_canonical_poly_matches_substitution_reference(q):
+    F = field_of_order(q)
+    for n in (1, 2, 3, 4):
+        for f in normalized_polys(F, n):
+            assert canonical_poly(Poly(F, f)) == canonical_poly_by_substitution(Poly(F, f))
+
+
+def test_canonical_poly_of_unnormalized_input_matches_reference():
+    # A lead other than 1 and a nonzero constant term: the left factor's work.
+    for F in (F5, F9):
+        for mid in itertools.product(F.elements, repeat=2):
+            f = Poly(F, (1, *mid, 2))
+            assert canonical_poly(f) == canonical_poly_by_substitution(f)
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_canonical_poly_of_table_members_matches_reference(q):
+    F = field_of_order(q)
+    for _, members in table_families(F, 5):
+        for member in members:
+            assert canonical_poly(member) == canonical_poly_by_substitution(member)
+
+
+def test_canonical_poly_over_a_large_prime_field():
+    # X^2 + 5X + 7 = (X + 518)^2 + 7 - 518^2 over GF(1031): past the
+    # q(q-1) = 1,061,530 full substitutions of the reference.
+    assert canonical_poly(P(field_of_order(1031), 7, 5, 1)) == P(field_of_order(1031), 0, 0, 1)
 
 
 # -- classify_all ---------------------------------------------------------------

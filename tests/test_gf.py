@@ -62,6 +62,22 @@ def test_size_bound_enforced(monkeypatch):
     assert (2, 21) not in gf._FIELD_CACHE
 
 
+def test_size_bound_comes_before_trial_division(monkeypatch):
+    # Refusing a large prime must not first trial-divide it up to its root.
+    def untried(*args):
+        raise AssertionError("q or p was trial-divided")
+
+    monkeypatch.setattr(gf, "is_prime", untried)
+    monkeypatch.setattr(gf, "char_and_degree", untried)
+    with pytest.raises(FieldSizeError, match="GF\\(100000000000031\\) exceeds"):
+        field_of_order(100000000000031)
+    with pytest.raises(FieldSizeError, match="GF\\(100000000000031\\*\\*1\\) exceeds"):
+        make_field(100000000000031, 1)
+    # A huge degree is refused without forming p**k.
+    with pytest.raises(FieldSizeError, match="GF\\(2\\*\\*10{18}\\) exceeds"):
+        make_field(2, 10 ** 18)
+
+
 def test_field_size_error_is_a_budget_refusal_and_a_value_error():
     # Callers that refuse oversize work catch the one BudgetExceededError;
     # callers of make_field that catch bad input still catch it.

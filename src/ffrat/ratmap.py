@@ -25,13 +25,14 @@ walking the canonical bases directly: pairs (P, Q) with P monic of degree n,
 Q monic of degree m < n, gcd(P, Q) = 1 and the X^m coefficient of P zero.
 The coprime pairs come from ``polyring.coprime_flags``, the one coprimality
 sieve, with P's X^m digit pinned to zero, and the walk's order ranks every
-candidate pair by its digits (``polyring.horner_rank``), which
-``KeyPermutations`` uses to index keys and to image them under scalings and
-translations without an echelon form.
+candidate pair by its digits.  ``KeyPermutations`` keeps only the ranks of
+the keys, decodes a key's rows from its rank where they are read, and images
+keys under scalings and translations by digit arithmetic, with no echelon form.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -257,10 +258,12 @@ def fixed_key_counts(F: FieldCtx, n: int, mats: dict,
         for label, blocks in walks.items()}
 
 
-def _rank_offsets(q: int, n: int) -> list[int]:
-    # offsets[m]: the first rank of the degree-n keys whose Q has degree m;
-    # offsets[n] is the number of ranks.
-    return [q ** (n - 1) * (q ** m - 1) // (q - 1) for m in range(n + 1)]
+def _key_rows(q: int, n: int, m: int) -> tuple[list, list]:
+    # The P rows (X^m digit 0) and Q rows of the keys with deg Q = m, in listing order.
+    return ([(1,) + (low[:m] + (0,) + low[m:])[::-1]
+             for low in itertools.product(range(q), repeat=n - 1)],
+            [(0,) * (n - m) + (1,) + low[::-1]
+             for low in itertools.product(range(q), repeat=m)])
 
 
 def enumerate_subfield_keys(F: FieldCtx, n: int,
@@ -274,12 +277,10 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
     check_budget(q, n, q ** (2 * (n - 1)), "keys", budget)
 
     for m in range(n):
-        q_rows = [(0,) * (n - m) + (1,) + q_low[::-1]
-                  for q_low in itertools.product(range(q), repeat=m)]
+        p_rows, q_rows = _key_rows(q, n, m)
         size = len(q_rows)
         flags = coprime_flags(F, n, m, zero_digit=m)
-        for i, p_low in enumerate(itertools.product(range(q), repeat=n - 1)):
-            p_row = (1,) + (p_low[:m] + (0,) + p_low[m:])[::-1]
+        for i, p_row in enumerate(p_rows):
             for q_row in itertools.compress(q_rows, flags[i * size:(i + 1) * size]):
                 yield p_row, q_row
 
@@ -311,8 +312,10 @@ class KeyPermutations:
     and the index permutations that invertible matrices induce.
 
     Every key has a rank, offset[m] + rank(P free digits) * q^m +
-    rank(Q low digits), which orders the keys strictly; a table maps ranks to
-    indices, with -1 for the ranks of keys not listed.
+    rank(Q low digits), which orders the keys strictly.  The engine keeps no
+    key, only each index's rank (a 4-byte int buffer) and a table from ranks
+    to indices (-1 for ranks not listed), about 45 bytes per key; a key's rows
+    are decoded from its rank where they are read.
     ``image_perm`` takes the ``key_image`` of every key.  ``scaling`` and
     ``translation`` are the permutations of D = (g, 0, 0, 1) and
     T = (1, 1, 0, 1); both keep the pivots of a key, so their images are
@@ -328,32 +331,45 @@ class KeyPermutations:
     """
 
     def __init__(self, F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET):
-        self.F, self.n = F, n
-        self.keys = list(enumerate_subfield_keys(F, n, budget))
-        self._offsets = _rank_offsets(F.q, n)
-        self._p_numbers: dict = {}    # r0 -> its digits X^0..X^(n-1) as one number
-        self._q_parts: dict = {}      # r1 -> (rank base, q^(pivot-1), q^m)
-        self._table = [-1] * self._offsets[n]
-        for i, key in enumerate(self.keys):
-            self._table[self.rank(key)] = i
+        self.F, self.n, q = F, n, F.q
+        if n < 1:
+            raise ValueError("degree must be at least 1")
+        check_budget(q, n, q ** (2 * n - 2), "keys", budget)    # before any table
+        # offsets[m]: the first rank of the keys whose Q has degree m.
+        self._offsets = [q ** (n - 1) * (q ** m - 1) // (q - 1) for m in range(n + 1)]
+        self._rows = [_key_rows(q, n, m) for m in range(n)]
+        self._parts: dict = {}      # Q row -> (its rank, {P row: P's share})
+        for offset, (p_rows, q_rows) in zip(self._offsets, self._rows):
+            shares = {r0: offset + i * len(q_rows) for i, r0 in enumerate(p_rows)}
+            self._parts.update((r1, (j, shares)) for j, r1 in enumerate(q_rows))
+        # 4 bytes per key (array.array would load a shared library).
+        ranks = memoryview(bytearray(4 * q ** (2 * n - 2))).cast("i")
+        self._table = table = [-1] * self._offsets[n]
+        # The listing runs through a P row's Q rows together: one share lookup.
+        p_row = p_shares = None
+        for i, (r0, r1) in enumerate(enumerate_subfield_keys(F, n, budget)):
+            j, shares = self._parts[r1]
+            if r0 is not p_row or shares is not p_shares:
+                p_row, p_shares, share = r0, shares, shares[r0]
+            ranks[i] = share + j
+            table[share + j] = i
+        self._ranks = ranks[:i + 1]
+
+    @property
+    def keys(self) -> list[Key]:
+        """The listed keys in index order, decoded from their ranks."""
+        return list(map(self._key, self._ranks))
+
+    def _key(self, rank: int) -> Key:
+        m = bisect.bisect_right(self._offsets, rank) - 1
+        p_rows, q_rows = self._rows[m]
+        i, j = divmod(rank - self._offsets[m], len(q_rows))
+        return p_rows[i], q_rows[j]
 
     def rank(self, key: Key) -> int:
         """The rank of a degree-n key."""
-        r0, r1 = key
-        q, n = self.F.q, self.n
-        part = self._q_parts.get(r1)
-        if part is None:
-            # offset[m] + rank(Q low digits); q^m weighs P's free digits.
-            j1 = r1.index(1)
-            part = self._q_parts[r1] = (
-                self._offsets[n - j1] + horner_rank(q, r1[n:j1:-1]),
-                q ** (j1 - 1), q ** (n - j1))
-        base, low, qm = part
-        number = self._p_numbers.get(r0)
-        if number is None:
-            number = self._p_numbers[r0] = horner_rank(q, r0[n:0:-1])
-        # Drop the zero digit of X^m, which sits at weight q^(j1-1).
-        return base + (number // (low * q) * low + number % low) * qm
+        j, shares = self._parts[key[1]]
+        return shares[key[0]] + j
 
     def key_index(self, key: Key) -> int:
         """The index of a degree-n key, or -1 if the engine does not list it."""
@@ -364,7 +380,7 @@ class KeyPermutations:
         M = substitution_matrix(F, mat, self.n)
         products: dict = {}
         return _closed([table[self.rank(key_image(key, M, F, products))]
-                        for key in self.keys])
+                        for key in map(self._key, self._ranks)])
 
     def _assign(self, perm: list[int], start: int, stop: int, images) -> None:
         # perm[i] = j for each key i ranked in start..stop-1 and its image j.
@@ -378,7 +394,7 @@ class KeyPermutations:
         # row is scaled by g^(i-n) or g^(i-m), and the pivots stay.
         F, n, table = self.F, self.n, self._table
         ginv = F.inv(F.generator)
-        perm = [-1] * len(self.keys)
+        perm = [-1] * len(self._ranks)
         for m in range(n):
             scales = ([F.pow(ginv, n - i) for i in range(n) if i != m]
                       + [F.pow(ginv, m - i) for i in range(m)])
@@ -399,7 +415,7 @@ class KeyPermutations:
         F, q, n, table = self.F, self.F.q, self.n, self._table
         add, mul, neg = F.add, F.mul, F.neg
         block = q ** (n - 1)
-        perm = [-1] * len(self.keys)
+        perm = [-1] * len(self._ranks)
         for m in range(n):
             q_images = [substitute_raw(F, low + (1,), 1, 1)[:m]
                         for low in itertools.product(range(q), repeat=m)]
@@ -427,7 +443,7 @@ class KeyPermutations:
         and the orbit label of every B-orbit under the whole group, both
         numbered in order of first discovery.  Only the first key x of each
         orbit is inverted, together with its q - 1 translates x.D^k.T."""
-        F, keys, table = self.F, self.keys, self._table
+        F, ranks, table = self.F, self._ranks, self._table
         D, T = self.scaling, self.translation
         blabels = label_orbits((D, T))
         glabels = [-1] * (max(blabels) + 1)
@@ -441,7 +457,7 @@ class KeyPermutations:
                 for _ in range(F.q - 1):
                     starts.append(T[j])
                     j = D[j]
-                images = [table[self.rank(key_image(keys[j], M, F, products))]
+                images = [table[self.rank(key_image(self._key(ranks[j]), M, F, products))]
                           for j in starts]
                 for image in _closed(images):
                     glabels[blabels[image]] = orbits

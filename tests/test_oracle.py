@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from ffrat import classify, counting, oracle, ratmap
+from ffrat import classify, counting, gf, oracle, ratmap
 from ffrat.gf import BudgetExceededError, char_roots, field_of_order, make_ext
 from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           burnside_count_rational,
@@ -234,12 +236,32 @@ def test_nonsplit_generator_has_projective_order_q_plus_one(q):
     assert char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c))) == []
 
 
-def test_engine_builds_its_keys_within_the_budget():
+def test_engine_builds_its_keys_within_the_budget(monkeypatch):
     F, n = F4, 3
     assert KeyPermutations(F, n).keys == list(enumerate_subfield_keys(F, n))
     assert len(KeyPermutations(F, n, budget=256).keys) == 256
+    # Refusals come before the row tables are built.
+    monkeypatch.setattr(ratmap, "_key_rows", lambda *args: pytest.fail("rows were built"))
     with pytest.raises(BudgetExceededError, match="keys"):
         KeyPermutations(F, n, budget=255)
+    with pytest.raises(ValueError, match="degree"):
+        KeyPermutations(F, 0)
+
+
+def test_engine_holds_ranks_not_keys():
+    # The engine keeps each key's rank and the rank table, not the keys:
+    # about 50 bytes per key at (5, 4), where a tuple pair per key held 108.
+    # A small engine first, so that one-time loads are not counted.
+    KeyPermutations(F5, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine = KeyPermutations(F5, 4)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 60 * len(engine.keys)
 
 
 def _listing_only(monkeypatch, keys):
@@ -272,6 +294,7 @@ def test_scaling_and_translation_generators_match_key_images(q, n):
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
     keys = engine.keys
+    assert keys == list(enumerate_subfield_keys(F, n))
     ranks = [engine.rank(key) for key in keys]
     assert ranks == sorted(set(ranks))
     assert all(engine.key_index(key) == i for i, key in enumerate(keys))
@@ -422,6 +445,24 @@ def test_fix_formulas_refuses_an_oversize_extension_before_walking(monkeypatch):
     assert report.checks == []
     assert report.skipped_cells == [SkippedCell(
         1031, 1, "fix-formulas", "GF(1031**2) exceeds size bound 1048576")]
+
+
+def test_verify_grid_tests_the_size_bound_before_factoring_q(monkeypatch):
+    # A q over the field-size bound is not trial-divided: each of its cells
+    # is skipped, with a budget or size reason, whether or not q is a prime
+    # power (6,291,456 = 3 * 2^21 is not).
+    def untried(*args):
+        raise AssertionError("q was trial-divided")
+
+    monkeypatch.setattr(gf, "char_and_degree", untried)
+    monkeypatch.setattr(counting, "char_and_degree", untried)
+    report = verify_grid([100000000000031, 6291456], [1])
+    assert report.checks == []
+    assert [(c.q, c.kind) for c in report.skipped_cells] == [
+        (q, kind) for q in (100000000000031, 6291456) for kind in VERIFY_KINDS]
+    assert [c.reason for c in report.skipped_cells if c.kind in ("frakN", "frakM")] == [
+        "GF(%d) exceeds size bound 1048576" % q
+        for q in (100000000000031, 6291456) for _ in range(2)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -122,22 +122,32 @@ class FieldCtx:
         self.q = q = p ** k
         self.modulus = tuple(modulus)
 
-        self._digit_cache = self.exp_table = self.log_table = None
-        self.neg_table = self.inv_table = None
+        self._digit_cache: list[tuple[int, ...]] | None = None
         if q <= _LOG_LIMIT:
             self._digit_cache = [self._digits_of(e) for e in range(q)]
+
         self.generator = self._find_generator()
+
+        self.exp_table: list[int] | None = None
+        self.log_table: list[int] | None = None
         if q <= _LOG_LIMIT:
-            exp, log, qm1 = [0] * (q - 1), [0] * q, q - 1
+            exp = [0] * (q - 1)
+            log = [0] * q
             v = 1
-            for i in range(qm1):
+            for i in range(q - 1):
                 exp[i] = v
                 log[v] = i
                 v = self._raw_mul(v, self.generator)
             if v != 1:
                 raise AssertionError("generator order mismatch")
-            self.exp_table, self.log_table = exp, log
+            self.exp_table = exp
+            self.log_table = log
+
+        self.neg_table: list[int] | None = None
+        self.inv_table: list[int] | None = None
+        if q <= _LOG_LIMIT:
             self.neg_table = [self._neg_digitwise(e) for e in range(q)]
+            qm1 = q - 1
             self.inv_table = [0] + [exp[(qm1 - log[a]) % qm1] for a in range(1, q)]
 
         # Bind add/mul to the fastest implementation available.
@@ -150,12 +160,14 @@ class FieldCtx:
             self.add = self._add_digitwise
 
         if q <= _TABLE_LIMIT:
+            exp, log, qm1 = self.exp_table, self.log_table, q - 1
             mrows = [[0] * q]
             for a in range(1, q):
                 la = log[a]
                 mrows.append([0] + [exp[(la + log[b]) % qm1] for b in range(1, q)])
             self.mul = lambda a, b: mrows[a][b]
         elif q <= _LOG_LIMIT:
+            exp, log, qm1 = self.exp_table, self.log_table, q - 1
             self.mul = lambda a, b: exp[(log[a] + log[b]) % qm1] if a and b else 0
         else:
             self.mul = self._raw_mul
@@ -304,50 +316,30 @@ def row_echelon(F: FieldCtx, rows) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form of linearly independent rows, ordered by
     pivot; raises ValueError for dependent rows, zero rows among them."""
     add, mul, neg = F.add, F.mul, F.neg
-    if len(rows) == 2:
-        # Every key image and plane: the row with the first pivot leads.
-        v, w = rows
-        for j, x in enumerate(v):
-            if x or w[j]:
-                break
-        else:
-            raise ValueError("rows are linearly dependent")
-        if not x:
-            v, w = w, v
-        for _ in range(2):
-            for j, x in enumerate(v):
-                if x:
-                    break
-            else:
-                raise ValueError("rows are linearly dependent")
-            if x != 1:
-                c = F.inv(x)
-                v = [mul(c, y) for y in v]
-            if w[j]:
-                c = neg(w[j])
-                w = [add(x, mul(c, y)) if y else x for x, y in zip(w, v)]
-            v, w = w, v
-        return tuple(v), tuple(w)
-    done: dict[int, list] = {}     # pivot -> row
+    done: list[list] = []     # [pivot, row]
     for v in rows:
-        for j, r in done.items():
+        for j, r in done:
             if v[j]:
                 c = neg(v[j])
                 v = [add(x, mul(c, y)) if y else x for x, y in zip(v, r)]
-        for j, x in enumerate(v):
+        j = 0
+        for x in v:
             if x:
                 break
+            j += 1
         else:
             raise ValueError("rows are linearly dependent")
         if x != 1:
             c = F.inv(x)
             v = [mul(c, y) for y in v]
-        for i, r in done.items():
+        for pair in done:
+            r = pair[1]
             if r[j]:
                 c = neg(r[j])
-                done[i] = [add(y, mul(c, z)) if z else y for y, z in zip(r, v)]
-        done[j] = v
-    return tuple(tuple(done[j]) for j in sorted(done))
+                pair[1] = [add(y, mul(c, z)) if z else y for y, z in zip(r, v)]
+        done.append([j, v])
+    done.sort()
+    return tuple([tuple(r) for _, r in done])
 
 
 def row_times(F: FieldCtx, row, M) -> list[int]:
@@ -393,8 +385,9 @@ class ExtFieldCtx:
 
     ``embed_table`` carries base elements into the extension (the base
     generator is mapped to the least-index root of the base modulus), and
-    ``frob_table`` is x -> x**q on the extension.  Fixed points of
-    ``frob_table`` are exactly the embedded base field.
+    ``frob_table`` is x -> x**q on the extension, computed by k-fold p-th
+    powering.  Fixed points of ``frob_table`` are exactly the embedded base
+    field.
     """
 
     def __init__(self, base: FieldCtx, ext: FieldCtx,
@@ -431,10 +424,16 @@ def make_field(p: int, k: int) -> FieldCtx:
     return F
 
 
+def over_size_bound(q) -> bool:
+    """Whether q is an order over ``DEFAULT_SIZE_BOUND``, refused before q is
+    factored, prime power or not."""
+    return isinstance(q, int) and q > DEFAULT_SIZE_BOUND
+
+
 def field_of_order(q: int) -> FieldCtx:
     """Construct (and cache) the field with q elements; q must be a prime power.
     An order over ``DEFAULT_SIZE_BOUND`` is refused before q is factored."""
-    if isinstance(q, int) and q > DEFAULT_SIZE_BOUND:
+    if over_size_bound(q):
         raise FieldSizeError("GF(%d) exceeds size bound %d" % (q, DEFAULT_SIZE_BOUND))
     p, k = char_and_degree(q)
     return make_field(p, k)
@@ -447,15 +446,31 @@ def make_ext(F: FieldCtx) -> ExtFieldCtx:
         return cached
     ext = make_field(F.p, 2 * F.k)
 
-    def at(coeffs, x: int) -> int:      # a prime-field polynomial at x, by Horner
+    root = None
+    for x in ext.elements:
         acc = 0
-        for c in reversed(coeffs):
+        for c in reversed(F.modulus):
             acc = ext.add(ext.mul(acc, x), c)
-        return acc
-
-    root = next((x for x in ext.elements if at(F.modulus, x) == 0), None)
+        if acc == 0:
+            root = x
+            break
     if root is None:
         raise AssertionError("modulus of %r has no root in %r" % (F, ext))
-    embed = tuple(at(F.element_coeffs(a), root) for a in F.elements)
-    F._ext_ctx = ExtFieldCtx(F, ext, embed, tuple(ext.pow(x, F.q) for x in ext.elements))
-    return F._ext_ctx
+
+    embed = []
+    for a in F.elements:
+        acc = 0
+        for c in reversed(F.element_coeffs(a)):
+            acc = ext.add(ext.mul(acc, root), c)
+        embed.append(acc)
+
+    frob = []
+    for x in ext.elements:
+        y = x
+        for _ in range(F.k):
+            y = ext.pow(y, F.p)
+        frob.append(y)
+
+    ctx = ExtFieldCtx(F, ext, tuple(embed), tuple(frob))
+    F._ext_ctx = ctx
+    return ctx

@@ -40,8 +40,9 @@ import time
 from typing import Iterator, NamedTuple
 
 from ffrat import classify, counting
-from ffrat.gf import (DEFAULT_SIZE_BOUND, BudgetExceededError, ExtFieldCtx, FieldCtx,
-                      char_roots, check_budget, field_of_order, make_ext, mult_order)
+from ffrat.gf import (BudgetExceededError, ExtFieldCtx, FieldCtx, char_roots,
+                      check_budget, field_of_order, make_ext, mult_order,
+                      over_size_bound)
 from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd,
                             horner_rank, monic_polys)
 from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, cycle_lengths,
@@ -477,10 +478,16 @@ def _cell_appendix(q: int, budget: int) -> list[CheckResult]:
 
 def _run_cell(task) -> tuple[list[CheckResult], SkippedCell | None]:
     q, n, kind, budget = task
-    cells = {"fix-formulas": _cell_fix_formulas, "frakN": _cell_frak_n, "frakM": _cell_frak_m,
-             "appendix-lemmas": lambda q, n, budget: _cell_appendix(q, budget)}
     try:
-        return cells[kind](q, n, budget), None
+        if kind == "fix-formulas":
+            return _cell_fix_formulas(q, n, budget), None
+        if kind == "frakN":
+            return _cell_frak_n(q, n, budget), None
+        if kind == "frakM":
+            return _cell_frak_m(q, n, budget), None
+        if kind == "appendix-lemmas":
+            return _cell_appendix(q, budget), None
+        raise ValueError("unknown verification kind %r" % kind)
     except BudgetExceededError as exc:
         return [], SkippedCell(q, n, kind, str(exc))
 
@@ -500,8 +507,7 @@ def verify_grid(q_list, n_list, kinds=VERIFY_KINDS,
             raise ValueError("unknown verification kind %r" % kind)
     tasks = []
     for q in q_list:
-        # Not factored over the size bound, which skips every cell of q.
-        if not (isinstance(q, int) and q > DEFAULT_SIZE_BOUND):
+        if not over_size_bound(q):      # else every cell of q is skipped
             counting.char_and_degree(q)
         for kind in kinds:
             if kind == "appendix-lemmas":

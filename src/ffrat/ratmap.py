@@ -241,7 +241,7 @@ def fixed_key_counts(F: FieldCtx, n: int, mats: dict,
     of m = deg Q that ``enumerate_subfield_keys`` walks.  The budget is
     charged with the q^(2n-2) keys and with the row pairs of every walk."""
     q = F.q
-    check_budget(q, n, q ** (2 * n - 2), "keys", budget)
+    _check_keys(q, n, budget)
     walks = {label: invariant_planes(F, n, mat) for label, mat in mats.items()}
     check_budget(q, n, sum(q ** len(free) for blocks in walks.values()
                            for _, free in blocks),
@@ -258,6 +258,13 @@ def fixed_key_counts(F: FieldCtx, n: int, mats: dict,
         for label, blocks in walks.items()}
 
 
+def _check_keys(q: int, n: int, budget: int) -> None:
+    # The refusals of work on all q^(2n-2) degree-n keys.
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    check_budget(q, n, q ** (2 * n - 2), "keys", budget)
+
+
 def _key_rows(q: int, n: int, m: int) -> tuple[list, list]:
     # The P rows (X^m digit 0) and Q rows of the keys with deg Q = m, in listing order.
     return ([(1,) + (low[:m] + (0,) + low[m:])[::-1]
@@ -271,11 +278,8 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
     """All q^(2(n-1)) subfield keys of degree n, in deterministic order: by
     the degree m of Q, then the free digits of P, then the low digits of Q,
     each in ``itertools.product`` order from the constant term up."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     q = F.q
-    check_budget(q, n, q ** (2 * (n - 1)), "keys", budget)
-
+    _check_keys(q, n, budget)
     for m in range(n):
         p_rows, q_rows = _key_rows(q, n, m)
         size = len(q_rows)
@@ -332,9 +336,7 @@ class KeyPermutations:
 
     def __init__(self, F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET):
         self.F, self.n, q = F, n, F.q
-        if n < 1:
-            raise ValueError("degree must be at least 1")
-        check_budget(q, n, q ** (2 * n - 2), "keys", budget)    # before any table
+        _check_keys(q, n, budget)     # the listing checks only at its first key
         # offsets[m]: the first rank of the keys whose Q has degree m.
         self._offsets = [q ** (n - 1) * (q ** m - 1) // (q - 1) for m in range(n + 1)]
         self._rows = [_key_rows(q, n, m) for m in range(n)]

@@ -434,7 +434,7 @@ def field_of_order(q: int) -> FieldCtx:
     """Construct (and cache) the field with q elements; q must be a prime power.
     An order over ``DEFAULT_SIZE_BOUND`` is refused before q is factored."""
     if over_size_bound(q):
-        raise FieldSizeError("GF(%d) exceeds size bound %d" % (q, DEFAULT_SIZE_BOUND))
+        raise FieldSizeError("order %d exceeds size bound %d" % (q, DEFAULT_SIZE_BOUND))
     p, k = char_and_degree(q)
     return make_field(p, k)
 

@@ -209,7 +209,8 @@ def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
     blabels, glabels = key_engine.bruhat_labels()
     one = (0,) * n + (1,)
     pairs = {(affine, glabels[blabels[key_engine.key_index((f[::-1], one))]])
-             for f, affine in zip(poly_engine.polys, label_orbits(poly_engine.generators))}
+             for f, affine in zip(classify.normalized_polys(F, n),
+                                  label_orbits(poly_engine.generators))}
     return len(pairs) == len({a for a, _ in pairs}) == len({k for _, k in pairs})
 
 

@@ -8,13 +8,14 @@ from collections import Counter
 
 import pytest
 
-from ffrat import counting
+from ffrat import classify, counting
 from ffrat.classify import (PolyClassRep, PolyPermutations, _normalized_raw,
-                            _poly_of_rank, _substitute_raw, canonical_poly,
+                            _substitute_raw, canonical_poly,
                             classify_all, coset_representatives, degree2_rational_reps,
                             least_nonsquare, left_normalize, normalized_polys,
                             table_families, verify_table)
 from ffrat.gf import BudgetExceededError, field_of_order
+from ffrat.oracle import orbit_count_poly
 from ffrat.polyring import Poly, affine_substitute, compose
 from ffrat.ratmap import KeyPermutations, subfield_key
 
@@ -62,8 +63,9 @@ def test_normalized_polys_counts():
             assert tup[0] == 0 and tup[-1] == 1 and len(tup) == n + 1
         # Rank order: the order canonical_poly compares in, from the top down.
         assert polys == sorted(polys, key=lambda cs: cs[::-1])
-        assert all(_poly_of_rank(q, n, r) == f for r, f in enumerate(polys))
-        assert PolyPermutations(F, n).polys == polys
+        # The i-th has the digits of i, read base q with c_{n-1} most significant.
+        assert [sum(c * q ** (k - 1) for k, c in enumerate(f[1:n], 1))
+                for f in polys] == list(range(q ** (n - 1)))
     with pytest.raises(ValueError):
         normalized_polys(F2, 0)
 
@@ -170,17 +172,24 @@ def test_classify_all_has_no_tags_past_degree_five():
 
 
 def test_classify_all_budget_and_validation():
-    with pytest.raises(BudgetExceededError):
-        classify_all(F5, 6, budget=100)
+    # The walk's levels at (5, 6), q steps per node plus its stabilizer's
+    # length (q for all of B): 10 for the root, 9, 23 over 3 nodes, 53 over
+    # 8 and 265 over 40, 360 in all.
+    with pytest.raises(BudgetExceededError, match="360 walk steps, budget is 359"):
+        classify_all(F5, 6, budget=359)
+    assert len(classify_all(F5, 6, budget=360)) == counting.count_polynomial_classes(5, 6)
     with pytest.raises(ValueError):
         classify_all(F5, 0)
 
 
 def test_classify_all_budget_covers_family_canonical_forms():
-    # 125 polynomials, then 8 family members at q(q-1) = 20 substitutions each.
+    # 8 family members at q(q-1) = 20 substitutions each, charged first, then
+    # the walk's levels: 10 for the root, 9 for X^4, 23 for its 3 children.
+    with pytest.raises(BudgetExceededError, match="needs 160 substitutions, budget is 159"):
+        classify_all(F5, 4, budget=159)
     with pytest.raises(BudgetExceededError):
-        classify_all(F5, 4, budget=284)
-    assert len(classify_all(F5, 4, budget=285)) == 8
+        classify_all(F5, 4, budget=201)
+    assert len(classify_all(F5, 4, budget=202)) == 8
 
 
 # -- polynomial permutation engine ------------------------------------------------
@@ -192,7 +201,7 @@ def test_poly_permutations_match_scalar_substitution(q):
     F = field_of_order(q)
     for n in range(1, 5):
         engine = PolyPermutations(F, n)
-        polys = engine.polys
+        polys = normalized_polys(F, n)
         for a in F.units:
             for b in F.elements:
                 aX_b = Poly(F, (b, a))
@@ -229,7 +238,7 @@ def test_poly_image_perm_work_is_bounded_by_the_points(monkeypatch):
     perm = engine.image_perm(3, 5)
     assert len(calls) < 4 * F.q
     monkeypatch.undo()
-    polys = engine.polys
+    polys = normalized_polys(F, 2)
     assert [polys[i] for i in perm] == [_normalized_raw(F, _substitute_raw(F, f, 3, 5))
                                         for f in polys]
 
@@ -240,18 +249,58 @@ def test_poly_scaling_generator_matches_substitution(q, n):
     # Both generators against the scalar substitution, polynomial by polynomial.
     F = field_of_order(q)
     engine = PolyPermutations(F, n)
-    polys = engine.polys
+    polys = normalized_polys(F, n)
     index = {f: i for i, f in enumerate(polys)}
     for perm, (a, b) in zip(engine.generators, [(F.generator, 0), (1, 1)]):
         assert perm == [index[_normalized_raw(F, _substitute_raw(F, f, a, b))]
                         for f in polys]
 
 
+# Cells where a stabilizer stays all of B for more than one level.
+WHOLE_B_CELLS = [(2, 4), (4, 4), (2, 8), (3, 6), (8, 4)]
+
+
+@pytest.mark.parametrize("q,n", WHOLE_B_CELLS)
+def test_classify_all_matches_grouping_by_substitution(q, n):
+    # Against the q(q-1) substitutions that define the canonical form.
+    F = field_of_order(q)
+    sizes = Counter(canonical_poly_by_substitution(Poly(F, f)).coeffs
+                    for f in normalized_polys(F, n))
+    reps = classify_all(F, n)
+    assert [(r.canon.coeffs, r.orbit_size) for r in reps] == sorted(
+        sizes.items(), key=lambda item: item[0][::-1])
+
+
+@pytest.mark.parametrize("q,n", WHOLE_B_CELLS)
+def test_classify_all_matches_the_orbit_search(q, n):
+    F = field_of_order(q)
+    assert len(classify_all(F, n)) == orbit_count_poly(F, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classify_walk_work_is_bounded_by_q(monkeypatch, n):
+    # At GF(1031) the walk makes about 2q products at n = 2 and 4.5q at
+    # n = 3; listing all of B would take q(q-1) = 1,061,530.
+    F = field_of_order(1031)
+    monkeypatch.setattr(classify, "table_families", lambda F, n: [])
+    mul, calls = F.mul, []
+
+    def counted(x, y):
+        calls.append(None)
+        return mul(x, y)
+
+    monkeypatch.setattr(F, "mul", counted)
+    reps = classify_all(F, n)
+    assert len(calls) < 6 * F.q
+    assert len(reps) == counting.count_polynomial_classes(F.q, n)
+    assert sum(r.orbit_size for r in reps) == F.q ** (n - 1)
+
+
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (5, 4), (7, 3),
                                  (8, 3), (8, 4), (9, 3)])
 def test_classify_all_matches_grouping_by_canonical_poly(q, n):
-    # The canonical member read off the orbit search against the scalar
-    # canonical form of every normalized polynomial.
+    # The canonical member read off the walk against the canonical form of
+    # every normalized polynomial.
     F = field_of_order(q)
     sizes = Counter(canonical_poly(Poly(F, f)).coeffs for f in normalized_polys(F, n))
     reps = classify_all(F, n)

@@ -575,10 +575,13 @@ def test_classify_rational_degree_three_is_out_of_scope(capsys):
 def test_classify_rejects_bad_input(capsys):
     assert run_cli(capsys, "classify", "--q", "6", "--n", "2")[0] == EXIT_USAGE
     assert run_cli(capsys, "classify", "--q", "2", "--n", "0")[0] == EXIT_USAGE
-    code, _, _ = run_cli(capsys, "classify", "--kind", "poly", "--q", "5",
-                         "--n", "6", "--budget", "100")
+    # The walk at (5, 6) takes 360 steps.
+    code, _, err = run_cli(capsys, "classify", "--kind", "poly", "--q", "5",
+                           "--n", "6", "--budget", "359")
     assert code == EXIT_BUDGET
-    # 4096 polynomials pass the budget, the family tags' canonical forms do not.
+    assert "needs 360 walk steps" in err
+    assert run_cli(capsys, "classify", "--q", "5", "--n", "6", "--budget", "360")[0] == EXIT_OK
+    # The family tags' canonical forms are refused before the walk starts.
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "classify", "--q", "4096", "--n", "2")
     assert code == EXIT_BUDGET

@@ -274,10 +274,7 @@ def least_nonsquare(F: FieldCtx) -> int:
     if F.q % 2 == 0:
         raise ValueError("every element of an even-order field is a square")
     squares = {F.mul(u, u) for u in F.units}
-    for u in F.units:
-        if u not in squares:
-            return u
-    raise AssertionError("no nonsquare found")
+    return next(u for u in F.units if u not in squares)
 
 
 # The family rows, each named by its coefficients of X^n down to X^1: a digit,

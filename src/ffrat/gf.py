@@ -156,6 +156,8 @@ class FieldCtx:
         elif q <= _TABLE_LIMIT:
             rows = [[self._add_digitwise(a, b) for b in range(q)] for a in range(q)]
             self.add = lambda a, b: rows[a][b]
+        elif k == 1:
+            self.add = lambda a, b: (a + b) % p
         else:
             self.add = self._add_digitwise
 
@@ -361,10 +363,10 @@ def left_kernel(F: FieldCtx, M, coeffs) -> list[tuple[int, ...]]:
     # their I part is a kernel vector.
     add, mul, w = F.add, F.mul, len(M)
     unit = [tuple(int(i == j) for j in range(w)) for i in range(w)]
-    P, power = [[0] * w for _ in M], unit
-    for c in coeffs:
+    P = [[0] * w for _ in M]
+    for i, c in enumerate(coeffs):     # no power of M past the last coefficient
+        power = [row_times(F, r, M) for r in power] if i else unit
         P = [[add(x, mul(c, y)) for x, y in zip(r, u)] for r, u in zip(P, power)]
-        power = [row_times(F, r, M) for r in power]
     rows = row_echelon(F, [tuple(r) + u for r, u in zip(P, unit)])
     return [r[w:] for r in rows if not any(r[:w])]
 

@@ -471,21 +471,6 @@ def fixed_points(perm: list[int]) -> int:
     return sum(map(operator.eq, perm, range(len(perm))))
 
 
-def cycle_lengths(perm: list[int]) -> dict[int, int]:
-    """How many cycles of each length the permutation has."""
-    seen = bytearray(len(perm))
-    counts: dict[int, int] = {}
-    for start in range(len(perm)):
-        if not seen[start]:
-            length, i = 0, start
-            while not seen[i]:
-                seen[i] = 1
-                i = perm[i]
-                length += 1
-            counts[length] = counts.get(length, 0) + 1
-    return counts
-
-
 def label_orbits(generators: tuple[list[int], ...]) -> list[int]:
     """Orbit index of every point under the group that the index
     permutations ``generators`` generate, numbered in order of first

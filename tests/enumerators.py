@@ -23,6 +23,21 @@ def perm_product(first: list[int], then: list[int]) -> list[int]:
     return list(map(then.__getitem__, first))
 
 
+def cycle_lengths(perm: list[int]) -> dict[int, int]:
+    """How many cycles of each length the permutation has."""
+    seen = bytearray(len(perm))
+    counts: dict[int, int] = {}
+    for start in range(len(perm)):
+        if not seen[start]:
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = 1
+                i = perm[i]
+                length += 1
+            counts[length] = counts.get(length, 0) + 1
+    return counts
+
+
 def polys_upto(field: FieldCtx, degree: int) -> Iterator[Poly]:
     """All polynomials of degree <= degree, including zero."""
     yield Poly.zero(field)

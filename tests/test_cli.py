@@ -426,6 +426,21 @@ def test_verify_strict_names_the_first_skipped_cell(capsys):
 
 
 @pytest.mark.parametrize("strict", [False, True])
+def test_verify_frak_m_names_the_refused_orbit_check(capsys, strict):
+    code, out, err = run_cli(capsys, "verify", "--q", "16", "--n", "7", "--kinds",
+                             "frakM", *(["--strict"] if strict else []))
+    report = json.loads(out)
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("frakM/burnside", True)]
+    reason = "frakM/orbit: q=16 n=7 needs 16777216 polynomials, budget is 10000000"
+    assert report["skipped_cells"] == [{"q": 16, "n": 7, "kind": "frakM", "reason": reason}]
+    if strict:
+        assert code == EXIT_BUDGET
+        assert err == "error: 1 cells skipped, the first frakM at q=16 n=7: %s\n" % reason
+    else:
+        assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("strict", [False, True])
 def test_verify_skips_a_field_over_the_size_bound(capsys, tmp_path, strict):
     # GF(1031^2) is over the size bound: q = 1031's appendix cell is skipped
     # like a budget cell, and the old report is replaced by the full one.

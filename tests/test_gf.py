@@ -120,9 +120,10 @@ def test_field_axioms_exhaustive(q):
 
 @pytest.mark.parametrize("q", [729, 1031, 65537, 66049])
 def test_field_axioms_sampled_past_the_full_tables(q):
-    # Digitwise addition with log-table multiplication (729, 1031), and with
-    # direct polynomial reduction (65537, 66049): tiers too large for the
-    # exhaustive test, checked on seeded samples against the raw arithmetic.
+    # Log-table multiplication (729, 1031) and direct polynomial reduction
+    # (65537, 66049), with digitwise addition (729, 66049) or addition mod p
+    # (1031, 65537): tiers too large for the exhaustive test, checked on
+    # seeded samples against the raw arithmetic.
     F = field_of_order(q)
     rng = random.Random(q)
     for _ in range(30):
@@ -141,6 +142,16 @@ def test_field_axioms_sampled_past_the_full_tables(q):
             assert F.pow(a, e) == F._pow_raw(a, e % (q - 1))
             assert F.mul(F.pow(a, e), a) == F.pow(a, e + 1)
     assert mult_order(F, F.generator) == q - 1
+
+
+def test_prime_field_add_past_the_tables_is_digitwise_addition():
+    # Past the q x q tables an odd prime field adds mod p, not digit by digit.
+    F = field_of_order(1031)
+    assert F.add != F._add_digitwise
+    rng = random.Random(1031)
+    pairs = [(0, 0), (1030, 1), (1030, 1030)] + [
+        (rng.randrange(1031), rng.randrange(1031)) for _ in range(500)]
+    assert [F.add(a, b) for a, b in pairs] == [F._add_digitwise(a, b) for a, b in pairs]
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)

@@ -22,13 +22,12 @@ from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           expected_fix, orbit_count_poly, orbit_count_rational,
                           poly_equivalence_partitions_agree, verify_grid)
 from ffrat.polyring import Poly, gcd
-from ffrat.ratmap import (KeyPermutations, cycle_lengths,
-                          enumerate_subfield_keys, fixed_key_counts,
-                          fixed_points, invariant_planes, key_image,
-                          label_orbits, normalize, subfield_key,
+from ffrat.ratmap import (KeyPermutations, enumerate_subfield_keys,
+                          fixed_key_counts, fixed_points, invariant_planes,
+                          key_image, label_orbits, normalize, subfield_key,
                           substitution_matrix)
 
-from enumerators import (burnside_count_rational_fullgroup,
+from enumerators import (burnside_count_rational_fullgroup, cycle_lengths,
                          irreducible_quadratics, perm_product,
                          projective_order, reversal_coprime_by_gcd,
                          self_dual_polys, twist_order_by_root_search)
@@ -465,6 +464,29 @@ def test_verify_grid_tests_the_size_bound_before_factoring_q(monkeypatch):
         for q in (100000000000031, 6291456) for _ in range(2)]
 
 
+def test_frak_m_runs_burnside_where_the_listing_is_refused():
+    # (16, 7) has 16^6 normalized polynomials, over the default budget; the
+    # Burnside sum lists none and still runs, and the cell names the orbit
+    # check as the one left out.
+    report = verify_grid([16], [7], kinds=("frakM",))
+    assert [(c.name, c.passed) for c in report.checks] == [("frakM/burnside", True)]
+    assert report.skipped_cells == [SkippedCell(
+        16, 7, "frakM", "frakM/orbit: q=16 n=7 needs 16777216 polynomials, "
+                        "budget is 10000000")]
+    # Below n = 6 the low-degree table runs beside it.  At (5, 5) the
+    # listing needs 625 polynomials, and the Burnside sum 3 * 5^3 = 375
+    # elimination steps; a budget below both skips the whole cell.
+    report = verify_grid([5], [5], kinds=("frakM",), budget=375)
+    assert [c.name for c in report.checks] == ["frakM/burnside", "frakM/lowdeg"]
+    assert report.failed == 0
+    assert [c.reason for c in report.skipped_cells] == [
+        "frakM/orbit: q=5 n=5 needs 625 polynomials, budget is 375"]
+    report = verify_grid([5], [5], kinds=("frakM",), budget=374)
+    assert report.checks == []
+    assert [c.reason for c in report.skipped_cells] == [
+        "q=5 n=5 needs 375 elimination steps, budget is 374"]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_cell_over_the_field_bound_is_skipped_and_the_grid_runs_on(jobs):
     # GF(1031^2) is over the size bound, so q = 1031's appendix cell is
@@ -570,6 +592,39 @@ def test_scaling_fixed_points_from_cycle_lengths_match_composed_powers(q, n):
     assert total % (q * (q - 1)) == 0
     # Where p < q, (q - 1)/(p - 1) translation subgroups hold the q - 1 translations.
     assert burnside_count_poly(F, n) == counting.count_polynomial_classes(q, n)
+
+
+@pytest.mark.parametrize("q,n", [(16, 7), (16, 8), (2, 20), (1031, 8)])
+def test_burnside_count_poly_lists_no_polynomial(monkeypatch, q, n):
+    # Cells the listing refuses: the fixed subspaces list nothing.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the polynomials were listed")
+
+    monkeypatch.setattr(classify, "PolyPermutations", refuse)
+    F = field_of_order(q)
+    assert burnside_count_poly(F, n) == counting.count_polynomial_classes(q, n)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 28) if counting.is_prime_power(q)])
+def test_affine_fixed_counts_are_the_lemmas(q):
+    # One scaling of each order d > 1 dividing q - 1, and X -> X + 1.
+    F = field_of_order(q)
+    for n in range(1, 9):
+        for d in counting.divisors(q - 1)[1:]:
+            a = F.pow(F.generator, (q - 1) // d)
+            assert oracle._affine_fixed(F, n, a, 0) == counting.fix_affine_scale(q, n, d), (n, d)
+        assert oracle._affine_fixed(F, n, 1, 1) == counting.fix_affine_translate(q, n), n
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (4, 3), (5, 3)])
+def test_affine_fixed_counts_match_the_listing(q, n):
+    # Every affine map, the mixed aX + b included, against the fixed points
+    # of its permutation of the normalized polynomials.
+    F = field_of_order(q)
+    engine = classify.PolyPermutations(F, n)
+    for a in F.units:
+        for b in F.elements:
+            assert oracle._affine_fixed(F, n, a, b) == fixed_points(engine.image_perm(a, b)), (a, b)
 
 
 def test_orbit_count_poly_budget():

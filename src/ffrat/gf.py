@@ -24,7 +24,8 @@ matrix, and ``span_sums`` walks a coset of a span.
 
 Multiplication runs on log/antilog tables relative to ``generator`` whenever
 q <= 2**16, with full q x q lookup tables layered on top for very small
-fields; larger fields fall back to direct polynomial reduction.  Fields above
+fields; larger prime fields multiply and raise to powers mod p, and larger
+extension fields fall back to direct polynomial reduction.  Fields above
 ``DEFAULT_SIZE_BOUND`` (2**20) elements are refused at construction with
 ``FieldSizeError``; like every refusal of oversize work, it is a
 ``BudgetExceededError`` (``check_budget`` raises the others).
@@ -171,6 +172,8 @@ class FieldCtx:
         elif q <= _LOG_LIMIT:
             exp, log, qm1 = self.exp_table, self.log_table, q - 1
             self.mul = lambda a, b: exp[(log[a] + log[b]) % qm1] if a and b else 0
+        elif k == 1:
+            self.mul = lambda a, b: a * b % p
         else:
             self.mul = self._raw_mul
 
@@ -238,6 +241,8 @@ class FieldCtx:
         return e
 
     def _pow_raw(self, a: int, e: int) -> int:
+        if self.k == 1:
+            return pow(a, e, self.p)
         r = 1
         while e:
             if e & 1:

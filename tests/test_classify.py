@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -113,12 +114,71 @@ def test_canonical_poly_of_unnormalized_input_matches_reference():
             assert canonical_poly(f) == canonical_poly_by_substitution(f)
 
 
-@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_canonical_poly_of_table_members_matches_reference(q):
     F = field_of_order(q)
     for _, members in table_families(F, 5):
         for member in members:
             assert canonical_poly(member) == canonical_poly_by_substitution(member)
+
+
+def test_canonical_poly_of_quartic_table_members_over_gf16_matches_reference():
+    # q = 16 = 1 mod 3: a level below the top with all scalings live keeps
+    # the d = gcd(3, 15) = 3 cube roots of unity.
+    F = field_of_order(16)
+    for _, members in table_families(F, 4):
+        for member in members:
+            assert canonical_poly(member) == canonical_poly_by_substitution(member)
+
+
+@pytest.mark.parametrize("q,n,top", [(5, 5, (0,)), (3, 6, (0, 1, 2))])
+def test_canonical_poly_where_p_divides_n_matches_reference(q, n, top):
+    # p | n: the top digit c_{n-1} is the same for every b, so all q shifts
+    # stay candidates below it: with all scalings live where c_{n-1} = 0,
+    # which at (5, 5) leads to the q - 1 products, or with one scaling each.
+    F = field_of_order(q)
+    for f in normalized_polys(F, n):
+        if f[n - 1] in top:
+            assert canonical_poly(Poly(F, f)) == canonical_poly_by_substitution(Poly(F, f))
+
+
+def test_canonical_poly_past_degree_five_matches_reference():
+    # At (5, 6) a level with all scalings live keeps the two square roots,
+    # the next one tells them apart, and the last one, n - k = 5, would
+    # tell them apart again: a scaling dropped early must stay dropped.
+    rng = random.Random(56)
+    for _ in range(80):
+        f = Poly(F5, [0] + [rng.randrange(5) for _ in range(5)] + [1])
+        assert canonical_poly(f) == canonical_poly_by_substitution(f)
+
+
+def test_canonical_poly_over_gf4093_quadratics_is_x_squared():
+    # Over an odd field 3X^2 + cX + e = 3(X + c/6)^2 + ..., and X^2, the
+    # least normalized quadratic, is the reference's minimum once one
+    # substitution reaches it: the reference would make q(q-1) = 16.7 million.
+    F = field_of_order(4093)
+    for c in (0, 1, 2, 4092, 1234):
+        f = P(F, 17, c, 3)
+        image = _normalized_raw(F, _substitute_raw(F, f.coeffs, 1, F.neg(F.div(c, 6))))
+        assert canonical_poly(f) == Poly(F, image) == P(F, 0, 0, 1)
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 5), (4, 5), (5, 5), (7, 4), (16, 3)])
+def test_canonical_form_steps_are_within_the_charge(q, n):
+    # The tags' budget charges q (n(n-1)/2 + 1) steps per member, a bound
+    # for every normalized polynomial of degree n <= 5.
+    F = field_of_order(q)
+    bound = q * (n * (n - 1) // 2 + 1)
+    assert max(classify._least_image(F, f)[1] for f in normalized_polys(F, n)) <= bound
+    assert classify._table_cost(q, n) == bound * counting.count_polynomial_classes(q, n)
+
+
+def test_canonical_form_steps_of_table_members_are_within_the_charge():
+    # p | n at (25, 5): 625 of the 683 members keep every b past the top.
+    F = field_of_order(25)
+    steps = [classify._least_image(F, m.coeffs)[1] for _, ms in table_families(F, 5) for m in ms]
+    assert max(steps) <= 11 * 25
+    assert sum(steps) <= classify._table_cost(25, 5)
 
 
 def test_canonical_poly_over_a_large_prime_field():
@@ -183,13 +243,14 @@ def test_classify_all_budget_and_validation():
 
 
 def test_classify_all_budget_covers_family_canonical_forms():
-    # 8 family members at q(q-1) = 20 substitutions each, charged first, then
-    # the walk's levels: 10 for the root, 9 for X^4, 23 for its 3 children.
-    with pytest.raises(BudgetExceededError, match="needs 160 substitutions, budget is 159"):
-        classify_all(F5, 4, budget=159)
-    with pytest.raises(BudgetExceededError):
-        classify_all(F5, 4, budget=201)
-    assert len(classify_all(F5, 4, budget=202)) == 8
+    # 8 family members at q (n(n-1)/2 + 1) = 35 canonical-form steps each,
+    # charged first, then the walk's levels: 10 for the root, 9 for X^4, 23
+    # for its 3 children.
+    with pytest.raises(BudgetExceededError, match="needs 280 canonical-form steps, budget is 279"):
+        classify_all(F5, 4, budget=279)
+    with pytest.raises(BudgetExceededError, match="needs 322 canonical-form and walk steps"):
+        classify_all(F5, 4, budget=321)
+    assert len(classify_all(F5, 4, budget=322)) == 8
 
 
 # -- polynomial permutation engine ------------------------------------------------
@@ -354,10 +415,10 @@ def test_verify_table_grid(q, n):
 
 
 def test_verify_table_budget_covers_canonical_forms():
-    # 8 family members at q(q-1) = 20 substitutions each.
-    with pytest.raises(BudgetExceededError):
-        verify_table(F5, 4, budget=159)
-    assert verify_table(F5, 4, budget=160)
+    # 8 family members at q (n(n-1)/2 + 1) = 35 canonical-form steps each.
+    with pytest.raises(BudgetExceededError, match="needs 280 canonical-form steps"):
+        verify_table(F5, 4, budget=279)
+    assert verify_table(F5, 4, budget=280)
 
 
 def test_table_families_rejects_high_degree():

@@ -596,12 +596,20 @@ def test_classify_rejects_bad_input(capsys):
     assert code == EXIT_BUDGET
     assert "needs 360 walk steps" in err
     assert run_cli(capsys, "classify", "--q", "5", "--n", "6", "--budget", "360")[0] == EXIT_OK
-    # The family tags' canonical forms are refused before the walk starts.
+    # The family tags' canonical forms are refused before the walk starts:
+    # 8,196 members at q (n(n-1)/2 + 1) = 28,672 steps each.
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "classify", "--q", "4096", "--n", "2")
+    code, _, err = run_cli(capsys, "classify", "--q", "4096", "--n", "4")
     assert code == EXIT_BUDGET
-    assert "substitutions" in err
+    assert "needs 234995712 canonical-form steps" in err
     assert time.perf_counter() - start < 5
+
+
+def test_classify_quadratics_over_gf4093_fit_the_default_budget(capsys):
+    # One member at 2q = 8,186 canonical-form steps, and the walk's 2q.
+    code, out, _ = run_cli(capsys, "classify", "--q", "4093", "--n", "2")
+    assert code == EXIT_OK
+    assert out == "X^2  orbit_size=4093 [X^2]\n"
 
 
 # -- entry points -----------------------------------------------------------------

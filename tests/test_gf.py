@@ -154,6 +154,34 @@ def test_prime_field_add_past_the_tables_is_digitwise_addition():
     assert [F.add(a, b) for a, b in pairs] == [F._add_digitwise(a, b) for a, b in pairs]
 
 
+def test_prime_field_past_the_log_tables_multiplies_mod_p():
+    # Past the log tables a prime field multiplies and raises to powers mod p;
+    # the reference is the digit-list product and its square-and-multiply.
+    F = field_of_order(1048573)
+    assert F.mul != F._raw_mul
+
+    def digit_pow(a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = F._raw_mul(r, a)
+            a = F._raw_mul(a, a)
+            e >>= 1
+        return r
+
+    rng = random.Random(1048573)
+    pairs = [(0, 5), (1, 1048572), (1048572, 1048572)] + [
+        (rng.randrange(1048573), rng.randrange(1048573)) for _ in range(200)]
+    assert [F.mul(a, b) for a, b in pairs] == [F._raw_mul(a, b) for a, b in pairs]
+    exponents = [0, 1, 2, 1048572, -1, -7] + [rng.randrange(1, 1 << 21) for _ in range(20)]
+    for a in [1, 2, 1048572] + [rng.randrange(1, 1048573) for _ in range(10)]:
+        inv = F.inv(a)
+        assert F._raw_mul(a, inv) == 1
+        assert inv == digit_pow(a, 1048571)
+        assert [F.pow(a, e) for e in exponents] == [
+            digit_pow(a, e) if e >= 0 else digit_pow(inv, -e) for e in exponents]
+
+
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_generator_is_primitive(q):
     F = field_of_order(q)

@@ -36,7 +36,7 @@ import bisect
 import functools
 import itertools
 import operator
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ffrat.gf import (FieldCtx, char_roots, check_budget, left_kernel,
                       row_echelon, row_times, span_sums)
@@ -186,7 +186,8 @@ def invariant_planes(F: FieldCtx, n: int, mat) -> list[tuple]:
     outside the span of the w_i and w_i M before it, and Z the rows of E
     outside that span, v = w_j + sum_(i > j) (a_i w_i + b_i w_i M)
     + sum_(i < j) b_i w_i (M - x) + z, z in the span of Z; the quadratic
-    with no root has neither Z nor the w_i (M - x)."""
+    with no root has neither Z nor the w_i (M - x).  K is E unless M is not
+    semisimple, that is unless mat is unipotent: one eigenvalue, not scalar."""
     add, mul, neg = F.add, F.mul, F.neg
     M = substitution_matrix(F, mat, n)
     a, b, c, d = mat
@@ -216,7 +217,8 @@ def invariant_planes(F: FieldCtx, n: int, mat) -> list[tuple]:
                for x, y in itertools.combinations(spaces, 2)
                for P, Q in [(spaces[x], spaces[y])]
                for i in range(len(P)) for j in range(len(Q))]
-    for p, x in ([((mul(x, x), neg(add(x, x)), 1), x) for x in roots]
+    unipotent = lucas[2] == mul(lucas[0], s) and (b, c, a) != (0, 0, d)
+    for p, x in ([((mul(x, x), neg(add(x, x)), 1), x) for x in roots if unipotent]
                  + [(p, None) for p in irreducible]):
         pairs, Z, span = [], [], ()
         for rows in ([(w, row_times(F, w, M)) for w in left_kernel(F, M, p)]
@@ -304,7 +306,12 @@ def digit_ranks(q: int, tables: list[list[int]], base: int = 0,
     return (v + s for v in vals for s in tab)
 
 
-def _closed(perm: list[int]) -> list[int]:
+def _ints(size: int, fill: int) -> memoryview:
+    # size C ints, all 0 or all -1 (array.array would load a shared library).
+    return memoryview(bytearray((fill & 255,)) * (4 * size)).cast("i")
+
+
+def _closed(perm: Sequence[int]) -> Sequence[int]:
     # -1 stands for an image that is not among the engine's points.
     if -1 in perm:
         raise AssertionError("orbit closure escaped the key set")
@@ -317,9 +324,9 @@ class KeyPermutations:
 
     Every key has a rank, offset[m] + rank(P free digits) * q^m +
     rank(Q low digits), which orders the keys strictly.  The engine keeps no
-    key, only each index's rank (a 4-byte int buffer) and a table from ranks
-    to indices (-1 for ranks not listed), about 45 bytes per key; a key's rows
-    are decoded from its rank where they are read.
+    key, only each index's rank and a table from ranks to indices (-1 for
+    ranks not listed), 4-byte int buffers like every permutation it returns,
+    about 18 bytes per key; a key's rows are decoded from its rank where read.
     ``image_perm`` takes the ``key_image`` of every key.  ``scaling`` and
     ``translation`` are the permutations of D = (g, 0, 0, 1) and
     T = (1, 1, 0, 1); both keep the pivots of a key, so their images are
@@ -344,9 +351,8 @@ class KeyPermutations:
         for offset, (p_rows, q_rows) in zip(self._offsets, self._rows):
             shares = {r0: offset + i * len(q_rows) for i, r0 in enumerate(p_rows)}
             self._parts.update((r1, (j, shares)) for j, r1 in enumerate(q_rows))
-        # 4 bytes per key (array.array would load a shared library).
-        ranks = memoryview(bytearray(4 * q ** (2 * n - 2))).cast("i")
-        self._table = table = [-1] * self._offsets[n]
+        ranks = _ints(q ** (2 * n - 2), 0)
+        self._table = table = _ints(self._offsets[n], -1)
         # The listing runs through a P row's Q rows together: one share lookup.
         p_row = p_shares = None
         for i, (r0, r1) in enumerate(enumerate_subfield_keys(F, n, budget)):
@@ -377,26 +383,28 @@ class KeyPermutations:
         """The index of a degree-n key, or -1 if the engine does not list it."""
         return self._table[self.rank(key)]
 
-    def image_perm(self, mat) -> list[int]:
+    def image_perm(self, mat) -> memoryview:
         F, table = self.F, self._table
         M = substitution_matrix(F, mat, self.n)
         products: dict = {}
-        return _closed([table[self.rank(key_image(key, M, F, products))]
-                        for key in map(self._key, self._ranks)])
+        perm = _ints(len(self._ranks), 0)
+        for i, key in enumerate(map(self._key, self._ranks)):
+            perm[i] = table[self.rank(key_image(key, M, F, products))]
+        return _closed(perm)
 
-    def _assign(self, perm: list[int], start: int, stop: int, images) -> None:
+    def _assign(self, perm: memoryview, start: int, stop: int, images) -> None:
         # perm[i] = j for each key i ranked in start..stop-1 and its image j.
         for i, j in zip(self._table[start:stop], images):
             if i >= 0:
                 perm[i] = j
 
     @functools.cached_property
-    def scaling(self) -> list[int]:
+    def scaling(self) -> memoryview:
         # D sends P to P(gX) / g^n and Q to Q(gX) / g^m: digit i of each
         # row is scaled by g^(i-n) or g^(i-m), and the pivots stay.
         F, n, table = self.F, self.n, self._table
         ginv = F.inv(F.generator)
-        perm = [-1] * len(self._ranks)
+        perm = _ints(len(self._ranks), -1)
         for m in range(n):
             scales = ([F.pow(ginv, n - i) for i in range(n) if i != m]
                       + [F.pow(ginv, m - i) for i in range(m)])
@@ -407,7 +415,7 @@ class KeyPermutations:
         return _closed(perm)
 
     @functools.cached_property
-    def translation(self) -> list[int]:
+    def translation(self) -> memoryview:
         # With m = deg Q, lo = P's digits X^0..X^(m-1) and hi = X^(m+1)..,
         # the image key is (P(X+1) - c*Q(X+1), Q(X+1)), c = [X^m]P(X+1).  Its
         # hi and c depend on hi alone, and its lo is A.lo + v, A the shift of
@@ -417,7 +425,7 @@ class KeyPermutations:
         F, q, n, table = self.F, self.F.q, self.n, self._table
         add, mul, neg = F.add, F.mul, F.neg
         block = q ** (n - 1)
-        perm = [-1] * len(self._ranks)
+        perm = _ints(len(self._ranks), -1)
         for m in range(n):
             q_images = [substitute_raw(F, low + (1,), 1, 1)[:m]
                         for low in itertools.product(range(q), repeat=m)]
@@ -467,14 +475,14 @@ class KeyPermutations:
         return blabels, glabels
 
 
-def fixed_points(perm: list[int]) -> int:
+def fixed_points(perm: Sequence[int]) -> int:
     return sum(map(operator.eq, perm, range(len(perm))))
 
 
-def label_orbits(generators: tuple[list[int], ...]) -> list[int]:
+def label_orbits(generators: tuple[Sequence[int], ...]) -> list[int]:
     """Orbit index of every point under the group that the index
-    permutations ``generators`` generate, numbered in order of first
-    discovery."""
+    permutations ``generators`` (lists or int buffers) generate, numbered in
+    order of first discovery."""
     label = [-1] * len(generators[0])
     orbits = 0
     for start in range(len(label)):

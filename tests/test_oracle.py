@@ -206,7 +206,7 @@ def test_engine_perm_matches_key_image_on_all_of_gl2(q):
         for mat in mats:
             M = substitution_matrix(F, mat, n)
             want = [engine.key_index(key_image(key, M, F)) for key in keys]
-            assert engine.image_perm(mat) == want, mat
+            assert engine.image_perm(mat).tolist() == want, mat
             assert fixed[mat] == fixed_points(want), mat
 
 
@@ -248,8 +248,9 @@ def test_engine_builds_its_keys_within_the_budget(monkeypatch):
 
 
 def test_engine_holds_ranks_not_keys():
-    # The engine keeps each key's rank and the rank table, not the keys:
-    # about 50 bytes per key at (5, 4), where a tuple pair per key held 108.
+    # The engine keeps each key's rank and the rank table as 4-byte C ints,
+    # not the keys: about 18 bytes per key at (5, 4), where a tuple pair per
+    # key held 108 and int lists 50.  D and T add 4 bytes per key each.
     # A small engine first, so that one-time loads are not counted.
     KeyPermutations(F5, 1)
     gc.collect()
@@ -258,9 +259,13 @@ def test_engine_holds_ranks_not_keys():
         before = tracemalloc.get_traced_memory()[0]
         engine = KeyPermutations(F5, 4)
         held = tracemalloc.get_traced_memory()[0] - before
+        assert engine.scaling and engine.translation
+        generators = tracemalloc.get_traced_memory()[0] - before - held
     finally:
         tracemalloc.stop()
-    assert held <= 60 * len(engine.keys)
+    keys = len(engine.keys)
+    assert held <= 20 * keys
+    assert generators <= 9 * keys
 
 
 def _listing_only(monkeypatch, keys):
@@ -297,8 +302,8 @@ def test_scaling_and_translation_generators_match_key_images(q, n):
     ranks = [engine.rank(key) for key in keys]
     assert ranks == sorted(set(ranks))
     assert all(engine.key_index(key) == i for i, key in enumerate(keys))
-    assert engine.scaling == engine.image_perm((F.generator, 0, 0, 1))
-    assert engine.translation == engine.image_perm((1, 1, 0, 1))
+    assert engine.scaling.tolist() == engine.image_perm((F.generator, 0, 0, 1)).tolist()
+    assert engine.translation.tolist() == engine.image_perm((1, 1, 0, 1)).tolist()
 
 
 def test_orbit_labels_match_scalar_closure():

@@ -323,8 +323,7 @@ def least_nonsquare(F: FieldCtx) -> int:
     """The least-index unit that is not a square; q must be odd."""
     if F.q % 2 == 0:
         raise ValueError("every element of an even-order field is a square")
-    squares = {F.mul(u, u) for u in F.units}
-    return next(u for u in F.units if u not in squares)
+    return coset_representatives(F, 2)[1]
 
 
 # The family rows, each named by its coefficients of X^n down to X^1: a digit,

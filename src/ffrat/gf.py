@@ -34,7 +34,7 @@ extension fields fall back to direct polynomial reduction.  Fields above
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ffrat.counting import char_and_degree, divisors, prime_factors
 
@@ -387,7 +387,7 @@ def span_sums(F: FieldCtx, base, free) -> Iterator[tuple[int, ...]]:
             yield tuple(map(F.add, v, m))
 
 
-class ExtFieldCtx:
+class ExtFieldCtx(NamedTuple):
     """A field GF(q) together with its quadratic extension GF(q^2).
 
     ``embed_table`` carries base elements into the extension (the base
@@ -396,13 +396,10 @@ class ExtFieldCtx:
     powering.  Fixed points of ``frob_table`` are exactly the embedded base
     field.
     """
-
-    def __init__(self, base: FieldCtx, ext: FieldCtx,
-                 embed_table: tuple[int, ...], frob_table: tuple[int, ...]):
-        self.base = base
-        self.ext = ext
-        self.embed_table = embed_table
-        self.frob_table = frob_table
+    base: FieldCtx
+    ext: FieldCtx
+    embed_table: tuple[int, ...]
+    frob_table: tuple[int, ...]
 
     def __repr__(self) -> str:
         return "GF(%d) in GF(%d)" % (self.base.q, self.ext.q)

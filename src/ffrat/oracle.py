@@ -28,9 +28,11 @@ Everything in ``counting`` has an independent enumeration mirror here:
   ``gcd`` (only the pairs of self-dual polynomials take one each).
 
 ``verify_grid`` packages the comparisons into a report of named checks, one
-expected/actual pair per check, suitable for JSON serialization.  Cells whose
-enumeration would exceed the budget are skipped, never failed, and each is
-named in the report with the budget's message.
+expected/actual pair per check, suitable for JSON serialization.  Work that
+would exceed the budget is skipped, never failed, and named in the report
+with the budget's message: a frakN or frakM cell names each refused check as
+"check name: message" and still runs its other checks; any other cell is
+skipped whole.
 """
 
 from __future__ import annotations
@@ -355,8 +357,9 @@ class CheckResult(NamedTuple):
 
 
 class SkippedCell(NamedTuple):
-    """A cell left out because its enumeration would exceed the budget; n is
-    None for the appendix cells, which do not depend on n."""
+    """A cell, or some checks of a class-count cell, left out because the
+    enumeration would exceed the budget; n is None for the appendix cells,
+    which do not depend on n."""
     q: int
     n: int | None
     kind: str
@@ -423,30 +426,31 @@ def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
             for rep in classes]
 
 
-def _cell_frak_n(q: int, n: int, budget: int) -> list[CheckResult]:
+def _cell_class_count(q: int, n: int, kind: str,
+                      budget: int) -> tuple[list[CheckResult], SkippedCell | None]:
+    # frakN or frakM: the closed form against Burnside, an orbit listing and
+    # the low-degree table.  A check the budget refuses is named in the
+    # cell's reason, and the others still run.  The methods are looked up
+    # here, at call time, where tracing and tests rebind them.
     F = field_of_order(q)
-    want = counting.count_rational_classes(q, n)
-    out = [_timed("frakN/burnside", q, n, want, lambda: burnside_count_rational(F, n, budget)),
-           _timed("frakN/orbit", q, n, want, lambda: orbit_count_rational(F, n, budget))]
-    if n <= 4:
-        out.append(_timed("frakN/lowdeg", q, n, want,
-                          lambda: counting.count_rational_classes_lowdeg(q, n)))
-    return out
-
-
-def _cell_frak_m(q: int, n: int, budget: int) -> tuple[list[CheckResult], SkippedCell | None]:
-    F = field_of_order(q)
-    want = counting.count_polynomial_classes(q, n)
-    out, skipped = [], None
-    try:
-        out.append(_timed("frakM/orbit", q, n, want, lambda: orbit_count_poly(F, n, budget)))
-    except BudgetExceededError as exc:      # the other checks list no polynomial
-        skipped = SkippedCell(q, n, "frakM", "frakM/orbit: %s" % exc)
-    out.append(_timed("frakM/burnside", q, n, want, lambda: burnside_count_poly(F, n, budget)))
-    if n <= 5:
-        out.append(_timed("frakM/lowdeg", q, n, want,
-                          lambda: counting.count_polynomial_classes_lowdeg(q, n)))
-    return out, skipped
+    if kind == "frakN":
+        want = counting.count_rational_classes(q, n)
+        methods = (("burnside", burnside_count_rational), ("orbit", orbit_count_rational))
+        lowdeg, top = counting.count_rational_classes_lowdeg, 4
+    else:
+        want = counting.count_polynomial_classes(q, n)
+        methods = (("orbit", orbit_count_poly), ("burnside", burnside_count_poly))
+        lowdeg, top = counting.count_polynomial_classes_lowdeg, 5
+    out, refused = [], []
+    for name, method in methods:
+        name = "%s/%s" % (kind, name)
+        try:
+            out.append(_timed(name, q, n, want, lambda: method(F, n, budget)))
+        except BudgetExceededError as exc:
+            refused.append("%s: %s" % (name, exc))
+    if n <= top:
+        out.append(_timed(kind + "/lowdeg", q, n, want, lambda: lowdeg(q, n)))
+    return out, SkippedCell(q, n, kind, "; ".join(refused)) if refused else None
 
 
 def _cell_appendix(q: int, budget: int) -> list[CheckResult]:
@@ -498,13 +502,9 @@ def _run_cell(task) -> tuple[list[CheckResult], SkippedCell | None]:
     try:
         if kind == "fix-formulas":
             return _cell_fix_formulas(q, n, budget), None
-        if kind == "frakN":
-            return _cell_frak_n(q, n, budget), None
-        if kind == "frakM":
-            return _cell_frak_m(q, n, budget)
         if kind == "appendix-lemmas":
             return _cell_appendix(q, budget), None
-        raise ValueError("unknown verification kind %r" % kind)
+        return _cell_class_count(q, n, kind, budget)
     except BudgetExceededError as exc:
         return [], SkippedCell(q, n, kind, str(exc))
 

@@ -36,7 +36,7 @@ import bisect
 import functools
 import itertools
 import operator
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ffrat.gf import (FieldCtx, char_roots, check_budget, left_kernel,
                       row_echelon, row_times, span_sums)
@@ -48,14 +48,10 @@ DEFAULT_KEY_BUDGET = 10 ** 7
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class RationalMap:
+class RationalMap(NamedTuple):
     """A reduced rational map; build with ``normalize``."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        self.num = num
-        self.den = den
+    num: Poly
+    den: Poly
 
     @property
     def field(self) -> FieldCtx:
@@ -64,13 +60,6 @@ class RationalMap:
     @property
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalMap)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return "RationalMap(%s)" % str(self)

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import ffrat
-from ffrat import counting
+from ffrat import counting, oracle
 from ffrat.cli import (EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_COUNT_DIGITS,
                        MAX_RANGE_LENGTH, UsageError, _parse_int_set, build_parser,
                        count_digits_bound, main)
+from ffrat.gf import BudgetExceededError
 
 
 def run_cli(capsys, *argv):
@@ -173,7 +174,6 @@ def test_count_burnside_charges_the_keys_and_the_plane_walk(capsys):
 def test_every_subcommand_charges_the_trial_divisions_of_q(capsys, monkeypatch, command):
     # Validating q, and the closed forms' divisors of q - 1 and q + 1, take
     # about 3 sqrt(q) trial divisions: refused at once with exit 3.
-    from ffrat import oracle
     monkeypatch.setattr(oracle, "verify_grid", lambda *a, **k: pytest.fail("a cell ran"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, command, "--q", "10000000000000061", "--n", "2")
@@ -383,7 +383,6 @@ def test_verify_runs_a_repeated_kind_once(capsys):
 ])
 def test_negative_budget_is_a_usage_error(capsys, monkeypatch, argv):
     # Refused by the parser, before any work; a budget of 0 stays valid.
-    from ffrat import oracle
     monkeypatch.setattr(oracle, "verify_grid", lambda *a, **k: pytest.fail("a cell ran"))
     code, out, err = run_cli(capsys, *argv, "--budget", "-1")
     assert code == EXIT_USAGE
@@ -396,7 +395,7 @@ def test_verify_skipped_cells_are_not_failures(capsys):
     code, out, _ = run_cli(capsys, "verify", "--q", "3", "--n", "3",
                            "--kinds", "frakN", "--budget", "10")
     assert code == EXIT_OK
-    assert json.loads(out)["summary"] == {"total": 0, "failed": 0, "skipped": 1}
+    assert json.loads(out)["summary"] == {"total": 1, "failed": 0, "skipped": 1}
 
 
 def test_verify_names_every_skipped_cell(capsys, tmp_path):
@@ -422,7 +421,8 @@ def test_verify_strict_names_the_first_skipped_cell(capsys):
                            "--kinds", "frakN", "--strict", "--budget", "20")
     assert code == EXIT_BUDGET
     assert err == ("error: 1 cells skipped, the first frakN at q=3 n=3: "
-                   "q=3 n=3 needs 81 keys, budget is 20\n")
+                   "frakN/burnside: q=3 n=3 needs 81 keys, budget is 20; "
+                   "frakN/orbit: q=3 n=3 needs 81 keys, budget is 20\n")
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -465,7 +465,6 @@ def test_verify_skips_a_field_over_the_size_bound(capsys, tmp_path, strict):
 
 def test_verify_out_path_that_cannot_be_written(capsys, tmp_path, monkeypatch):
     # Refused with one line and exit 2 before any cell runs.
-    from ffrat import oracle
     monkeypatch.setattr(oracle, "verify_grid", lambda *a, **k: pytest.fail("a cell ran"))
     for target in (tmp_path / "missing" / "r.json", tmp_path):
         code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "1",
@@ -481,7 +480,6 @@ def test_verify_out_path_that_cannot_be_written(capsys, tmp_path, monkeypatch):
 def test_verify_degree_zero_leaves_the_old_report(capsys, tmp_path, monkeypatch, kinds):
     # Refused as by `table`, before --out is opened, whether or not a kind
     # that depends on n runs.
-    from ffrat import oracle
     monkeypatch.setattr(oracle, "verify_grid", lambda *a, **k: pytest.fail("a cell ran"))
     target = tmp_path / "r.json"
     target.write_text("old report\n")
@@ -508,13 +506,30 @@ def test_verify_strict_turns_skips_into_exit_3(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
+    # The cell looks its closed form and methods up when it runs, so the
+    # patched ones are the ones checked.
     monkeypatch.setattr(counting, "count_rational_classes", lambda q, n: 999)
+    monkeypatch.setattr(counting, "count_polynomial_classes", lambda q, n: 999)
+    for kind in ("frakN", "frakM"):
+        code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "1",
+                               "--kinds", kind)
+        assert code == EXIT_FAILED
+        report = json.loads(out)
+        assert report["summary"]["failed"] == 3
+        assert all(entry["expected"] == "999" for entry in report["checks"])
+
+    def refuse(F, n, budget):
+        raise BudgetExceededError("q=%d n=%d refused" % (F.q, n))
+
+    monkeypatch.setattr(oracle, "orbit_count_rational", refuse)
     code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "1",
                            "--kinds", "frakN")
     assert code == EXIT_FAILED
     report = json.loads(out)
-    assert report["summary"]["failed"] == 3
-    assert all(entry["expected"] == "999" for entry in report["checks"])
+    assert [(c["name"], c["expected"]) for c in report["checks"]] == [
+        ("frakN/burnside", "999"), ("frakN/lowdeg", "999")]
+    assert report["skipped_cells"] == [
+        {"q": 2, "n": 1, "kind": "frakN", "reason": "frakN/orbit: q=2 n=1 refused"}]
 
 
 def test_verify_rejects_unknown_kind(capsys):

@@ -408,10 +408,14 @@ def test_burnside_count_rational_charges_the_class_walk():
         burnside_count_rational(F3, 2, budget=11)
     with pytest.raises(BudgetExceededError, match="needs 9 keys"):
         burnside_count_rational(F3, 2, budget=8)
+    # The refused Burnside check is named, and the 9-key orbit listing and
+    # the low-degree table still run.
     report = verify_grid([3], [2], kinds=("frakN",), budget=11)
-    assert report.checks == []
-    assert [(c.kind, "invariant-plane walk" in c.reason)
-            for c in report.skipped_cells] == [("frakN", True)]
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("frakN/orbit", True), ("frakN/lowdeg", True)]
+    assert report.skipped_cells == [SkippedCell(
+        3, 2, "frakN", "frakN/burnside: q=3 n=2 needs 12 row pairs in the "
+                       "invariant-plane walk, budget is 11")]
 
 
 def test_fix_formulas_charges_the_class_walk():
@@ -480,16 +484,25 @@ def test_frak_m_runs_burnside_where_the_listing_is_refused():
                         "budget is 10000000")]
     # Below n = 6 the low-degree table runs beside it.  At (5, 5) the
     # listing needs 625 polynomials, and the Burnside sum 3 * 5^3 = 375
-    # elimination steps; a budget below both skips the whole cell.
+    # elimination steps; a budget below both names both checks, and the
+    # table, which enumerates nothing, still runs.
     report = verify_grid([5], [5], kinds=("frakM",), budget=375)
     assert [c.name for c in report.checks] == ["frakM/burnside", "frakM/lowdeg"]
     assert report.failed == 0
     assert [c.reason for c in report.skipped_cells] == [
         "frakM/orbit: q=5 n=5 needs 625 polynomials, budget is 375"]
     report = verify_grid([5], [5], kinds=("frakM",), budget=374)
-    assert report.checks == []
+    assert [(c.name, c.passed) for c in report.checks] == [("frakM/lowdeg", True)]
     assert [c.reason for c in report.skipped_cells] == [
-        "q=5 n=5 needs 375 elimination steps, budget is 374"]
+        "frakM/orbit: q=5 n=5 needs 625 polynomials, budget is 374; "
+        "frakM/burnside: q=5 n=5 needs 375 elimination steps, budget is 374"]
+    # At (2, 5) the Burnside sum alone is refused (125 elimination steps);
+    # the 16 polynomials are listed and the table runs.
+    report = verify_grid([2], [5], kinds=("frakM",), budget=100)
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("frakM/orbit", True), ("frakM/lowdeg", True)]
+    assert [c.reason for c in report.skipped_cells] == [
+        "frakM/burnside: q=2 n=5 needs 125 elimination steps, budget is 100"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -783,11 +796,19 @@ def test_verify_grid_appendix_runs_once_per_q():
 
 
 def test_verify_grid_counts_skips():
+    # Both frakN methods enumerate the 81 keys and are named; the
+    # low-degree table enumerates nothing and runs.
     report = verify_grid([3], [3], kinds=("frakN",), budget=10)
-    assert report.total == 0
+    assert [(c.name, c.passed) for c in report.checks] == [("frakN/lowdeg", True)]
     assert report.skipped == 1
-    assert report.skipped_cells == [
-        SkippedCell(3, 3, "frakN", "q=3 n=3 needs 81 keys, budget is 10")]
+    assert report.skipped_cells == [SkippedCell(
+        3, 3, "frakN", "frakN/burnside: q=3 n=3 needs 81 keys, budget is 10; "
+                       "frakN/orbit: q=3 n=3 needs 81 keys, budget is 10")]
+    report = verify_grid([2], [4], kinds=("frakN",), budget=63)
+    assert [(c.name, c.passed) for c in report.checks] == [("frakN/lowdeg", True)]
+    assert [c.reason for c in report.skipped_cells] == [
+        "frakN/burnside: q=2 n=4 needs 64 keys, budget is 63; "
+        "frakN/orbit: q=2 n=4 needs 64 keys, budget is 63"]
     appendix = verify_grid([2], [1], kinds=("appendix-lemmas",), budget=-1)
     assert (appendix.total, appendix.skipped) == (0, 1)
     assert appendix.skipped_cells == [

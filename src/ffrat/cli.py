@@ -80,7 +80,7 @@ def _validated_q_list(text: str, budget: int) -> list[int]:
     for q in qs:
         # Validating q, and the closed forms' divisors of q - 1 and q + 1,
         # trial-divide up to sqrt(q) each.
-        check_budget(q, None, 3 * math.isqrt(q), "trial divisions", budget)
+        check_budget(q, None, 3 * math.isqrt(max(q, 0)), "trial divisions", budget)
         if not counting.is_prime_power(q):
             raise UsageError("%d is not a prime power" % q)
     return qs

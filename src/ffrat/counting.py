@@ -78,22 +78,12 @@ def euler_phi(n: int) -> int:
 
 def char_and_degree(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p**k, or raise ValueError."""
-    if not isinstance(q, int) or q < 2:
+    primes = prime_factors(q) if isinstance(q, int) and q >= 2 else []
+    if len(primes) != 1:
         raise ValueError("%r is not a prime power" % (q,))
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    p, k = primes[0], 1
+    while p ** k < q:
         k += 1
-    if m != 1:
-        raise ValueError("%d is not a prime power" % q)
     return p, k
 
 

@@ -22,10 +22,12 @@ Row vectors over a field are lists or tuples of element indices:
 row by a matrix, ``left_kernel`` solves vP = 0 for a polynomial P in a
 matrix, and ``span_sums`` walks a coset of a span.
 
-Multiplication runs on log/antilog tables relative to ``generator`` whenever
-q <= 2**16, with full q x q lookup tables layered on top for very small
-fields; larger prime fields multiply and raise to powers mod p, and larger
-extension fields fall back to direct polynomial reduction.  Fields above
+Each field decides its arithmetic once, at construction.  Multiplication
+runs on log/antilog tables relative to ``generator`` whenever q <= 2**16,
+with full q x q lookup tables layered on top for very small fields, and
+negation and inversion read tables of the same range; larger prime fields
+multiply and raise to powers mod p, and larger extension fields fall back to
+direct polynomial reduction and digit-by-digit negation.  Fields above
 ``DEFAULT_SIZE_BOUND`` (2**20) elements are refused at construction with
 ``FieldSizeError``; like every refusal of oversize work, it is a
 ``BudgetExceededError`` (``check_budget`` raises the others).
@@ -110,8 +112,8 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldCtx:
     """Arithmetic for one finite field.
 
-    ``add`` and ``mul`` are plain callables taking and returning element
-    indices; they are bound to the fastest available implementation at
+    ``add``, ``mul`` and ``neg`` are plain callables taking and returning
+    element indices; they are bound to the fastest available implementation at
     construction time, so hot loops may hoist them into locals.  Instances
     are immutable once built and are cached by ``make_field``, so identity
     comparison is the intended equality test.
@@ -122,36 +124,29 @@ class FieldCtx:
         self.k = k
         self.q = q = p ** k
         self.modulus = tuple(modulus)
-
-        self._digit_cache: list[tuple[int, ...]] | None = None
-        if q <= _LOG_LIMIT:
-            self._digit_cache = [self._digits_of(e) for e in range(q)]
-
         self.generator = self._find_generator()
 
-        self.exp_table: list[int] | None = None
-        self.log_table: list[int] | None = None
+        # The tables up to _LOG_LIMIT; then add, mul and neg are bound to the
+        # fastest implementation available.
+        self.exp_table = self.log_table = self.neg_table = self.inv_table = None
         if q <= _LOG_LIMIT:
-            exp = [0] * (q - 1)
+            qm1 = q - 1
+            exp = [0] * qm1
             log = [0] * q
             v = 1
-            for i in range(q - 1):
+            for i in range(qm1):
                 exp[i] = v
                 log[v] = i
                 v = self._raw_mul(v, self.generator)
             if v != 1:
                 raise AssertionError("generator order mismatch")
-            self.exp_table = exp
-            self.log_table = log
-
-        self.neg_table: list[int] | None = None
-        self.inv_table: list[int] | None = None
-        if q <= _LOG_LIMIT:
+            self.exp_table, self.log_table = exp, log
             self.neg_table = [self._neg_digitwise(e) for e in range(q)]
-            qm1 = q - 1
             self.inv_table = [0] + [exp[(qm1 - log[a]) % qm1] for a in range(1, q)]
+            self.neg = self.neg_table.__getitem__
+        else:
+            self.neg = self._neg_digitwise
 
-        # Bind add/mul to the fastest implementation available.
         if p == 2:
             self.add = int.__xor__
         elif q <= _TABLE_LIMIT:
@@ -163,14 +158,12 @@ class FieldCtx:
             self.add = self._add_digitwise
 
         if q <= _TABLE_LIMIT:
-            exp, log, qm1 = self.exp_table, self.log_table, q - 1
             mrows = [[0] * q]
             for a in range(1, q):
                 la = log[a]
                 mrows.append([0] + [exp[(la + log[b]) % qm1] for b in range(1, q)])
             self.mul = lambda a, b: mrows[a][b]
         elif q <= _LOG_LIMIT:
-            exp, log, qm1 = self.exp_table, self.log_table, q - 1
             self.mul = lambda a, b: exp[(log[a] + log[b]) % qm1] if a and b else 0
         elif k == 1:
             self.mul = lambda a, b: a * b % p
@@ -179,18 +172,13 @@ class FieldCtx:
 
     # -- encoding helpers -------------------------------------------------
 
-    def _digits_of(self, e: int) -> tuple[int, ...]:
+    def _digits(self, e: int) -> tuple[int, ...]:
         p = self.p
         out = []
         while e:
             out.append(e % p)
             e //= p
         return tuple(out)
-
-    def _digits(self, e: int) -> tuple[int, ...]:
-        if self._digit_cache is not None:
-            return self._digit_cache[e]
-        return self._digits_of(e)
 
     def element_coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficients of a over the prime field, length k, lowest first."""
@@ -262,11 +250,6 @@ class FieldCtx:
         raise AssertionError("no generator found for GF(%d)" % self.q)
 
     # -- public arithmetic -------------------------------------------------
-
-    def neg(self, a: int) -> int:
-        if self.neg_table is not None:
-            return self.neg_table[a]
-        return self._neg_digitwise(a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -392,8 +375,8 @@ class ExtFieldCtx(NamedTuple):
 
     ``embed_table`` carries base elements into the extension (the base
     generator is mapped to the least-index root of the base modulus), and
-    ``frob_table`` is x -> x**q on the extension, computed by k-fold p-th
-    powering.  Fixed points of ``frob_table`` are exactly the embedded base
+    ``frob_table`` is x -> x**q on the extension, one q-th power per
+    element.  Fixed points of ``frob_table`` are exactly the embedded base
     field.
     """
     base: FieldCtx
@@ -450,31 +433,16 @@ def make_ext(F: FieldCtx) -> ExtFieldCtx:
         return cached
     ext = make_field(F.p, 2 * F.k)
 
-    root = None
-    for x in ext.elements:
+    def horner(coeffs, x: int) -> int:
         acc = 0
-        for c in reversed(F.modulus):
+        for c in reversed(coeffs):
             acc = ext.add(ext.mul(acc, x), c)
-        if acc == 0:
-            root = x
-            break
+        return acc
+
+    root = next((x for x in ext.elements if horner(F.modulus, x) == 0), None)
     if root is None:
         raise AssertionError("modulus of %r has no root in %r" % (F, ext))
-
-    embed = []
-    for a in F.elements:
-        acc = 0
-        for c in reversed(F.element_coeffs(a)):
-            acc = ext.add(ext.mul(acc, root), c)
-        embed.append(acc)
-
-    frob = []
-    for x in ext.elements:
-        y = x
-        for _ in range(F.k):
-            y = ext.pow(y, F.p)
-        frob.append(y)
-
-    ctx = ExtFieldCtx(F, ext, tuple(embed), tuple(frob))
+    ctx = ExtFieldCtx(F, ext, tuple(horner(F.element_coeffs(a), root) for a in F.elements),
+                      tuple(ext.pow(x, F.q) for x in ext.elements))
     F._ext_ctx = ctx
     return ctx

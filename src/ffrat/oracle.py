@@ -49,7 +49,8 @@ from ffrat.gf import (BudgetExceededError, ExtFieldCtx, FieldCtx, char_roots,
                       mult_order, over_size_bound)
 from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd,
                             horner_rank, monic_polys)
-from ffrat.ratmap import DEFAULT_KEY_BUDGET, KeyPermutations, fixed_key_counts, label_orbits
+from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, _check_keys, fixed_key_counts,
+                          label_orbits)
 
 VERIFY_KINDS = ("fix-formulas", "frakN", "frakM", "appendix-lemmas")
 
@@ -140,11 +141,13 @@ def _tori(F: FieldCtx) -> list[tuple[int, int, str, tuple[int, ...]]]:
     """(k, N, kind, generator) for the k conjugate cyclic subgroups of order
     N that hold each non-identity element of PGL(2, q) once: split <D>,
     D = X -> gX; nonsplit <R>, R the first C + cI, C the companion matrix of
-    the first irreducible X^2 - tX + s, whose (q+1)/r-th power is not scalar
-    for any prime r dividing q + 1; and unipotent <T>, T = X -> X + 1."""
+    the first irreducible X^2 - tX + 1, whose (q+1)/r-th power is not scalar
+    for any prime r dividing q + 1; and unipotent <T>, T = X -> X + 1.  The
+    q + 1 elements of norm 1 in GF(q^2) include at most 1 and -1 from GF(q),
+    so the others have such an irreducible minimal polynomial for every q."""
     q, p = F.q, F.p
-    t, s = next((t, s) for t in F.elements for s in F.units if not char_roots(F, t, s))
-    R = next(mat for mat in ((F.add(t, c), F.neg(s), 1, c) for c in F.elements)
+    t = next(t for t in F.elements if not char_roots(F, t, 1))
+    R = next(mat for mat in ((F.add(t, c), F.neg(1), 1, c) for c in F.elements)
              if all(power[1] or power[2] or power[0] != power[3]
                     for power in (_power(F, mat, (q + 1) // r)
                                   for r in counting.prime_factors(q + 1))))
@@ -162,6 +165,7 @@ def burnside_count_rational(F: FieldCtx, n: int,
     invariant planes of a power of the generator (``ratmap.fixed_key_counts``).
     Must agree with counting.count_rational_classes."""
     q = F.q
+    _check_keys(q, n, budget)
     tori = _tori(F)
     points, fixed = fixed_key_counts(
         F, n, {(kind, d): _power(F, gen, N // d)

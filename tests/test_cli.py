@@ -136,6 +136,10 @@ def test_count_rejects_non_prime_power(capsys):
     code, _, err = run_cli(capsys, "count", "--q", "6", "--n", "2")
     assert code == EXIT_USAGE
     assert "error:" in err
+    # A negative q reaches the prime-power check like any other q.
+    code, _, err = run_cli(capsys, "count", "--q", "-3", "--n", "2")
+    assert code == EXIT_USAGE
+    assert "-3 is not a prime power" in err
 
 
 def test_count_rejects_degree_zero(capsys):

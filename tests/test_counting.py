@@ -60,6 +60,13 @@ def test_prime_power_recognition():
     assert char_and_degree(49) == (7, 2)
     with pytest.raises(ValueError):
         char_and_degree(12)
+    for q, pk in [(2 ** 20, (2, 20)), (3 ** 12, (3, 12)), (1048573, (1048573, 1)),
+                  (2 ** 31 - 1, (2 ** 31 - 1, 1))]:
+        assert is_prime_power(q) and char_and_degree(q) == pk
+    for q in (1048575, 1, 0, -4, True):
+        assert not is_prime_power(q)
+        with pytest.raises(ValueError, match="is not a prime power"):
+            char_and_degree(q)
 
 
 # -- coprime-pair counts ------------------------------------------------------

@@ -182,6 +182,19 @@ def test_prime_field_past_the_log_tables_multiplies_mod_p():
             digit_pow(a, e) if e >= 0 else digit_pow(inv, -e) for e in exponents]
 
 
+@pytest.mark.parametrize("p, k", [(1048573, 1), (3, 12)])
+def test_neg_and_sub_past_the_tables(p, k):
+    # Past the tables neg negates mod p in a prime field and digit by digit
+    # in an extension field.
+    F = make_field(p, k)
+    assert F.neg_table is None
+    rng = random.Random(F.q)
+    samples = [0, 1, p - 1, F.q - 1] + [rng.randrange(F.q) for _ in range(200)]
+    for a, b in zip(samples, reversed(samples)):
+        assert F.add(a, F.neg(a)) == 0
+        assert F.sub(a, b) == F.add(a, F.neg(b))
+
+
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_generator_is_primitive(q):
     F = field_of_order(q)
@@ -259,10 +272,15 @@ def test_ext_embedding_is_homomorphism(q):
 
 
 def test_frobenius_is_qth_power():
-    F = make_field(2, 2)
-    ctx = make_ext(F)
-    for x in ctx.ext.elements:
-        assert ctx.frob_table[x] == ctx.ext.pow(x, 4)
+    # The reference is q - 1 products, not a power.
+    for q in SMALL_ORDERS:
+        ctx = make_ext(field_of_order(q))
+        ext = ctx.ext
+        for x in ext.elements:
+            y = x
+            for _ in range(q - 1):
+                y = ext.mul(y, x)
+            assert ctx.frob_table[x] == y, (q, x)
 
 
 def test_make_field_is_cached():

@@ -399,6 +399,26 @@ def test_burnside_count_rational_takes_no_key_image(monkeypatch, q, n):
     assert burnside_count_rational(F, n) == counting.count_rational_classes(q, n)
 
 
+def test_burnside_count_rational_charges_keys_before_the_torus_search(monkeypatch):
+    monkeypatch.setattr(oracle, "_tori", lambda F: pytest.fail("tori were searched"))
+    with pytest.raises(BudgetExceededError, match="needs 16777216 keys"):
+        burnside_count_rational(field_of_order(4096), 2)
+
+
+@pytest.mark.parametrize("q", [256, 4096])
+def test_torus_search_probes_few_quadratics(monkeypatch, q):
+    # Each probe scans all q elements; X^2 - tX + 1 is irreducible for some t
+    # within the first few.
+    calls = []
+
+    def counted(F, t, s):
+        calls.append((t, s))
+        return char_roots(F, t, s)
+    monkeypatch.setattr(oracle, "char_roots", counted)
+    oracle._tori(field_of_order(q))
+    assert 1 <= len(calls) <= 10
+
+
 def test_burnside_count_rational_charges_the_class_walk():
     # At (3, 2) the sieve flags 9 keys, and the walks over the invariant
     # planes of one matrix per (kind, order) visit 12 row pairs.

@@ -23,8 +23,9 @@ Everything in ``counting`` has an independent enumeration mirror here:
   first B-orbit, q inversions per class (``KeyPermutations.bruhat_labels``);
 * enumerations of the appendix series: the coprime-pair series count the
   sieved table ``polyring.coprime_flags`` of all monic pairs of two degrees;
-  over GF(q^2) the self-dual polynomials are walked one constant term at a
-  time, and those coprime to their conjugated reversal are sieved, with no
+  over GF(q^2) the self-dual polynomials are walked by half their digits,
+  one constant term at a time, and those coprime to their conjugated
+  reversal are sieved by the ranks of the walked ones' multiples, with no
   ``gcd`` (only the pairs of self-dual polynomials take one each).
 
 ``verify_grid`` packages the comparisons into a report of named checks, one
@@ -47,8 +48,7 @@ from ffrat import classify, counting
 from ffrat.gf import (BudgetExceededError, ExtFieldCtx, FieldCtx, char_roots,
                       check_budget, field_of_order, left_kernel, make_ext,
                       mult_order, over_size_bound)
-from ffrat.polyring import (Poly, conj_reverse, coprime_flags, gcd,
-                            horner_rank, monic_polys)
+from ffrat.polyring import Poly, _multiple_ranks, coprime_flags, gcd
 from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, _check_keys, fixed_key_counts,
                           label_orbits)
 
@@ -286,8 +286,9 @@ def _self_dual_walk(ctx: ExtFieldCtx, i: int) -> Iterator[tuple[int, ...]]:
     """The ascending coefficients of every monic self-dual g of degree i over
     GF(q^2).  conj_reverse(g) = c*g forces c = conj(g_0) from the leading
     terms, so g_j = conj(g_(i-j)) / conj(g_0) for every j, and at j = 0
-    g_0 = 1/conj(g_0).  Each such g_0 fixes one multiplier table against
-    which the digit strings between g_0 and the leading 1 are tested."""
+    g_0 = 1/conj(g_0).  For such a g_0, x -> conj(x)*g_0 is an involution:
+    g_1..g_((i-1)/2) run free and fix their partners g_(i-j), and for even i
+    the middle digit runs over the fixed points of the map."""
     if i == 0:
         yield (1,)
         return
@@ -298,10 +299,11 @@ def _self_dual_walk(ctx: ExtFieldCtx, i: int) -> Iterator[tuple[int, ...]]:
             continue
         # 1/conj(g0) = g0 here.
         dual = [mul(frob[x], g0) for x in E.elements]
-        for middle in itertools.product(E.elements, repeat=i - 1):
-            g = (g0, *middle, 1)
-            if all(g[j] == dual[g[i - j]] for j in range(1, i)):
-                yield g
+        middles = [(x,) for x in E.elements if dual[x] == x] if i % 2 == 0 else [()]
+        for low in itertools.product(E.elements, repeat=(i - 1) // 2):
+            high = tuple(dual[x] for x in reversed(low))
+            for middle in middles:
+                yield (g0, *low, *middle, *high, 1)
 
 
 def count_self_dual(ctx: ExtFieldCtx, i: int) -> int:
@@ -315,26 +317,15 @@ def count_reversal_coprime(ctx: ExtFieldCtx, i: int) -> int:
     divides g* = conj_reverse(g), and an irreducible p with p(0) != 0
     divides g* exactly when p* divides g.  So g and g* share a factor exactly
     when g is a multiple of a self-dual h of degree 1..i, or of the monic
-    h*h* for a monic h with h(0) != 0 and 2 deg h <= i."""
+    h*h* for a monic h with h(0) != 0 and 2 deg h <= i.  (h*h*)* = h* * h,
+    so that h*h* is self-dual too, and the multiples of the h that
+    ``_self_dual_walk`` lists are all the sieve clears."""
     E = ctx.ext
-    Q = E.q
-    factors = {h for d in range(1, i + 1) for h in _self_dual_walk(ctx, d)}
-    for d in range(1, i // 2 + 1):
-        for h in monic_polys(E, d):
-            if h.coeffs[0]:
-                factors.add((h * conj_reverse(h, ctx).monic()).coeffs)
-    add, mul = E.add, E.mul
-    flags = bytearray(b"\x01") * Q ** i
-    for h in factors:
-        e = len(h) - 1
-        for low in itertools.product(E.elements, repeat=i - e):
-            # The low i digits of h * (low + X^(i-e)).
-            g = [0] * (i - e) + list(h[:e])
-            for s, a in enumerate(low):
-                if a:
-                    for t, c in enumerate(h):
-                        g[s + t] = add(g[s + t], mul(a, c))
-            flags[horner_rank(Q, g)] = 0
+    flags = bytearray(b"\x01") * E.q ** i
+    for d in range(1, i + 1):
+        for h in _self_dual_walk(ctx, d):
+            for r in _multiple_ranks(E, h, i):
+                flags[r] = 0
     return flags.count(1)
 
 

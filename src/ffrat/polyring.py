@@ -367,39 +367,42 @@ def coprime_flags(F: FieldCtx, n: int, m: int,
     of their low coefficients from the constant term up (``monic_polys``
     order).  With ``zero_digit`` = k, m <= k < n, only the P with zero X^k
     coefficient are ranked, that digit left out.  A common factor contains a
-    monic h of degree 1..min(n, m), so clearing every pair (h*A, h*B) clears
-    exactly the pairs that are not coprime."""
+    monic h of degree 1..min(n, m), so clearing every pair of multiples of h,
+    ranked by ``_multiple_ranks``, clears exactly the pairs not coprime."""
     if zero_digit is not None and not m <= zero_digit < n:
         raise ValueError("the zero digit must lie in m..n-1")
     q = F.q
     qm = q ** m
-    positions = [i for i in range(n) if i != zero_digit]
-    flags = bytearray(b"\x01") * (q ** len(positions) * qm)
+    flags = bytearray(b"\x01") * (q ** (n if zero_digit is None else n - 1) * qm)
     for d in range(1, min(n, m) + 1):
         for h in monic_polys(F, d):
-            q_ranks = [horner_rank(q, (h * B).coeffs[:m]) for B in monic_polys(F, m - d)]
-            cofactors = (monic_polys(F, n - d) if zero_digit is None
-                         else _pinned_cofactors(F, n - d, h, zero_digit))
-            for A in cofactors:
-                P = (h * A).coeffs
-                base = horner_rank(q, [P[i] for i in positions]) * qm
+            q_ranks = _multiple_ranks(F, h.coeffs, m)
+            for p in _multiple_ranks(F, h.coeffs, n, zero_digit):
+                base = p * qm
                 for r in q_ranks:
                     flags[base + r] = 0
     return flags
 
 
-def _pinned_cofactors(F: FieldCtx, degree: int, h: Poly, k: int) -> Iterator[Poly]:
-    # The monic A of this degree with [X^k](h*A) = 0, for monic h of degree
-    # d <= k.  That coefficient is a_(k-d) + sum_(j<d) h_j a_(k-j), so every
-    # choice of A's other low digits gives one a_(k-d).
-    add, mul = F.add, F.mul
-    e = k - h.degree
-    tail = h.coeffs[:-1]
-    for low in itertools.product(range(F.q), repeat=degree - 1):
-        a = [*low[:e], 0, *low[e:], 1]
-        s = 0
-        for j, hj in enumerate(tail):
-            if hj and k - j <= degree:
-                s = add(s, mul(hj, a[k - j]))
-        a[e] = F.neg(s)
-        yield Poly._make(F, tuple(a))
+def _multiple_ranks(F: FieldCtx, h, k: int, zero_digit: int | None = None) -> list[int]:
+    # The ranks, as coprime_flags ranks them, of the monic g of degree k that
+    # the monic h (ascending coefficients, degree 1 <= e <= k) divides.  The
+    # top digits g_e..g_(k-1) run free, except g_zero_digit = 0 (zero_digit
+    # >= e), which the rank leaves out; the low digits are then
+    # -(X^k + sum g_j X^j) mod h, from the vectors -X^j mod h.
+    q, e = F.q, len(h) - 1
+    add, sub, mul = F.add, F.sub, F.mul
+    rems = [list(h[:e])]        # -X^j mod h for j = e..k
+    for _ in range(e, k):
+        r = rems[-1]
+        rems.append([sub(a, mul(r[-1], b)) for a, b in zip([0, *r[:-1]], h)])
+    free = [j for j in range(e, k) if j != zero_digit]
+    lows = [[c] for c in rems[-1]]      # low digit i of every multiple
+    for j in free:
+        steps = [[mul(x, c) for x in F.elements] for c in rems[j - e]]
+        lows = [[add(a, t) for a in low for t in step] for low, step in zip(lows, steps)]
+    ranks = lows[0]
+    for low in lows[1:]:
+        ranks = [r * q + d for r, d in zip(ranks, low)]
+    weight = q ** len(free)
+    return [r * weight + i for i, r in enumerate(ranks)]

@@ -36,6 +36,7 @@ import bisect
 import functools
 import itertools
 import operator
+import re
 from typing import Iterator, NamedTuple, Sequence
 
 from ffrat.gf import (FieldCtx, char_roots, check_budget, left_kernel,
@@ -301,8 +302,12 @@ def _ints(size: int, fill: int) -> memoryview:
 
 
 def _closed(perm: Sequence[int]) -> Sequence[int]:
-    # -1 stands for an image that is not among the engine's points.
-    if -1 in perm:
+    # -1 stands for an image that is not among the engine's points.  Any 4
+    # bytes in a row of an int buffer hold the top byte of one entry, 0xff
+    # only if it is negative, and -1 is the one negative entry: so it holds
+    # a -1 exactly when its bytes hold four 0xff in a row.
+    if (re.search(b"\xff\xff\xff\xff", perm) if isinstance(perm, memoryview)
+            else -1 in perm):
         raise AssertionError("orbit closure escaped the key set")
     return perm
 

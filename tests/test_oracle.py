@@ -21,7 +21,7 @@ from ffrat.oracle import (VERIFY_KINDS, SkippedCell, burnside_count_poly,
                           count_self_dual_coprime_pairs, enumerate_classes,
                           expected_fix, orbit_count_poly, orbit_count_rational,
                           poly_equivalence_partitions_agree, verify_grid)
-from ffrat.polyring import Poly, gcd
+from ffrat.polyring import Poly, conj_reverse, gcd, monic_polys
 from ffrat.ratmap import (KeyPermutations, enumerate_subfield_keys,
                           fixed_key_counts, fixed_points, invariant_planes,
                           key_image, label_orbits, normalize, subfield_key,
@@ -277,6 +277,21 @@ def test_engine_rejects_a_key_set_not_closed_under_the_action(monkeypatch):
     _listing_only(monkeypatch, list(enumerate_subfield_keys(F3, 2))[1:])
     with pytest.raises(AssertionError, match="escaped the key set"):
         KeyPermutations(F3, 2).image_perm((1, 1, 0, 1))
+
+
+@pytest.mark.parametrize("fill", [0, 255, 65535, 2 ** 24 - 1])
+def test_closure_check_finds_a_missing_image_in_an_int_buffer(fill):
+    # The check searches the buffer's bytes: indices whose low bytes are
+    # 0xff pass, and a -1 in the first, a middle or the last entry is caught.
+    perm = ratmap._ints(5, 0)
+    for i in range(5):
+        perm[i] = fill
+    assert ratmap._closed(perm) is perm
+    for pos in (0, 2, 4):
+        perm[pos] = -1
+        with pytest.raises(AssertionError, match="escaped the key set"):
+            ratmap._closed(perm)
+        perm[pos] = fill
 
 
 def test_engine_generators_reject_a_key_set_not_closed_under_the_action(monkeypatch):
@@ -728,6 +743,7 @@ def test_rational_function_count_mirror(q, n):
 
 
 SELF_DUAL_GRID = [(q, i) for q in (2, 3, 4, 5, 7, 8, 9) for i in range(4 if q <= 4 else 3)]
+SELF_DUAL_GRID += [(2, 4), (3, 4)]     # even degree with a free digit pair
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -749,6 +765,17 @@ def test_self_dual_walk_matches_scalar_filter(q, i):
     walked = list(oracle._self_dual_walk(ctx, i))
     assert len(walked) == len(set(walked))
     assert set(walked) == {g.coeffs for g in self_dual_polys(ctx, i)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_self_dual_walk_holds_every_product_with_the_reversal(q):
+    # The reversal sieve clears the multiples of the monic h*h*, h(0) != 0,
+    # only as multiples of the self-dual polynomials that the walk lists.
+    ctx = make_ext(field_of_order(q))
+    walked = set(oracle._self_dual_walk(ctx, 2))
+    for h in monic_polys(ctx.ext, 1):
+        if h.coeffs[0]:
+            assert (h * conj_reverse(h, ctx)).monic().coeffs in walked, h
 
 
 @pytest.mark.parametrize("q,i", SELF_DUAL_GRID)

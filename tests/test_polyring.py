@@ -7,9 +7,9 @@ import itertools
 import pytest
 
 from ffrat.gf import field_of_order, make_ext, make_field
-from ffrat.polyring import (NEG_INFINITY, Poly, affine_substitute, compose,
-                            conj, conj_reverse, coprime_flags, gcd, horner_rank,
-                            monic_polys, poly_str, self_dual_scalar)
+from ffrat.polyring import (NEG_INFINITY, Poly, _multiple_ranks, affine_substitute,
+                            compose, conj, conj_reverse, coprime_flags, gcd,
+                            horner_rank, monic_polys, poly_str, self_dual_scalar)
 
 from enumerators import polys_upto
 
@@ -368,24 +368,45 @@ def test_coprime_flags_match_pairwise_gcd(q):
 
 @pytest.mark.parametrize("q", SIEVE_GRID_Q)
 def test_pinned_coprime_flags_match_gcd_filter(q):
-    # The form that enumerates subfield keys: P's X^m digit is zero and is
-    # left out of P's rank.
+    # The form that enumerates subfield keys pins k = m: P's X^k digit is
+    # zero and is left out of P's rank.  Every k in m..n-1 is checked, with
+    # one gcd per pair whatever the number of digits of P that are zero.
     F = field_of_order(q)
     for n in range(1, 4):
         for m in range(n):
-            positions = [i for i in range(n) if i != m]
-            want = bytearray(q ** (n - 1 + m))
-            for f in monic_polys(F, n):
-                if f.coeff(m) == 0:
-                    base = horner_rank(q, [f.coeff(i) for i in positions]) * q ** m
-                    for j, g in enumerate(monic_polys(F, m)):
-                        want[base + j] = gcd(f, g).degree == 0
-            assert coprime_flags(F, n, m, zero_digit=m) == want, (q, n, m)
+            qs = list(monic_polys(F, m))
+            rows = {f: bytearray(gcd(f, g).degree == 0 for g in qs)
+                    for f in monic_polys(F, n) if 0 in f.coeffs[m:n]}
+            for k in range(m, n):
+                positions = [i for i in range(n) if i != k]
+                want = bytearray(q ** (n - 1 + m))
+                for f, row in rows.items():
+                    if f.coeff(k) == 0:
+                        base = horner_rank(q, [f.coeff(i) for i in positions]) * q ** m
+                        want[base:base + q ** m] = row
+                assert coprime_flags(F, n, m, zero_digit=k) == want, (q, n, m, k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_multiple_ranks_match_poly_products(q):
+    # The ranks of the monic multiples h*A of degree k, A running over the
+    # monic polynomials of degree k - deg h, with and without a pinned zero
+    # digit z >= deg h, which the rank leaves out.
+    F = field_of_order(q)
+    for e in (1, 2):
+        for h in monic_polys(F, e):
+            for k in range(e, 5):
+                for z in (None, *range(e, k)):
+                    positions = [i for i in range(k) if i != z]
+                    want = sorted(horner_rank(q, [g.coeff(i) for i in positions])
+                                  for g in (h * A for A in monic_polys(F, k - e))
+                                  if z is None or g.coeff(z) == 0)
+                    assert sorted(_multiple_ranks(F, h.coeffs, k, z)) == want, (h, k, z)
 
 
 def test_pinned_coprime_flags_reject_a_digit_below_m_or_past_n():
-    # The pinned digit is solved for in each cofactor of a monic h of
-    # degree d <= m, which needs the digit's index to be at least m.
+    # The pinned digit is one of the free top digits of the multiples of
+    # every monic h of degree d <= m, which needs its index to be at least m.
     F = field_of_order(3)
     for n, m, k in [(3, 2, 1), (3, 1, 3)]:
         with pytest.raises(ValueError, match="zero digit"):

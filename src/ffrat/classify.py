@@ -16,7 +16,8 @@ tests hold the q(q-1) substitutions that define it as their reference.
 over the digits from the top whose nodes carry their stabilizers in the
 affine group, so its work follows the classes, not the q^(n-1) polynomials.
 ``PolyPermutations``, the permutations of all of them, serves the oracle's
-orbit counts, an independent method.
+orbit counts, an independent method.  It reads the image digits off
+``affine_matrix``, whose fixed vectors the oracle's Burnside count takes.
 
 For n <= 5 the classes organize into short parametric families (rows such as
 "X^4 + a*(X^2+X) for a nonzero", with a running through fixed coset
@@ -68,6 +69,15 @@ def normalized_polys(F: FieldCtx, n: int) -> list[tuple[int, ...]]:
     return [(0,) + mid[::-1] + (1,) for mid in product(range(F.q), repeat=n - 1)]
 
 
+def affine_matrix(F: FieldCtx, n: int, a: int, b: int) -> list[list[int]]:
+    """The rows j = 1..n of M[j][k] = a^(k-n) C(j, k) b^(j-k), 0 for k > j:
+    the normalized image of X^n + c_{n-1}X^(n-1) + ... + c_1X under
+    X -> aX + b has the coefficients (c_1, ..., c_n) M, with c_n = 1."""
+    # C(j, k) is an integer; the integers below p are the prime field.
+    return [[F.mul(F.pow(a, k - n), F.mul(math.comb(j, k) % F.p, F.pow(b, j - k))) if k <= j
+             else 0 for k in range(1, n + 1)] for j in range(1, n + 1)]
+
+
 class PolyPermutations:
     """The normalized polynomials X^n + c_{n-1}X^(n-1) + ... + c_1X indexed
     by rank, the base-q number with digits (c_{n-1}, ..., c_1), and the index
@@ -77,7 +87,7 @@ class PolyPermutations:
 
     The normalized image of f under X -> aX + b has the coefficients
 
-        c'_k = a^(k-n) * sum_{j=k..n} C(j, k) b^(j-k) c_j    (c_n = 1),
+        c'_k = sum_{j=k..n} c_j M[j][k]    (c_n = 1, M = ``affine_matrix``),
 
     so digit k of the image depends only on the digits c_j with j >= k.
     ``image_perm`` walks the digits from c_{n-1} down, carrying for every
@@ -100,22 +110,17 @@ class PolyPermutations:
     def image_perm(self, a: int, b: int) -> list[int]:
         F, q, n, points = self.F, self.F.q, self.n, self._points
         add, mul = F.add, F.mul
-        ainv = F.inv(a)
-
-        def weight(j: int, k: int) -> int:
-            # C(j, k) b^(j-k); the integers below p are the prime field.
-            return mul(math.comb(j, k) % F.p, F.pow(b, j - k))
-
+        M = affine_matrix(F, n, a, b)
         ranks = [0]
         # sums[k - 1][i]: the partial sum of image digit k for the i-th prefix.
-        sums = [[weight(n, k)] for k in range(1, n)]
+        sums = [[w] for w in M[n - 1][:n - 1]]
         for j in range(n - 1, 0, -1):
-            scale, place = F.pow(ainv, n - j), q ** (j - 1)
-            digit = {s: [mul(scale, add(s, c)) * place for c in range(q)]
+            scale, place = M[j - 1][j - 1], q ** (j - 1)
+            digit = {s: [add(s, mul(scale, c)) * place for c in range(q)]
                      for s in set(sums[j - 1])}
             ranks = [points[r + t] for r, s in zip(ranks, sums[j - 1]) for t in digit[s]]
             steps = [{s: [add(s, mul(w, c)) for c in range(q)] for s in set(col)}
-                     for col, w in zip(sums, [weight(j, k) for k in range(1, j)])]
+                     for col, w in zip(sums, M[j - 1][:j - 1])]
             sums = [[x for s in col for x in step[s]] for col, step in zip(sums, steps)]
         return ranks
 

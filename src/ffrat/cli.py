@@ -121,17 +121,7 @@ def _one_count(kind: str, q: int, n: int, method: str, budget: int) -> int:
     if digits > MAX_COUNT_DIGITS:
         raise UsageError("the %s count at q=%d n=%d may have %d digits, more than "
                          "%d" % (kind, q, n, digits, MAX_COUNT_DIGITS))
-    if kind == "rational":
-        if method == "formula":
-            return counting.count_rational_classes(q, n)
-        if method == "burnside":
-            return oracle.burnside_count_rational(field_of_order(q), n, budget)
-        return oracle.orbit_count_rational(field_of_order(q), n, budget)
-    if method == "formula":
-        return counting.count_polynomial_classes(q, n)
-    if method == "burnside":
-        return oracle.burnside_count_poly(field_of_order(q), n, budget)
-    return oracle.orbit_count_poly(field_of_order(q), n, budget)
+    return oracle.class_count(kind, method, q, n, budget)
 
 
 def _single_q(text: str, budget: int) -> int:

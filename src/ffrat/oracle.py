@@ -9,10 +9,10 @@ Everything in ``counting`` has an independent enumeration mirror here:
   kernel of M - x, or spanned by v and vM for v in the left kernel of a
   quadratic in M, whose roots are eigenvalues of M; no key is listed;
 * Burnside averages for both actions by one rule over the cyclic subgroups
-  that partition each group (``_burnside_average``), listing no class: for
-  rational maps, the split, nonsplit and unipotent tori of ``_tori``, with
-  one plane count per kind and projective order; for polynomials, one left
-  kernel per scaling order and for X -> X + 1 (``_affine_fixed``);
+  that partition each group, whose phi(d) elements of each order d fix what
+  one of them fixes (``_burnside_average``), listing no class: for rational
+  maps, one plane count per kind of torus (``_tori``) and order; for
+  polynomials, one ``_affine_fixed`` kernel per scaling order and X -> X + 1;
 * orbit closures on index permutations of the subfield keys or of the
   normalized polynomials (``ratmap.KeyPermutations``,
   ``classify.PolyPermutations``, each listing its own points), with one
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
 from typing import Iterator, NamedTuple
 
@@ -119,12 +118,19 @@ def expected_fix(F: FieldCtx, n: int, rep: ConjClassRep) -> int:
 def _burnside_average(points: int, group: int, families) -> int:
     """Orbit count by Burnside's lemma over a group of order ``group`` whose
     non-identity elements each lie in one subgroup of the families
-    (k, N, fixed): k conjugate cyclic subgroups of order N, whose N - 1
-    non-identity elements fix ``fixed`` points in all."""
+    (k, N, fixed): k conjugate cyclic subgroups of order N, whose phi(d)
+    elements of each order d > 1 dividing N generate one subgroup, so they
+    all fix the ``fixed[d]`` points that one of them fixes."""
     order = 1 + sum(k * (N - 1) for k, N, _ in families)
     if order != group:
         raise AssertionError("the subgroups hold %d elements, not %d" % (order, group))
-    return counting.exact_div(points + sum(k * fixed for k, _, fixed in families), order)
+    total = points
+    for k, N, fixed in families:
+        if sorted(fixed) != counting.divisors(N)[1:]:
+            raise AssertionError("the fixed counts of a cyclic group of order %d are keyed by "
+                                 "%r, not by its orders d > 1" % (N, sorted(fixed)))
+        total += k * sum(counting.euler_phi(d) * count for d, count in fixed.items())
+    return counting.exact_div(total, order)
 
 
 def _power(F: FieldCtx, mat, e: int) -> tuple[int, ...]:
@@ -159,20 +165,17 @@ def _tori(F: FieldCtx) -> list[tuple[int, int, str, tuple[int, ...]]]:
 def burnside_count_rational(F: FieldCtx, n: int,
                             budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Class count as the Burnside average over the cyclic subgroups of
-    ``_tori``.  A cyclic group of order N has phi(d) elements of each order
-    d dividing N, and its elements of one order generate one subgroup, so
-    they fix the same keys: each (kind, order) is counted once, on the
-    invariant planes of a power of the generator (``ratmap.fixed_key_counts``).
-    Must agree with counting.count_rational_classes."""
+    ``_tori``.  Each (kind, order) is counted once, on the invariant planes
+    of a power of the generator (``ratmap.fixed_key_counts``).  Must agree
+    with counting.count_rational_classes."""
     q = F.q
     _check_keys(q, n, budget)
     tori = _tori(F)
     points, fixed = fixed_key_counts(
         F, n, {(kind, d): _power(F, gen, N // d)
-               for _, N, kind, gen in tori for d in counting.divisors(N) if d > 1}, budget)
+               for _, N, kind, gen in tori for d in counting.divisors(N)[1:]}, budget)
     return _burnside_average(points, q * (q * q - 1), [
-        (k, N, sum(counting.euler_phi(d) * fixed[kind, d]
-                   for d in counting.divisors(N) if d > 1)) for k, N, kind, _ in tori])
+        (k, N, {d: fixed[kind, d] for d in counting.divisors(N)[1:]}) for k, N, kind, _ in tori])
 
 
 def orbit_count_rational(F: FieldCtx, n: int,
@@ -193,14 +196,11 @@ def orbit_count_poly(F: FieldCtx, n: int,
 
 
 def _affine_fixed(F: FieldCtx, n: int, a: int, b: int) -> int:
-    """Normalized degree-n polynomials that X -> aX + b fixes.  With c_n = 1
-    kept as a homogeneous coordinate, f -> (f(aX + b) - f(b))/a^n is v -> vM
-    on (c_1, ..., c_n), M[j][k] = a^(k-n) C(j, k) b^(j-k) for k <= j.  The
-    fixed ones are the vectors with c_n = 1 in the left kernel of M - I:
-    q^(dim - 1) if an echelon row of the kernel ends in a nonzero entry."""
-    M = [[F.mul(F.pow(a, k - n), F.mul(math.comb(j, k) % F.p, F.pow(b, j - k))) if k <= j
-          else 0 for k in range(1, n + 1)] for j in range(1, n + 1)]
-    kernel = left_kernel(F, M, (F.neg(1), 1))
+    """Normalized degree-n polynomials that X -> aX + b fixes: the vectors
+    (c_1, ..., c_n) with c_n = 1 in the left kernel of M - I, M the
+    ``classify.affine_matrix`` of the map, q^(dim - 1) of them if an echelon
+    row of the kernel ends in a nonzero entry."""
+    kernel = left_kernel(F, classify.affine_matrix(F, n, a, b), (F.neg(1), 1))
     return F.q ** (len(kernel) - 1) if any(r[-1] for r in kernel) else 0
 
 
@@ -210,17 +210,29 @@ def burnside_count_poly(F: FieldCtx, n: int,
     the identity and the non-identity elements of the q point stabilizers,
     conjugates of the scalings <D>, and of the (q-1)/(p-1) cyclic groups of
     translations, conjugates of <T>, whose elements fix what T fixes.  The
-    phi(d) elements of order d in <D> fix what X -> g^((q-1)/d) X fixes, so
-    each count is one ``_affine_fixed``, charged n^3 elimination steps."""
+    elements of order d in <D> fix what X -> g^((q-1)/d) X fixes, so each
+    count is one ``_affine_fixed``, charged n^3 elimination steps."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     q, p, g = F.q, F.p, F.generator
     orders = counting.divisors(q - 1)[1:]
     check_budget(q, n, (len(orders) + 1) * n ** 3, "elimination steps", budget)
     return _burnside_average(q ** (n - 1), q * (q - 1), [
-        (q, q - 1, sum(counting.euler_phi(d) * _affine_fixed(F, n, F.pow(g, (q - 1) // d), 0)
-                       for d in orders)),
-        ((q - 1) // (p - 1), p, (p - 1) * _affine_fixed(F, n, 1, 1))])
+        (q, q - 1, {d: _affine_fixed(F, n, F.pow(g, (q - 1) // d), 0) for d in orders}),
+        ((q - 1) // (p - 1), p, {p: _affine_fixed(F, n, 1, 1)})])
+
+
+def class_count(kind: str, method: str, q: int, n: int, budget: int) -> int:
+    """The degree-n classes of kind "rational" or "poly" over GF(q), by method
+    "formula", "burnside" or "orbit".  Each function is looked up here, at
+    call time, where tracing and tests rebind it."""
+    if method == "formula":
+        return {"rational": counting.count_rational_classes,
+                "poly": counting.count_polynomial_classes}[kind](q, n)
+    return {("rational", "burnside"): burnside_count_rational,
+            ("rational", "orbit"): orbit_count_rational,
+            ("poly", "burnside"): burnside_count_poly,
+            ("poly", "orbit"): orbit_count_poly}[kind, method](field_of_order(q), n, budget)
 
 
 def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
@@ -361,10 +373,9 @@ class SkippedCell(NamedTuple):
     reason: str
 
 
-class VerificationReport:
-    def __init__(self):
-        self.checks: list[CheckResult] = []
-        self.skipped_cells: list[SkippedCell] = []
+class VerificationReport(NamedTuple):
+    checks: list[CheckResult]
+    skipped_cells: list[SkippedCell]
 
     @property
     def skipped(self) -> int:
@@ -424,23 +435,21 @@ def _cell_fix_formulas(q: int, n: int, budget: int) -> list[CheckResult]:
 def _cell_class_count(q: int, n: int, kind: str,
                       budget: int) -> tuple[list[CheckResult], SkippedCell | None]:
     # frakN or frakM: the closed form against Burnside, an orbit listing and
-    # the low-degree table.  A check the budget refuses is named in the
-    # cell's reason, and the others still run.  The methods are looked up
-    # here, at call time, where tracing and tests rebind them.
-    F = field_of_order(q)
+    # the low-degree table.  A field over the size bound skips the cell; a
+    # check the budget refuses is named in its reason, and the others run.
+    field_of_order(q)
     if kind == "frakN":
-        want = counting.count_rational_classes(q, n)
-        methods = (("burnside", burnside_count_rational), ("orbit", orbit_count_rational))
+        action, methods = "rational", ("burnside", "orbit")
         lowdeg, top = counting.count_rational_classes_lowdeg, 4
     else:
-        want = counting.count_polynomial_classes(q, n)
-        methods = (("orbit", orbit_count_poly), ("burnside", burnside_count_poly))
+        action, methods = "poly", ("orbit", "burnside")
         lowdeg, top = counting.count_polynomial_classes_lowdeg, 5
+    want = class_count(action, "formula", q, n, budget)
     out, refused = [], []
-    for name, method in methods:
-        name = "%s/%s" % (kind, name)
+    for method in methods:
+        name = "%s/%s" % (kind, method)
         try:
-            out.append(_timed(name, q, n, want, lambda: method(F, n, budget)))
+            out.append(_timed(name, q, n, want, lambda: class_count(action, method, q, n, budget)))
         except BudgetExceededError as exc:
             refused.append("%s: %s" % (name, exc))
     if n <= top:
@@ -535,9 +544,5 @@ def verify_grid(q_list, n_list, kinds=VERIFY_KINDS,
     else:
         results = [_run_cell(t) for t in tasks]
 
-    report = VerificationReport()
-    for checks, skipped in results:
-        report.checks.extend(checks)
-        if skipped is not None:
-            report.skipped_cells.append(skipped)
-    return report
+    return VerificationReport([check for checks, _ in results for check in checks],
+                              [skipped for _, skipped in results if skipped is not None])

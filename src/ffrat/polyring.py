@@ -147,8 +147,6 @@ class Poly:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] = add(out[i + j], mul(ca, cb))
-        while out and out[-1] == 0:
-            out.pop()
         return Poly._make(self.field, tuple(out))
 
     def scale(self, c: int) -> "Poly":
@@ -368,7 +366,8 @@ def coprime_flags(F: FieldCtx, n: int, m: int,
     order).  With ``zero_digit`` = k, m <= k < n, only the P with zero X^k
     coefficient are ranked, that digit left out.  A common factor contains a
     monic h of degree 1..min(n, m), so clearing every pair of multiples of h,
-    ranked by ``_multiple_ranks``, clears exactly the pairs not coprime."""
+    ranked by ``_multiple_ranks``, clears exactly the pairs not coprime.  For
+    n = m, where no digit can be pinned, P and Q share one list per h."""
     if zero_digit is not None and not m <= zero_digit < n:
         raise ValueError("the zero digit must lie in m..n-1")
     q = F.q
@@ -377,7 +376,7 @@ def coprime_flags(F: FieldCtx, n: int, m: int,
     for d in range(1, min(n, m) + 1):
         for h in monic_polys(F, d):
             q_ranks = _multiple_ranks(F, h.coeffs, m)
-            for p in _multiple_ranks(F, h.coeffs, n, zero_digit):
+            for p in q_ranks if n == m else _multiple_ranks(F, h.coeffs, n, zero_digit):
                 base = p * qm
                 for r in q_ranks:
                     flags[base + r] = 0

@@ -53,12 +53,17 @@ def test_count_poly(capsys):
     assert out == "4\n"
 
 
-@pytest.mark.parametrize("method", ["formula", "burnside", "orbit"])
-def test_count_methods_agree(capsys, method):
-    code, out, _ = run_cli(capsys, "count", "--q", "3", "--n", "2",
+METHODS = ("formula", "burnside", "orbit")
+
+
+@pytest.mark.parametrize("kind,method,count", [
+    *(pytest.param("rational", method, "2\n", id=method) for method in METHODS),
+    *(pytest.param("poly", method, "1\n", id="poly-" + method) for method in METHODS)])
+def test_count_methods_agree(capsys, kind, method, count):
+    code, out, _ = run_cli(capsys, "count", "--kind", kind, "--q", "3", "--n", "2",
                            "--method", method)
     assert code == EXIT_OK
-    assert out == "2\n"
+    assert out == count
 
 
 def _decimal_value(text: str) -> int:

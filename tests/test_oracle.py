@@ -680,6 +680,21 @@ def test_affine_fixed_counts_match_the_listing(q, n):
             assert oracle._affine_fixed(F, n, a, b) == fixed_points(engine.image_perm(a, b)), (a, b)
 
 
+def test_burnside_average_weighs_each_order_and_checks_the_keys():
+    # The affine group of GF(5) at n = 3, from the lemmas: five stabilizers
+    # of order 4, with one element of order 2 and two of order 4 each, and
+    # one group of translations, of order 5.
+    q, n = 5, 3
+    scalings = {d: counting.fix_affine_scale(q, n, d) for d in (2, 4)}
+    translations = {5: counting.fix_affine_translate(q, n)}
+    assert oracle._burnside_average(q ** (n - 1), q * (q - 1), [
+        (q, q - 1, scalings), (1, q, translations)]) == counting.count_polynomial_classes(q, n)
+    for fixed in ({4: scalings[4]}, {**scalings, 3: 0}):
+        with pytest.raises(AssertionError, match=r"order 4 are keyed by \[(2, 3, )?4\], not by its orders"):
+            oracle._burnside_average(q ** (n - 1), q * (q - 1), [
+                (q, q - 1, fixed), (1, q, translations)])
+
+
 def test_orbit_count_poly_budget():
     with pytest.raises(BudgetExceededError):
         orbit_count_poly(F5, 6, budget=100)

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from ffrat import polyring
 from ffrat.gf import field_of_order, make_ext, make_field
 from ffrat.polyring import (NEG_INFINITY, Poly, _multiple_ranks, affine_substitute,
                             compose, conj, conj_reverse, coprime_flags, gcd,
@@ -364,6 +365,21 @@ def test_coprime_flags_match_pairwise_gcd(q):
             assert coprime_flags(F, n, m) == want, (q, n, m)
             want_t = bytearray(row[j] for j in range(q ** m) for row in table)
             assert coprime_flags(F, m, n) == want_t, (q, m, n)
+
+
+def test_coprime_flags_list_the_multiples_once_per_h_for_equal_degrees(monkeypatch):
+    # For n = m the P and Q multiples of h are one list: one call for each
+    # of the 2 + 4 + 8 monic h of degree 1..3 over GF(2).
+    F, calls = field_of_order(2), []
+
+    def counted(*args):
+        calls.append(args)
+        return _multiple_ranks(*args)
+
+    monkeypatch.setattr(polyring, "_multiple_ranks", counted)
+    flags = coprime_flags(F, 3, 3)
+    assert len(calls) == 14
+    assert flags == bytearray(x for row in _gcd_table(F, 3, 3) for x in row)
 
 
 @pytest.mark.parametrize("q", SIEVE_GRID_Q)

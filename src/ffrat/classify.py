@@ -158,7 +158,9 @@ def _least_image(F: FieldCtx, base: tuple[int, ...]) -> tuple[list[int], int]:
     steps and keep d scalings.
 
     For n <= 5 that is at most q (n(n-1)/2 + 1) steps (``_table_cost``).  The
-    top level takes q evaluations and at most q roots.  A level k below it
+    top level takes q evaluations and at most q roots where p | n, and else
+    one: g_{n-1}(b) = c_{n-1} + n b is 0 at b = -c_{n-1}/n alone, the one
+    candidate from the start.  A level k below it
     takes at most q evaluations and q (n-k-1) products: a list of scalings
     comes from a level j > k with d <= n - j, and the q - 1 products are made
     at most once.  For the b with all scalings live there had g_j = 0 at
@@ -166,7 +168,7 @@ def _least_image(F: FieldCtx, base: tuple[int, ...]) -> tuple[list[int], int]:
     b, with one g_k, when p | n <= 5."""
     n, q = len(base) - 1, F.q
     add, mul, pow_ = F.add, F.mul, F.pow
-    live = dict.fromkeys(F.elements)
+    live = dict.fromkeys(F.elements if n % F.p == 0 else (F.neg(F.div(base[n - 1], n % F.p)),))
     digits, steps = [], 0
     for k in range(n - 1, 0, -1):
         ck = base[k]

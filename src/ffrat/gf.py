@@ -36,6 +36,7 @@ direct polynomial reduction and digit-by-digit negation.  Fields above
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, NamedTuple
 
 from ffrat.counting import char_and_degree, divisors, prime_factors
@@ -287,9 +288,12 @@ class FieldCtx:
 
 
 def mult_order(F: FieldCtx, a: int) -> int:
-    """Multiplicative order of a nonzero element; always divides q - 1."""
+    """Multiplicative order of a nonzero element: (q - 1)/gcd(log a, q - 1)
+    with a log table, else the least divisor d of q - 1 with a^d = 1."""
     if a == 0:
         raise ValueError("0 has no multiplicative order")
+    if F.log_table is not None:
+        return (F.q - 1) // math.gcd(F.log_table[a], F.q - 1)
     for d in divisors(F.q - 1):
         if F.pow(a, d) == 1:
             return d

@@ -13,10 +13,10 @@ Everything in ``counting`` has an independent enumeration mirror here:
   one of them fixes (``_burnside_average``), listing no class: for rational
   maps, one plane count per kind of torus (``_tori``) and order; for
   polynomials, one ``_affine_fixed`` kernel per scaling order and X -> X + 1;
-* orbit closures on index permutations of the subfield keys or of the
+* orbit closures on index permutations of the candidate key ranks or of the
   normalized polynomials (``ratmap.KeyPermutations``,
-  ``classify.PolyPermutations``, each listing its own points), with one
-  orbit search (``ratmap.label_orbits``) for both.  The rational closure
+  ``classify.PolyPermutations``), with one orbit search from the listed
+  points (``ratmap.label_orbits``) for both.  The rational closure
   searches only the affine group B, generated by X -> gX and X -> X + 1: the
   whole group is the disjoint union of B and B.S.B, S = X -> 1/X, so the
   B-orbits of a class are joined by the images under S of q keys of its
@@ -134,12 +134,14 @@ def _burnside_average(points: int, group: int, families) -> int:
 
 
 def _power(F: FieldCtx, mat, e: int) -> tuple[int, ...]:
-    """mat^e, e >= 1, of a row-major 2x2 (a, b, c, d), by e - 1 products."""
+    """mat^e, e >= 1, of a row-major 2x2 (a, b, c, d): for each bit of e below
+    the top one, a square, and a product by mat if the bit is 1."""
     add, mul = F.add, F.mul
     out = mat
-    for _ in range(e - 1):
-        out = tuple(add(mul(out[i], mat[j]), mul(out[i + 1], mat[j + 2]))
-                    for i in (0, 2) for j in (0, 1))
+    for bit in bin(e)[3:]:
+        for y in (out, mat) if bit == "1" else (out,):
+            out = tuple(add(mul(out[i], y[j]), mul(out[i + 1], y[j + 2]))
+                        for i in (0, 2) for j in (0, 1))
     return out
 
 
@@ -192,7 +194,8 @@ def orbit_count_poly(F: FieldCtx, n: int,
                      budget: int = DEFAULT_KEY_BUDGET) -> int:
     """Orbits of normalized degree-n polynomials under right substitution by
     invertible affine maps."""
-    return max(label_orbits(classify.PolyPermutations(F, n, budget).generators)) + 1
+    D, T = classify.PolyPermutations(F, n, budget).generators
+    return len(label_orbits((D, T), range(len(D)))[1])
 
 
 def _affine_fixed(F: FieldCtx, n: int, a: int, b: int) -> int:
@@ -245,9 +248,10 @@ def poly_equivalence_partitions_agree(F: FieldCtx, n: int,
     key_engine = KeyPermutations(F, n, budget)
     blabels, glabels = key_engine.bruhat_labels()
     one = (0,) * n + (1,)
-    pairs = {(affine, glabels[blabels[key_engine.key_index((f[::-1], one))]])
+    D, T = poly_engine.generators
+    pairs = {(affine, glabels[blabels[key_engine.rank((f[::-1], one))]])
              for f, affine in zip(classify.normalized_polys(F, n),
-                                  label_orbits(poly_engine.generators))}
+                                  label_orbits((D, T), range(len(D)))[0])}
     return len(pairs) == len({a for a, _ in pairs}) == len({k for _, k in pairs})
 
 

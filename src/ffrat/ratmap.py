@@ -25,9 +25,10 @@ walking the canonical bases directly: pairs (P, Q) with P monic of degree n,
 Q monic of degree m < n, gcd(P, Q) = 1 and the X^m coefficient of P zero.
 The coprime pairs come from ``polyring.coprime_flags``, the one coprimality
 sieve, with P's X^m digit pinned to zero, and the walk's order ranks every
-candidate pair by its digits.  ``KeyPermutations`` keeps only the ranks of
-the keys, decodes a key's rows from its rank where they are read, and images
-keys under scalings and translations by digit arithmetic, with no echelon form.
+candidate pair by its digits.  ``KeyPermutations`` permutes the candidate
+ranks and keeps nothing per key: it decodes a key's rows from its rank where
+read, ranks scalings and translations by digit arithmetic, with no echelon
+form, and streams the listed ranks into one orbit search, ``label_orbits``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import bisect
 import functools
 import itertools
 import operator
-import re
-from typing import Iterator, NamedTuple, Sequence
+import struct
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ffrat.gf import (FieldCtx, char_roots, check_budget, left_kernel,
                       row_echelon, row_times, span_sums)
@@ -282,18 +283,20 @@ def enumerate_subfield_keys(F: FieldCtx, n: int,
 
 
 def digit_ranks(q: int, tables: list[list[int]], base: int = 0,
-                unit: int = 1) -> Iterator[int]:
-    """Item r is base plus unit times the rank of the image of the r-th string
-    of ``itertools.product(range(q), repeat=len(tables))`` that maps digit k
-    by tables[k], the first digit most significant.  The last digit is added
-    lazily, so that a caller may look each rank up without a list of all."""
-    vals, tab = [base], [0]
-    weight = unit * q ** len(tables)
-    for t in tables:
-        vals = [v + s for v in vals for s in tab]
-        weight //= q
-        tab = [x * weight for x in t]
-    return (v + s for v in vals for s in tab)
+                unit: int = 1) -> Iterator[list[int]]:
+    """Item r of the concatenated lists is base plus unit times the rank of
+    the image of the r-th string of ``itertools.product(range(q),
+    repeat=len(tables))`` that maps digit k by tables[k], the first digit
+    most significant: one list per value of the first half of the digits,
+    so that none holds more than q^ceil(len(tables) / 2) ranks."""
+    weight, half, sums = unit * q ** len(tables), len(tables) // 2, []
+    for digits, vals in ((tables[:half], [base]), (tables[half:], [0])):
+        for table in digits:
+            weight //= q
+            vals = [v + x * weight for v in vals for x in table]
+        sums.append(vals)
+    heads, tails = sums
+    return ([h + s for s in tails] for h in heads)
 
 
 def _ints(size: int, fill: int) -> memoryview:
@@ -301,30 +304,34 @@ def _ints(size: int, fill: int) -> memoryview:
     return memoryview(bytearray((fill & 255,)) * (4 * size)).cast("i")
 
 
-def _closed(perm: Sequence[int]) -> Sequence[int]:
-    # -1 stands for an image that is not among the engine's points.  Any 4
-    # bytes in a row of an int buffer hold the top byte of one entry, 0xff
-    # only if it is negative, and -1 is the one negative entry: so it holds
-    # a -1 exactly when its bytes hold four 0xff in a row.
-    if (re.search(b"\xff\xff\xff\xff", perm) if isinstance(perm, memoryview)
-            else -1 in perm):
+def _packed(size: int, chunks: Iterator[list[int]]) -> memoryview:
+    # The size C ints that the lists ``chunks`` hold, in order.
+    buf, at = bytearray(4 * size), 0
+    for chunk in chunks:
+        buf[at:at + 4 * len(chunk)] = struct.pack("%di" % len(chunk), *chunk)
+        at += 4 * len(chunk)
+    return memoryview(buf).cast("i")
+
+
+def _closed(labels: Sequence[int]) -> Sequence[int]:
+    # -1 stands for a rank that the listing does not hold.
+    if -1 in labels:
         raise AssertionError("orbit closure escaped the key set")
-    return perm
+    return labels
 
 
 class KeyPermutations:
-    """The subfield keys that ``enumerate_subfield_keys`` lists, indexed 0..N-1,
-    and the index permutations that invertible matrices induce.
+    """The permutations that invertible matrices induce on the subfield keys
+    that ``enumerate_subfield_keys`` lists, indexed by candidate rank.
 
-    Every key has a rank, offset[m] + rank(P free digits) * q^m +
-    rank(Q low digits), which orders the keys strictly.  The engine keeps no
-    key, only each index's rank and a table from ranks to indices (-1 for
-    ranks not listed), 4-byte int buffers like every permutation it returns,
-    about 18 bytes per key; a key's rows are decoded from its rank where read.
-    ``image_perm`` takes the ``key_image`` of every key.  ``scaling`` and
-    ``translation`` are the permutations of D = (g, 0, 0, 1) and
-    T = (1, 1, 0, 1); both keep the pivots of a key, so their images are
-    ranked by digit arithmetic, with no ``key_image``.
+    Every pair (P, Q) of the listing's shape, coprime or not, has a rank
+    0..R-1, offset[m] + rank(P free digits) * q^m + rank(Q low digits).  The
+    engine keeps nothing per key, and a key's rows are decoded from its rank
+    where read.  Permutations are buffers of R 4-byte C ints: ``image_perm``
+    takes the ``key_image`` of every listed key, -1 at candidates not
+    listed; ``scaling`` and ``translation``, of D = (g, 0, 0, 1) and
+    T = (1, 1, 0, 1), permute all R candidates by digit arithmetic, with no
+    ``key_image``, since both keep the pivots of a pair.
 
     ``bruhat_labels`` labels the orbits without S's permutation.  D and T
     generate the affine group B, and PGL(2, q) is the disjoint union of B and
@@ -336,31 +343,20 @@ class KeyPermutations:
     """
 
     def __init__(self, F: FieldCtx, n: int, budget: int = DEFAULT_KEY_BUDGET):
-        self.F, self.n, q = F, n, F.q
+        self.F, self.n, self._budget, q = F, n, budget, F.q
         _check_keys(q, n, budget)     # the listing checks only at its first key
-        # offsets[m]: the first rank of the keys whose Q has degree m.
+        # offsets[m]: the first rank of the pairs whose Q has degree m.
         self._offsets = [q ** (n - 1) * (q ** m - 1) // (q - 1) for m in range(n + 1)]
         self._rows = [_key_rows(q, n, m) for m in range(n)]
         self._parts: dict = {}      # Q row -> (its rank, {P row: P's share})
         for offset, (p_rows, q_rows) in zip(self._offsets, self._rows):
             shares = {r0: offset + i * len(q_rows) for i, r0 in enumerate(p_rows)}
             self._parts.update((r1, (j, shares)) for j, r1 in enumerate(q_rows))
-        ranks = _ints(q ** (2 * n - 2), 0)
-        self._table = table = _ints(self._offsets[n], -1)
-        # The listing runs through a P row's Q rows together: one share lookup.
-        p_row = p_shares = None
-        for i, (r0, r1) in enumerate(enumerate_subfield_keys(F, n, budget)):
-            j, shares = self._parts[r1]
-            if r0 is not p_row or shares is not p_shares:
-                p_row, p_shares, share = r0, shares, shares[r0]
-            ranks[i] = share + j
-            table[share + j] = i
-        self._ranks = ranks[:i + 1]
 
     @property
     def keys(self) -> list[Key]:
-        """The listed keys in index order, decoded from their ranks."""
-        return list(map(self._key, self._ranks))
+        """The listed keys, in listing order (increasing rank)."""
+        return list(enumerate_subfield_keys(self.F, self.n, self._budget))
 
     def _key(self, rank: int) -> Key:
         m = bisect.bisect_right(self._offsets, rank) - 1
@@ -373,98 +369,84 @@ class KeyPermutations:
         j, shares = self._parts[key[1]]
         return shares[key[0]] + j
 
-    def key_index(self, key: Key) -> int:
-        """The index of a degree-n key, or -1 if the engine does not list it."""
-        return self._table[self.rank(key)]
-
     def image_perm(self, mat) -> memoryview:
-        F, table = self.F, self._table
+        F, rank = self.F, self.rank
         M = substitution_matrix(F, mat, self.n)
         products: dict = {}
-        perm = _ints(len(self._ranks), 0)
-        for i, key in enumerate(map(self._key, self._ranks)):
-            perm[i] = table[self.rank(key_image(key, M, F, products))]
-        return _closed(perm)
-
-    def _assign(self, perm: memoryview, start: int, stop: int, images) -> None:
-        # perm[i] = j for each key i ranked in start..stop-1 and its image j.
-        for i, j in zip(self._table[start:stop], images):
-            if i >= 0:
-                perm[i] = j
+        perm = _ints(self._offsets[-1], -1)
+        for key in self.keys:
+            perm[rank(key)] = rank(key_image(key, M, F, products))
+        _closed([perm[j] for j in perm if j >= 0])
+        return perm
 
     @functools.cached_property
     def scaling(self) -> memoryview:
         # D sends P to P(gX) / g^n and Q to Q(gX) / g^m: digit i of each
         # row is scaled by g^(i-n) or g^(i-m), and the pivots stay.
-        F, n, table = self.F, self.n, self._table
+        F, n = self.F, self.n
         ginv = F.inv(F.generator)
-        perm = _ints(len(self._ranks), -1)
-        for m in range(n):
+
+        def ranks(m):
             scales = ([F.pow(ginv, n - i) for i in range(n) if i != m]
                       + [F.pow(ginv, m - i) for i in range(m)])
             tables = [[F.mul(s, x) for x in F.elements] for s in scales]
-            ranks = digit_ranks(F.q, tables, self._offsets[m])
-            self._assign(perm, self._offsets[m], self._offsets[m + 1],
-                         map(table.__getitem__, ranks))
-        return _closed(perm)
+            return digit_ranks(F.q, tables, self._offsets[m])
+        return _packed(self._offsets[n], itertools.chain.from_iterable(map(ranks, range(n))))
 
     @functools.cached_property
     def translation(self) -> memoryview:
         # With m = deg Q, lo = P's digits X^0..X^(m-1) and hi = X^(m+1)..,
-        # the image key is (P(X+1) - c*Q(X+1), Q(X+1)), c = [X^m]P(X+1).  Its
-        # hi and c depend on hi alone, and its lo is A.lo + v, A the shift of
-        # the polynomials of degree < m and v = u - c*Q(X+1)'s low digits, u
-        # those of P(X+1) at lo = 0.  So the rank offset[m] + (lo*q^(n-1-m) +
-        # hi)*q^m + rank(Q) goes to rank(A.lo + v)*q^(n-1) + part(hi, Q).
-        F, q, n, table = self.F, self.F.q, self.n, self._table
+        # the image pair is (P(X+1) - c*Q(X+1), Q(X+1)), c = [X^m]P(X+1).
+        # Its hi and c depend on hi alone, and its lo is A.lo + v, A the shift
+        # of the polynomials of degree < m, v = u - c*Q(X+1)'s low digits, u
+        # those of P(X+1) at lo = 0: rank offset[m] + (lo*q^(n-1-m) + hi)*q^m
+        # + rank(Q) goes to rank(A.lo + v)*q^(n-1) + part(hi, Q), in rank order.
+        F, q, n = self.F, self.F.q, self.n
         add, mul, neg = F.add, F.mul, F.neg
-        block = q ** (n - 1)
-        perm = _ints(len(self._ranks), -1)
-        for m in range(n):
-            q_images = [substitute_raw(F, low + (1,), 1, 1)[:m]
-                        for low in itertools.product(range(q), repeat=m)]
-            v_ranks, parts = [], []
-            for hi in itertools.product(range(q), repeat=n - 1 - m):
-                p = substitute_raw(F, (0,) * (m + 1) + hi + (1,), 1, 1)
-                minus_c, u = neg(p[m]), p[:m]
-                base = self._offsets[m] + horner_rank(q, p[m + 1:n]) * q ** m
-                for b in q_images:
-                    v = [add(x, mul(minus_c, y)) for x, y in zip(u, b)]
-                    v_ranks.append(horner_rank(q, v))
-                    parts.append(base + horner_rank(q, b))
-            start = self._offsets[m]
-            for lo in itertools.product(range(q), repeat=m):
-                row = list(digit_ranks(q, [[add(a, x) for x in F.elements]
-                                           for a in substitute_raw(F, lo + (0,), 1, 1)[:m]],
-                                       0, block))
-                ranks = map(operator.add, map(row.__getitem__, v_ranks), parts)
-                self._assign(perm, start, start + block, map(table.__getitem__, ranks))
-                start += block
-        return _closed(perm)
+
+        def blocks():
+            for m in range(n):
+                q_images = [substitute_raw(F, low + (1,), 1, 1)[:m]
+                            for low in itertools.product(range(q), repeat=m)]
+                v_ranks, parts = [], []
+                for hi in itertools.product(range(q), repeat=n - 1 - m):
+                    p = substitute_raw(F, (0,) * (m + 1) + hi + (1,), 1, 1)
+                    minus_c, u = neg(p[m]), p[:m]
+                    base = self._offsets[m] + horner_rank(q, p[m + 1:n]) * q ** m
+                    for b in q_images:
+                        v = [add(x, mul(minus_c, y)) for x, y in zip(u, b)]
+                        v_ranks.append(horner_rank(q, v))
+                        parts.append(base + horner_rank(q, b))
+                for lo in itertools.product(range(q), repeat=m):
+                    row = [r for rs in digit_ranks(q, [[add(a, x) for x in F.elements] for a in
+                                                       substitute_raw(F, lo + (0,), 1, 1)[:m]],
+                                                   0, q ** (n - 1)) for r in rs]
+                    yield list(map(operator.add, map(row.__getitem__, v_ranks), parts))
+        return _packed(self._offsets[n], blocks())
 
     def bruhat_labels(self) -> tuple[list[int], list[int]]:
-        """The B-orbit label of every key, by ``label_orbits`` over D and T,
-        and the orbit label of every B-orbit under the whole group, both
-        numbered in order of first discovery.  Only the first key x of each
-        orbit is inverted, together with its q - 1 translates x.D^k.T."""
-        F, ranks, table = self.F, self._ranks, self._table
+        """The B-orbit label of every rank by ``label_orbits`` over D and T
+        from the listed keys, and the orbit label of every B-orbit under the
+        whole group, both numbered in order of first discovery.  Only the
+        first key x of each orbit is inverted, with its translates x.D^k.T."""
+        F, rank = self.F, self.rank
         D, T = self.scaling, self.translation
-        blabels = label_orbits((D, T))
-        glabels = [-1] * (max(blabels) + 1)
+        blabels, firsts = label_orbits(
+            (D, T), map(rank, enumerate_subfield_keys(F, self.n, self._budget)))
+        glabels = [-1] * len(firsts)
         M = substitution_matrix(F, (0, 1, 1, 0), self.n)
         products: dict = {}
         orbits = 0
-        for i, b in enumerate(blabels):
+        for b, i in enumerate(firsts):
             if glabels[b] < 0:
                 glabels[b] = orbits
                 starts, j = [i], i
                 for _ in range(F.q - 1):
                     starts.append(T[j])
                     j = D[j]
-                images = [table[self.rank(key_image(self._key(ranks[j]), M, F, products))]
-                          for j in starts]
-                for image in _closed(images):
-                    glabels[blabels[image]] = orbits
+                for image in _closed([blabels[rank(key_image(self._key(j), M, F, products))]
+                                      for j in starts]):
+                    glabels[image] = orbits
                 orbits += 1
         return blabels, glabels
 
@@ -473,21 +455,29 @@ def fixed_points(perm: Sequence[int]) -> int:
     return sum(map(operator.eq, perm, range(len(perm))))
 
 
-def label_orbits(generators: tuple[Sequence[int], ...]) -> list[int]:
-    """Orbit index of every point under the group that the index
-    permutations ``generators`` (lists or int buffers) generate, numbered in
-    order of first discovery."""
+def label_orbits(generators: tuple[Sequence[int], ...],
+                 starts: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Orbit labels, numbered in order of first discovery, -1 where unreached,
+    from the distinct points ``starts`` under the index permutations
+    ``generators`` (lists or int buffers), and the first start of each orbit,
+    searched breadth-first.  Raises AssertionError unless the orbits hold
+    just the starts: unless the starts are closed under the generators."""
     label = [-1] * len(generators[0])
-    orbits = 0
-    for start in range(len(label)):
+    firsts: list[int] = []
+    labelled = listed = 0
+    for listed, start in enumerate(starts, 1):
         if label[start] < 0:
-            label[start], stack = orbits, [start]
-            while stack:
-                i = stack.pop()
+            orbit = len(firsts)
+            firsts.append(start)
+            label[start] = orbit
+            points = [start]
+            for i in points:
                 for g in generators:
                     j = g[i]
                     if label[j] < 0:
-                        label[j] = orbits
-                        stack.append(j)
-            orbits += 1
-    return label
+                        label[j] = orbit
+                        points.append(j)
+            labelled += len(points)
+    if labelled != listed:
+        raise AssertionError("orbit closure escaped the key set")
+    return label, firsts

@@ -23,11 +23,12 @@ def perm_product(first: list[int], then: list[int]) -> list[int]:
     return list(map(then.__getitem__, first))
 
 
-def cycle_lengths(perm: list[int]) -> dict[int, int]:
-    """How many cycles of each length the permutation has."""
+def cycle_lengths(perm: list[int], points=None) -> dict[int, int]:
+    """How many cycles of each length the permutation has on ``points``, a
+    set it keeps (all of its points by default)."""
     seen = bytearray(len(perm))
     counts: dict[int, int] = {}
-    for start in range(len(perm)):
+    for start in range(len(perm)) if points is None else points:
         if not seen[start]:
             length, i = 0, start
             while not seen[i]:

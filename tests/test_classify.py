@@ -131,6 +131,27 @@ def test_canonical_poly_of_quartic_table_members_over_gf16_matches_reference():
             assert canonical_poly(member) == canonical_poly_by_substitution(member)
 
 
+@pytest.mark.parametrize("q,n", [(16, 5), (11, 3), (7, 4), (2, 5), (9, 2)])
+def test_least_image_clears_the_top_digit_in_one_step_where_p_does_not_divide_n(monkeypatch, q, n):
+    # Digit n-1 of f(X + b) is c_{n-1} + n b, 0 at the one b = -c_{n-1}/n:
+    # the top level evaluates that shift alone, one step, all that a
+    # quadratic takes.
+    def one_at_the_top(F, n, k, prefix, bs):
+        assert k < n - 1 or len(bs) == 1, "the top level evaluated %d shifts" % len(bs)
+        return shifts(F, n, k, prefix, bs)
+
+    shifts = classify._shifts
+    monkeypatch.setattr(classify, "_shifts", one_at_the_top)
+    F = field_of_order(q)
+    polys = ([m for _, ms in table_families(F, n) for m in ms] if q ** (n - 1) > 1000
+             else [Poly(F, f) for f in normalized_polys(F, n)])
+    for f in polys:
+        digits, steps = classify._least_image(F, f.coeffs)
+        assert (0, *digits[::-1], 1) == canonical_poly_by_substitution(f).coeffs, f
+        if n == 2:
+            assert steps == 1
+
+
 @pytest.mark.parametrize("q,n,top", [(5, 5, (0,)), (3, 6, (0, 1, 2))])
 def test_canonical_poly_where_p_divides_n_matches_reference(q, n, top):
     # p | n: the top digit c_{n-1} is the same for every b, so all q shifts
@@ -478,6 +499,6 @@ def test_degree2_reps_hit_both_orbits(q):
     assert counting.count_rational_classes(q, 2) == 2
     engine = KeyPermutations(F, 2)
     blabels, glabels = engine.bruhat_labels()
-    first, second = (glabels[blabels[engine.key_index(subfield_key(f))]]
+    first, second = (glabels[blabels[engine.rank(subfield_key(f))]]
                      for f in degree2_rational_reps(F))
     assert first != second

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from ffrat import gf
-from ffrat.counting import divisors, euler_phi
+from ffrat.counting import divisors, euler_phi, prime_factors
 from ffrat.gf import (BudgetExceededError, FieldSizeError, field_of_order,
                       is_prime, left_kernel, make_ext, make_field, mult_order,
                       row_echelon, row_times)
@@ -315,3 +315,24 @@ def test_left_kernel_is_the_echelon_basis_of_every_solution(q, w):
                 span = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(u, row))
                         for u in span for c in F.elements}
             assert span == {v for v in vectors if not any(image(v, M, coeffs))}, (M, coeffs)
+
+
+@pytest.mark.parametrize("q", SMALL_ORDERS)
+def test_mult_order_reads_the_log_table_as_the_divisor_scan(q):
+    # (q - 1)/gcd(log a, q - 1) against the least divisor d of q - 1 with
+    # a^d = 1, on every unit.
+    F = field_of_order(q)
+    assert F.log_table is not None
+    for a in F.units:
+        assert mult_order(F, a) == next(d for d in divisors(q - 1) if F.pow(a, d) == 1), a
+
+
+def test_mult_order_past_the_log_tables():
+    # GF(65537) has no log table: the divisor scan, on sampled units.  2^16
+    # is -1, so 2 has order 32, and 3 generates the units.
+    F = field_of_order(65537)
+    assert F.log_table is None
+    assert (mult_order(F, 2), mult_order(F, 3), mult_order(F, 65536)) == (32, 65536, 2)
+    for a in random.Random(65537).sample(range(1, 65537), 20):
+        d = mult_order(F, a)
+        assert F.pow(a, d) == 1 and all(F.pow(a, d // r) != 1 for r in prime_factors(d)), a

@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -177,15 +178,18 @@ def test_plane_fix_counts_match_torus_cycles(q, n):
     # arithmetic, and the nonsplit generator R from its key images.  Up to
     # conjugacy, a class of order d is a power of D, R or T, of order N, and
     # fixes the points on the generator's cycles of length dividing N/d.
+    # The permutations are indexed by rank: cycles are taken over the
+    # listed ranks only.
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
     classes = [rep for rep in enumerate_classes(F) if rep.kind != "central"]
     points, fixed = fixed_key_counts(F, n, {rep: rep.matrix for rep in classes})
-    assert points == len(engine.keys)
+    listed = list(map(engine.rank, engine.keys))
+    assert points == len(listed)
     R = oracle._tori(F)[1][3]
-    cycles = {"split": (q - 1, cycle_lengths(engine.scaling)),
-              "nonsplit": (q + 1, cycle_lengths(engine.image_perm(R))),
-              "unipotent": (F.p, cycle_lengths(engine.translation))}
+    cycles = {"split": (q - 1, cycle_lengths(engine.scaling, listed)),
+              "nonsplit": (q + 1, cycle_lengths(engine.image_perm(R), listed)),
+              "unipotent": (F.p, cycle_lengths(engine.translation, listed))}
     for rep in classes:
         N, lengths = cycles[rep.kind]
         assert fixed[rep] == sum(length * count for length, count in lengths.items()
@@ -195,7 +199,8 @@ def test_plane_fix_counts_match_torus_cycles(q, n):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_engine_perm_matches_key_image_on_all_of_gl2(q):
     # The plane count of every invertible matrix against the fixed points
-    # of its image_perm, which images the keys one by one.
+    # of its image_perm, which images the keys one by one and holds the
+    # image's rank at every listed rank, -1 at every other.
     F = field_of_order(q)
     mats = _invertible(F)
     for n in (1, 2, 3):
@@ -205,7 +210,9 @@ def test_engine_perm_matches_key_image_on_all_of_gl2(q):
         assert points == len(keys)
         for mat in mats:
             M = substitution_matrix(F, mat, n)
-            want = [engine.key_index(key_image(key, M, F)) for key in keys]
+            want = [-1] * len(engine.scaling)
+            for key in keys:
+                want[engine.rank(key)] = engine.rank(key_image(key, M, F))
             assert engine.image_perm(mat).tolist() == want, mat
             assert fixed[mat] == fixed_points(want), mat
 
@@ -235,6 +242,24 @@ def test_nonsplit_generator_has_projective_order_q_plus_one(q):
     assert char_roots(F, F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c))) == []
 
 
+@pytest.mark.parametrize("q", [7, 8, 9, 257])
+def test_power_matches_repeated_products(q):
+    # Square-and-multiply against e - 1 products, for every e <= 2N of each
+    # torus generator of order N, and for sampled e at q = 257.
+    F = field_of_order(q)
+    add, mul = F.add, F.mul
+    rng = random.Random(q)
+    for _, N, _, gen in oracle._tori(F):
+        wanted = (set(range(1, 2 * N + 1)) if q < 257
+                  else {1, 2, N, 2 * N, *rng.sample(range(3, 2 * N), 40)})
+        product = gen
+        for e in range(1, 2 * N + 1):
+            if e in wanted:
+                assert oracle._power(F, gen, e) == product, (gen, e)
+            product = tuple(add(mul(product[i], gen[j]), mul(product[i + 1], gen[j + 2]))
+                            for i in (0, 2) for j in (0, 1))
+
+
 def test_engine_builds_its_keys_within_the_budget(monkeypatch):
     F, n = F4, 3
     assert KeyPermutations(F, n).keys == list(enumerate_subfield_keys(F, n))
@@ -248,10 +273,12 @@ def test_engine_builds_its_keys_within_the_budget(monkeypatch):
 
 
 def test_engine_holds_ranks_not_keys():
-    # The engine keeps each key's rank and the rank table as 4-byte C ints,
-    # not the keys: about 18 bytes per key at (5, 4), where a tuple pair per
-    # key held 108 and int lists 50.  D and T add 4 bytes per key each.
-    # A small engine first, so that one-time loads are not counted.
+    # The engine keeps nothing per key: only the row tables, q^(n-1) P rows
+    # and q^m Q rows for each m, 6.6 bytes per key at (5, 4), where a tuple
+    # pair per key held 108 and a rank per key with a rank table 18.  D and
+    # T hold a 4-byte C int each per candidate rank, and (5, 4) has 1.25
+    # candidates per key.  A small engine first, so that one-time loads are
+    # not counted.
     KeyPermutations(F5, 1)
     gc.collect()
     tracemalloc.start()
@@ -263,9 +290,11 @@ def test_engine_holds_ranks_not_keys():
         generators = tracemalloc.get_traced_memory()[0] - before - held
     finally:
         tracemalloc.stop()
-    keys = len(engine.keys)
-    assert held <= 20 * keys
-    assert generators <= 9 * keys
+    keys, candidates = len(engine.keys), len(engine.scaling)
+    assert (keys, candidates) == (15625, 19500)
+    assert held <= 7 * keys
+    assert generators <= 8.5 * candidates
+    assert held + generators <= (20 + 9) * keys
 
 
 def _listing_only(monkeypatch, keys):
@@ -281,8 +310,8 @@ def test_engine_rejects_a_key_set_not_closed_under_the_action(monkeypatch):
 
 @pytest.mark.parametrize("fill", [0, 255, 65535, 2 ** 24 - 1])
 def test_closure_check_finds_a_missing_image_in_an_int_buffer(fill):
-    # The check searches the buffer's bytes: indices whose low bytes are
-    # 0xff pass, and a -1 in the first, a middle or the last entry is caught.
+    # Indices whose low bytes are 0xff pass, and a -1 in the first, a
+    # middle or the last entry is caught.
     perm = ratmap._ints(5, 0)
     for i in range(5):
         perm[i] = fill
@@ -295,10 +324,15 @@ def test_closure_check_finds_a_missing_image_in_an_int_buffer(fill):
 
 
 def test_engine_generators_reject_a_key_set_not_closed_under_the_action(monkeypatch):
-    # The missing key X^2 is fixed by D, but T sends (X - 1)^2 to it.
+    # D and T permute all candidates and read no listing: the orbit search
+    # refuses the listing, since it labels more points than it lists.  The
+    # missing key X^2 is fixed by D, but T sends (X - 1)^2 to it.
+    whole = KeyPermutations(F3, 2)
     _listing_only(monkeypatch, list(enumerate_subfield_keys(F3, 2))[1:])
+    engine = KeyPermutations(F3, 2)
+    assert engine.translation.tolist() == whole.translation.tolist()
     with pytest.raises(AssertionError, match="escaped the key set"):
-        KeyPermutations(F3, 2).translation
+        engine.bruhat_labels()
 
 
 RANKED_CELLS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)]
@@ -316,9 +350,14 @@ def test_scaling_and_translation_generators_match_key_images(q, n):
     assert keys == list(enumerate_subfield_keys(F, n))
     ranks = [engine.rank(key) for key in keys]
     assert ranks == sorted(set(ranks))
-    assert all(engine.key_index(key) == i for i, key in enumerate(keys))
-    assert engine.scaling.tolist() == engine.image_perm((F.generator, 0, 0, 1)).tolist()
-    assert engine.translation.tolist() == engine.image_perm((1, 1, 0, 1)).tolist()
+    assert all(engine._key(r) == key for r, key in zip(ranks, keys))
+    assert len(engine.scaling) == len(engine.translation) == engine._offsets[n]
+    for mat, perm in (((F.generator, 0, 0, 1), engine.scaling),
+                      ((1, 1, 0, 1), engine.translation)):
+        M = substitution_matrix(F, mat, n)
+        want = [engine.rank(key_image(key, M, F)) for key in keys]
+        assert [perm[r] for r in ranks] == want, mat
+        assert list(map(engine.image_perm(mat).__getitem__, ranks)) == want, mat
 
 
 def test_orbit_labels_match_scalar_closure():
@@ -344,8 +383,8 @@ def test_orbit_labels_match_scalar_closure():
         orbits.append(orbit)
     blabels, glabels = engine.bruhat_labels()
     by_label: dict[int, set] = {}
-    for key, b in zip(keys, blabels):
-        by_label.setdefault(glabels[b], set()).add(key)
+    for key in keys:
+        by_label.setdefault(glabels[blabels[engine.rank(key)]], set()).add(key)
     assert sorted(map(sorted, by_label.values())) == sorted(map(sorted, orbits))
 
 
@@ -359,9 +398,11 @@ def test_bruhat_labels_match_closure_under_all_generators(q, n):
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
     blabels, glabels = engine.bruhat_labels()
-    assert blabels == label_orbits((engine.scaling, engine.translation))
+    starts = list(map(engine.rank, engine.keys))
+    D, T = engine.scaling, engine.translation
+    assert blabels == label_orbits((D, T), starts)[0]
     S = engine.image_perm((0, 1, 1, 0))
-    assert [glabels[b] for b in blabels] == label_orbits((engine.scaling, engine.translation, S))
+    assert [-1 if b < 0 else glabels[b] for b in blabels] == label_orbits((D, T, S), starts)[0]
 
 
 def test_bruhat_labels_reject_a_key_set_not_closed_under_inversion(monkeypatch):
@@ -372,7 +413,7 @@ def test_bruhat_labels_reject_a_key_set_not_closed_under_inversion(monkeypatch):
     blabels, glabels = whole.bruhat_labels()
     shared = Counter(glabels)
     gap = next(b for b, g in enumerate(glabels) if shared[g] > 1)
-    _listing_only(monkeypatch, [k for k, b in zip(whole.keys, blabels) if b != gap])
+    _listing_only(monkeypatch, [k for k in whole.keys if blabels[whole.rank(k)] != gap])
     engine = KeyPermutations(F, n)
     assert engine.scaling and engine.translation
     with pytest.raises(AssertionError, match="escaped the key set"):
@@ -593,7 +634,7 @@ def test_fullgroup_burnside_charges_the_matrices():
 
 def test_orbit_labels_partition_the_keys():
     blabels, glabels = KeyPermutations(F3, 2).bruhat_labels()
-    labels = [glabels[b] for b in blabels]
+    labels = [glabels[b] for b in blabels if b >= 0]
     assert len(labels) == 9
     assert len(set(labels)) == counting.count_rational_classes(3, 2)
     # Orbit sizes must divide the group order and cover all keys.
@@ -721,10 +762,11 @@ def test_poly_key_rows_index_the_subfield_key(q, n):
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
     one = Poly.one(F)
+    listed = set(map(engine.rank, engine.keys))
     for f in classify.normalized_polys(F, n):
-        want = engine.key_index(subfield_key(normalize(Poly(F, f), one)))
-        assert want >= 0
-        assert engine.key_index((f[::-1], (0,) * n + (1,))) == want, f
+        want = engine.rank(subfield_key(normalize(Poly(F, f), one)))
+        assert want in listed
+        assert engine.rank((f[::-1], (0,) * n + (1,))) == want, f
 
 
 # -- appendix mirrors ----------------------------------------------------------

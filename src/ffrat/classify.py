@@ -9,12 +9,16 @@ substitution action f -> normalize(f(aX+b)).
 
 ``canonical_poly`` picks the orbit member whose descending coefficient tuple
 is lexicographically least, digit by digit from the top: it evaluates digit k
-of f(X + b) only for the b still in the running, by the Horner rule that the
-walk below shares (``_shifts``), and takes a minimum over their scalings.  The
-tests hold the q(q-1) substitutions that define it as their reference.
-``classify_all`` finds the least member of every class at once, by a walk
-over the digits from the top whose nodes carry their stabilizers in the
-affine group, so its work follows the classes, not the q^(n-1) polynomials.
+of f(X + b) only for the b still in the running, by the Horner loop
+``_shifts`` that the walk below shares, and takes a minimum over their
+scalings.  The tests hold the q(q-1) substitutions that define it as their
+reference.  ``classify_all`` finds the least member of every class at once,
+by a walk over the digits from the top whose nodes carry their stabilizers in
+the affine group, so its work follows the classes, not the q^(n-1)
+polynomials.  Where a node's stabilizer is all of B, the orbits on its digit
+come from ``ratmap.label_orbits``, the one orbit search, as do the coset
+representatives; a stabilizer list acts by a few maps c -> uc + t, so each
+orbit is read off their images, with no search.
 ``PolyPermutations``, the permutations of all of them, serves the oracle's
 orbit counts, an independent method.  It reads the image digits off
 ``affine_matrix``, whose fixed vectors the oracle's Burnside count takes.
@@ -39,7 +43,7 @@ from ffrat.gf import FieldCtx, check_budget
 # ``_substitute_raw`` is the name under which the benchmark traces the
 # affine substitution, and the tests import it from here.
 from ffrat.polyring import Poly, substitute_raw as _substitute_raw  # noqa: F401
-from ffrat.ratmap import DEFAULT_KEY_BUDGET, RationalMap, normalize
+from ffrat.ratmap import DEFAULT_KEY_BUDGET, RationalMap, label_orbits, normalize
 
 
 def _normalized_raw(F: FieldCtx, coeffs: list[int]) -> tuple[int, ...]:
@@ -276,23 +280,16 @@ def _extensions(F: FieldCtx, n: int, k: int, prefix: tuple[int, ...], h):
     add, mul, seen = F.add, F.mul, set()
     shifts = _shifts(F, n, k, prefix, F.elements if h is None else {b for _, b in h})
     if h is None:
-        # An orbit of B is closed under X -> gX and X -> X + 1, and (a, b)
-        # fixes x when s_b = x (a^(n-k) - 1), which a dict s -> [b] looks up.
+        # B acts through X -> gX and X -> X + 1, x is its own orbit when both
+        # fix it, and (a, b) fixes x when s_b = x (a^(n-k) - 1): s -> [b].
         gen, step, by_shift = F.pow(F.generator, k - n), shifts[1], {}
         for b, s in shifts.items():
             by_shift.setdefault(s, []).append(b)
-        for x in F.elements:
-            if x not in seen:
-                orbit = [x]
-                seen.add(x)
-                for y in orbit:
-                    for z in (mul(gen, y), add(y, step)):
-                        if z not in seen:
-                            seen.add(z)
-                            orbit.append(z)
-                yield x, None if len(orbit) == 1 else [
-                    (a, b) for a in F.units
-                    for b in by_shift.get(x and mul(x, F.sub(F.pow(a, n - k), 1)), ())]
+        scale, shift = [mul(gen, x) for x in F.elements], [add(x, step) for x in F.elements]
+        for x in label_orbits((scale, shift), F.elements)[1]:
+            yield x, None if scale[x] == x == shift[x] else [
+                (a, b) for a in F.units
+                for b in by_shift.get(x and mul(x, F.sub(F.pow(a, n - k), 1)), ())]
         return
     maps: dict = {}                         # (u, t) of c -> uc + t, and the elements acting so
     for a, b in h:
@@ -312,18 +309,13 @@ def _extensions(F: FieldCtx, n: int, k: int, prefix: tuple[int, ...], h):
 
 
 def coset_representatives(F: FieldCtx, i: int) -> list[int]:
-    """Representatives of the cosets of the i-th powers in the unit group,
-    chosen greedily by element index (the first is always 1)."""
+    """The least element index in each coset of the i-th powers in the unit
+    group (the first is always 1): the first start of each orbit of
+    u -> g^i u when ``label_orbits`` searches from the units in ascending order."""
     if i < 1:
         raise ValueError("power must be at least 1")
-    powers = {F.pow(u, i) for u in F.units}
-    reps = []
-    covered: set[int] = set()
-    for u in F.units:
-        if u not in covered:
-            reps.append(u)
-            covered |= {F.mul(u, h) for h in powers}
-    return reps
+    h, mul = F.pow(F.generator, i), F.mul
+    return label_orbits(([mul(h, u) for u in F.elements],), F.units)[1]
 
 
 def least_nonsquare(F: FieldCtx) -> int:

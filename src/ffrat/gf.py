@@ -20,7 +20,9 @@ byte-for-byte interchangeable:
 Row vectors over a field are lists or tuples of element indices:
 ``row_echelon`` is the one reduced echelon form, ``row_times`` multiplies a
 row by a matrix, ``left_kernel`` solves vP = 0 for a polynomial P in a
-matrix, and ``span_sums`` walks a coset of a span.
+matrix, and ``span_sums`` walks a coset of a span.  ``power`` is the one
+square-and-multiply, for any associative product with its identity, and
+``evaluate`` the one Horner evaluation of a polynomial at an element.
 
 Each field decides its arithmetic once, at construction.  Multiplication
 runs on log/antilog tables relative to ``generator`` whenever q <= 2**16,
@@ -230,15 +232,7 @@ class FieldCtx:
         return e
 
     def _pow_raw(self, a: int, e: int) -> int:
-        if self.k == 1:
-            return pow(a, e, self.p)
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
+        return pow(a, e, self.p) if self.k == 1 else power(self._raw_mul, 1, a, e)
 
     def _find_generator(self) -> int:
         if self.q == 2:
@@ -285,6 +279,27 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return "GF(%d)" % self.q
+
+
+def power(mul, one, x, e: int):
+    """x^e, e >= 0, under the associative product ``mul`` with identity
+    ``one``: for each bit of e from the top, a square, and a product by x
+    where the bit is 1."""
+    out = one
+    for bit in bin(e)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
+def evaluate(F: FieldCtx, coeffs, x: int) -> int:
+    """The polynomial with ascending coefficients ``coeffs`` at x, by Horner."""
+    add, mul = F.add, F.mul
+    acc = 0
+    for c in reversed(coeffs):
+        acc = add(mul(acc, x), c)
+    return acc
 
 
 def mult_order(F: FieldCtx, a: int) -> int:
@@ -436,17 +451,10 @@ def make_ext(F: FieldCtx) -> ExtFieldCtx:
     if cached is not None:
         return cached
     ext = make_field(F.p, 2 * F.k)
-
-    def horner(coeffs, x: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = ext.add(ext.mul(acc, x), c)
-        return acc
-
-    root = next((x for x in ext.elements if horner(F.modulus, x) == 0), None)
+    root = next((x for x in ext.elements if evaluate(ext, F.modulus, x) == 0), None)
     if root is None:
         raise AssertionError("modulus of %r has no root in %r" % (F, ext))
-    ctx = ExtFieldCtx(F, ext, tuple(horner(F.element_coeffs(a), root) for a in F.elements),
+    ctx = ExtFieldCtx(F, ext, tuple(evaluate(ext, F.element_coeffs(a), root) for a in F.elements),
                       tuple(ext.pow(x, F.q) for x in ext.elements))
     F._ext_ctx = ctx
     return ctx

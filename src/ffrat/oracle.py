@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple
 from ffrat import classify, counting
 from ffrat.gf import (BudgetExceededError, ExtFieldCtx, FieldCtx, char_roots,
                       check_budget, field_of_order, left_kernel, make_ext,
-                      mult_order, over_size_bound)
+                      mult_order, over_size_bound, power)
 from ffrat.polyring import Poly, _multiple_ranks, coprime_flags, gcd
 from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, _check_keys, fixed_key_counts,
                           label_orbits)
@@ -134,15 +134,10 @@ def _burnside_average(points: int, group: int, families) -> int:
 
 
 def _power(F: FieldCtx, mat, e: int) -> tuple[int, ...]:
-    """mat^e, e >= 1, of a row-major 2x2 (a, b, c, d): for each bit of e below
-    the top one, a square, and a product by mat if the bit is 1."""
+    """mat^e of a row-major 2x2 (a, b, c, d), by ``gf.power``."""
     add, mul = F.add, F.mul
-    out = mat
-    for bit in bin(e)[3:]:
-        for y in (out, mat) if bit == "1" else (out,):
-            out = tuple(add(mul(out[i], y[j]), mul(out[i + 1], y[j + 2]))
-                        for i in (0, 2) for j in (0, 1))
-    return out
+    return power(lambda x, y: tuple(add(mul(x[i], y[j]), mul(x[i + 1], y[j + 2]))
+                                    for i in (0, 2) for j in (0, 1)), (1, 0, 0, 1), mat, e)
 
 
 def _tori(F: FieldCtx) -> list[tuple[int, int, str, tuple[int, ...]]]:
@@ -156,8 +151,8 @@ def _tori(F: FieldCtx) -> list[tuple[int, int, str, tuple[int, ...]]]:
     q, p = F.q, F.p
     t = next(t for t in F.elements if not char_roots(F, t, 1))
     R = next(mat for mat in ((F.add(t, c), F.neg(1), 1, c) for c in F.elements)
-             if all(power[1] or power[2] or power[0] != power[3]
-                    for power in (_power(F, mat, (q + 1) // r)
+             if all(mat_e[1] or mat_e[2] or mat_e[0] != mat_e[3]
+                    for mat_e in (_power(F, mat, (q + 1) // r)
                                   for r in counting.prime_factors(q + 1))))
     return [(q * (q + 1) // 2, q - 1, "split", (F.generator, 0, 0, 1)),
             (q * (q - 1) // 2, q + 1, "nonsplit", R),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from ffrat.gf import ExtFieldCtx, FieldCtx
+from ffrat.gf import ExtFieldCtx, FieldCtx, evaluate, power
 
 NEG_INFINITY = float("-inf")
 
@@ -189,21 +189,10 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        r = Poly.one(self.field)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(Poly.__mul__, Poly.one(self.field), self, e)
 
     def __call__(self, x: int) -> int:
-        add, mul = self.field.add, self.field.mul
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, x), c)
-        return acc
+        return evaluate(self.field, self.coeffs, x)
 
     def monic(self) -> "Poly":
         if self.is_zero:

@@ -14,6 +14,9 @@ from ffrat.ratmap import (DEFAULT_KEY_BUDGET, KeyPermutations, fixed_points,
                           substitution_matrix)
 
 
+SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
 def prime_powers_upto(limit: int) -> list[int]:
     return [q for q in range(2, limit + 1) if is_prime_power(q)]
 
@@ -122,3 +125,17 @@ def burnside_count_rational_fullgroup(F: FieldCtx, n: int,
     if group_order != (F.q ** 2 - 1) * (F.q ** 2 - F.q):
         raise AssertionError("group order mismatch")
     return exact_div(total, group_order)
+
+
+def coset_representatives_greedy(F: FieldCtx, i: int) -> list[int]:
+    """Representatives of the cosets of the i-th powers in the unit group: a
+    greedy cover that takes each unit, in index order, that no earlier
+    coset holds.  The reference for ``classify.coset_representatives``."""
+    powers = {F.pow(u, i) for u in F.units}
+    reps: list[int] = []
+    covered: set[int] = set()
+    for u in F.units:
+        if u not in covered:
+            reps.append(u)
+            covered |= {F.mul(u, h) for h in powers}
+    return reps

@@ -20,7 +20,8 @@ from ffrat.oracle import orbit_count_poly
 from ffrat.polyring import Poly, affine_substitute, compose
 from ffrat.ratmap import KeyPermutations, subfield_key
 
-from enumerators import canonical_poly_by_substitution, perm_product
+from enumerators import (SMALL_ORDERS, canonical_poly_by_substitution,
+                         coset_representatives_greedy, perm_product)
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -413,6 +414,14 @@ def test_coset_representatives_cover_units_once(q, i):
     powers = {F.pow(u, i) for u in F.units}
     cover = [F.mul(r, h) for r in reps for h in powers]
     assert sorted(cover) == sorted(F.units)
+
+
+@pytest.mark.parametrize("q", SMALL_ORDERS + [27, 49, 64, 81, 121, 125, 243, 256, 343, 512, 625])
+def test_coset_representatives_match_the_greedy_cover(q):
+    # The orbit search from ascending starts against the greedy cover.
+    F = field_of_order(q)
+    for i in range(1, 13):
+        assert coset_representatives(F, i) == coset_representatives_greedy(F, i), i
 
 
 def test_least_nonsquare():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ffrat
-from ffrat import counting, oracle
+from ffrat import cli, counting, oracle
 from ffrat.cli import (EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_COUNT_DIGITS,
                        MAX_RANGE_LENGTH, UsageError, _parse_int_set, build_parser,
                        count_digits_bound, main)
@@ -277,6 +277,18 @@ def test_table_rejects_bad_ranges(capsys):
     assert run_cli(capsys, "table", "--q", "2", "--n", "x")[0] == EXIT_USAGE
     assert run_cli(capsys, "table", "--q", "2,6", "--n", "1")[0] == EXIT_USAGE
     assert run_cli(capsys, "table", "--q", "2", "--n", "0..2")[0] == EXIT_USAGE
+    assert run_cli(capsys, "table", "--q", "2..x", "--n", "1") == (
+        EXIT_USAGE, "", "error: bad range '2..x'\n")
+
+
+def test_value_error_from_a_command_is_a_usage_error(capsys, monkeypatch):
+    # A ValueError that escapes a command ends in exit 2 and one line on
+    # stderr, with no traceback.
+    def fail(args):
+        raise ValueError("no such cell")
+    monkeypatch.setattr(cli, "cmd_count", fail)
+    assert run_cli(capsys, "count", "--q", "2", "--n", "1") == (
+        EXIT_USAGE, "", "error: no such cell\n")
 
 
 def test_range_longer_than_the_cap_is_a_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -305,3 +306,31 @@ def test_count_rational_rejects_bad_degree():
 def test_count_polynomial_rejects_bad_degree():
     with pytest.raises(ValueError):
         count_polynomial_classes(3, 0)
+
+
+@pytest.mark.parametrize("name,args,message", [
+    ("divisors", (0,), "divisors of 0 undefined"),
+    ("euler_phi", (-1,), "euler_phi of -1 undefined"),
+    ("coprime_monic_pairs", (2, -1, 1), "degrees must be nonnegative"),
+    ("coprime_monic_pairs", (2, 1, -1), "degrees must be nonnegative"),
+    ("coprime_monic_pairs_upto", (2, 0), "degree must be at least 1"),
+    ("rational_function_count", (2, -1), "degree must be nonnegative"),
+    ("coprime_pairs_nonzero_constant", (2, -1, 1), "degrees must be nonnegative"),
+    ("coprime_pairs_nonzero_constant", (2, 1, -1), "degrees must be nonnegative"),
+    ("self_dual_count", (2, -1), "degree must be nonnegative"),
+    ("reversal_coprime_count", (2, -1), "degree must be nonnegative"),
+    ("self_dual_coprime_pairs", (2, -1, 0), "degrees must be nonnegative"),
+    ("self_dual_coprime_pairs", (2, 0, -1), "degrees must be nonnegative"),
+    ("fix_diagonal", (5, 0, 2), "degree must be at least 1"),
+    ("fix_nonsplit", (5, 0, 2), "degree must be at least 1"),
+    ("fix_unipotent", (5, 0), "degree must be at least 1"),
+    ("fix_affine_scale", (5, 0, 2), "degree must be at least 1"),
+    ("fix_affine_scale", (5, 2, 1), "order d=1 must divide q-1=4 and exceed 1"),
+    ("fix_affine_scale", (5, 2, 3), "order d=3 must divide q-1=4 and exceed 1"),
+    ("fix_affine_translate", (5, 0), "degree must be at least 1"),
+    ("count_rational_classes_lowdeg", (5, 5), "no low-degree form for n=5"),
+    ("count_polynomial_classes_lowdeg", (5, 6), "no low-degree form for n=6"),
+])
+def test_bad_input_raises(name, args, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        getattr(counting, name)(*args)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from ffrat.gf import (BudgetExceededError, FieldSizeError, field_of_order,
                       is_prime, left_kernel, make_ext, make_field, mult_order,
                       row_echelon, row_times)
 
-SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+from enumerators import SMALL_ORDERS
 
 
 def test_is_prime_small():
@@ -336,3 +337,40 @@ def test_mult_order_past_the_log_tables():
     for a in random.Random(65537).sample(range(1, 65537), 20):
         d = mult_order(F, a)
         assert F.pow(a, d) == 1 and all(F.pow(a, d // r) != 1 for r in prime_factors(d)), a
+
+
+def test_raw_power_matches_repeated_products():
+    # GF(2^17) has no log tables, so pow runs the shared square-and-multiply
+    # (gf.power) on raw products: against e products for every e <= 40, on
+    # sampled units, and a^(q-1) = 1.
+    F = make_field(2, 17)
+    assert F.log_table is None
+    for a in random.Random(17).sample(range(2, F.q), 4):
+        product = 1
+        for e in range(41):
+            assert F._pow_raw(a, e) == F.pow(a, e) == product, (a, e)
+            product = F._raw_mul(product, a)
+        assert F.pow(a, F.q - 1) == 1, a
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: make_field(5, 1).inv(0), ZeroDivisionError, "inverse of 0 in GF(5)",
+                 id="inv-zero"),
+    pytest.param(lambda: make_field(2, 17).inv(0), ZeroDivisionError,
+                 "inverse of 0 in GF(131072)", id="inv-zero-no-tables"),
+    pytest.param(lambda: mult_order(make_field(5, 1), 0), ValueError,
+                 "0 has no multiplicative order", id="mult-order-zero"),
+    pytest.param(lambda: make_field(2.0, 1), ValueError, "p and k must be integers",
+                 id="float-characteristic"),
+    pytest.param(lambda: make_field(2, "3"), ValueError, "p and k must be integers",
+                 id="string-degree"),
+])
+def test_bad_input_raises(call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()
+
+
+def test_context_reprs():
+    assert repr(make_field(5, 1)) == "GF(5)"
+    assert repr(make_field(2, 3)) == "GF(8)"
+    assert repr(make_ext(make_field(3, 1))) == "GF(3) in GF(9)"

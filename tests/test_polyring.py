@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -128,12 +129,13 @@ def test_affine_substitute_matches_compose():
     # Fields of characteristic 2 and 3, where some binomials C(j, k) with
     # j <= 3 vanish.  A scalar factor and the constant term commute with the
     # substitution, so over GF(8) and GF(9) the monic polynomials without
-    # constant term stand for the rest.
+    # constant term stand for the rest.  At a = 0 the image is the constant
+    # f(b), so the raw list's trailing zeros are trimmed.
     for q in (3, 4, 8, 9):
         F = field_of_order(q)
         for f in polys_upto(F, 3):
             if q < 8 or (f.is_monic() and not f.coeff(0)):
-                for a in F.units:
+                for a in F.elements:
                     for b in F.elements:
                         assert affine_substitute(f, a, b) == compose(f, P(F, b, a))
 
@@ -330,6 +332,8 @@ def test_poly_str():
     assert poly_str(Poly.zero(F3)) == "0"
     assert poly_str(P(F3, 2)) == "2"
     assert poly_str(P(F2, 0, 1, 0, 1)) == "X^3+X"
+    assert (str(P(F3, 0, 2, 1)), repr(P(F3, 0, 2, 1))) == ("X^2+2*X", "Poly(GF(3), [0, 2, 1])")
+    assert (bool(P(F3, 2)), bool(Poly.zero(F3))) == (True, False)
 
 
 # -- the coprimality sieve ------------------------------------------------------
@@ -427,3 +431,38 @@ def test_pinned_coprime_flags_reject_a_digit_below_m_or_past_n():
     for n, m, k in [(3, 2, 1), (3, 1, 3)]:
         with pytest.raises(ValueError, match="zero digit"):
             coprime_flags(F, n, m, zero_digit=k)
+
+
+@pytest.mark.parametrize("field", [F3, F4], ids=["GF3", "GF4"])
+def test_poly_power_matches_repeated_products(field):
+    # The shared square-and-multiply (gf.power) against e products, e <= 12.
+    for f in polys_upto(field, 2):
+        product = Poly.one(field)
+        for e in range(13):
+            assert f ** e == product, (f, e)
+            product = product * f
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: Poly.monomial(F3, -1), "monomial degree must be nonnegative",
+                 id="monomial-negative-degree"),
+    pytest.param(lambda: P(F3, 1, 1) + P(F4, 1, 1), "mixed-field polynomial arithmetic",
+                 id="mixed-fields"),
+    pytest.param(lambda: P(F3, 1, 1) ** -1, "negative polynomial power", id="negative-power"),
+    pytest.param(lambda: Poly.zero(F3).monic(), "zero polynomial cannot be made monic",
+                 id="monic-of-zero"),
+    pytest.param(lambda: gcd(Poly.zero(F3), Poly.zero(F3)), "gcd(0, 0) is undefined",
+                 id="gcd-zero-zero"),
+    pytest.param(lambda: conj_reverse(P(F3, 1, 1), CTX3),
+                 "conj_reverse expects a polynomial over the extension field",
+                 id="conj-reverse-base-field"),
+    pytest.param(lambda: conj_reverse(Poly.zero(CTX3.ext), CTX3),
+                 "conj_reverse of the zero polynomial is undefined", id="conj-reverse-zero"),
+    pytest.param(lambda: self_dual_scalar(Poly.zero(CTX3.ext), CTX3),
+                 "the zero polynomial is not self-dual", id="self-dual-scalar-zero"),
+    pytest.param(lambda: next(monic_polys(F3, -1)), "degree must be nonnegative",
+                 id="monic-polys-negative-degree"),
+])
+def test_bad_input_raises(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

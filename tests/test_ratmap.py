@@ -103,6 +103,7 @@ def test_rational_map_str():
     assert str(normalize(P(F3, 0, 0, 1), P(F3, 1, 1))) == "X^2/(X+1)"
     assert str(normalize(P(F3, 0, 1), P(F3, 1, 2))) == "(2*X)/(X+2)"
     assert str(normalize(P(F2, 0, 1, 1), P(F2, 0, 1))) == "X+1"
+    assert repr(normalize(P(F3, 0, 0, 1), P(F3, 1, 1))) == "RationalMap(X^2/(X+1))"
 
 
 def test_rational_map_equality_and_hash():

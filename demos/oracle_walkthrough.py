@@ -17,7 +17,7 @@ from fractions import Fraction
 from ffrat import counting
 from ffrat.gf import field_of_order
 from ffrat.oracle import enumerate_classes, expected_fix, orbit_count_rational
-from ffrat.ratmap import KeyPermutations, fixed_points
+from ffrat.ratmap import KeyPermutations, enumerate_subfield_keys, fixed_points
 
 Q, N = 3, 2
 
@@ -25,7 +25,7 @@ Q, N = 3, 2
 def main():
     F = field_of_order(Q)
     engine = KeyPermutations(F, N)
-    keys = engine.keys
+    keys = list(enumerate_subfield_keys(F, N))
     group = (Q * Q - 1) * (Q * Q - Q)
     print("GF(%d), degree %d: %d subfield keys, group of order %d"
           % (Q, N, len(keys), group))

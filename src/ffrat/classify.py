@@ -21,7 +21,8 @@ representatives; a stabilizer list acts by a few maps c -> uc + t, so each
 orbit is read off their images, with no search.
 ``PolyPermutations``, the permutations of all of them, serves the oracle's
 orbit counts, an independent method.  It reads the image digits off
-``affine_matrix``, whose fixed vectors the oracle's Burnside count takes.
+``affine_matrix``, whose fixed vectors the oracle's Burnside count takes and
+whose rows come from ``polyring.substitute_raw``, the one affine substitution.
 
 For n <= 5 the classes organize into short parametric families (rows such as
 "X^4 + a*(X^2+X) for a nonzero", with a running through fixed coset
@@ -40,9 +41,8 @@ from typing import NamedTuple
 
 from ffrat import counting
 from ffrat.gf import FieldCtx, check_budget
-# ``_substitute_raw`` is the name under which the benchmark traces the
-# affine substitution, and the tests import it from here.
-from ffrat.polyring import Poly, substitute_raw as _substitute_raw  # noqa: F401
+# The benchmark traces the affine substitution as ``classify._substitute_raw``.
+from ffrat.polyring import Poly, substitute_raw as _substitute_raw
 from ffrat.ratmap import DEFAULT_KEY_BUDGET, RationalMap, label_orbits, normalize
 
 
@@ -74,12 +74,12 @@ def normalized_polys(F: FieldCtx, n: int) -> list[tuple[int, ...]]:
 
 
 def affine_matrix(F: FieldCtx, n: int, a: int, b: int) -> list[list[int]]:
-    """The rows j = 1..n of M[j][k] = a^(k-n) C(j, k) b^(j-k), 0 for k > j:
+    """The rows j = 1..n of M[j][k] = a^(-n) [X^k] (aX + b)^j, k = 1..n:
     the normalized image of X^n + c_{n-1}X^(n-1) + ... + c_1X under
     X -> aX + b has the coefficients (c_1, ..., c_n) M, with c_n = 1."""
-    # C(j, k) is an integer; the integers below p are the prime field.
-    return [[F.mul(F.pow(a, k - n), F.mul(math.comb(j, k) % F.p, F.pow(b, j - k))) if k <= j
-             else 0 for k in range(1, n + 1)] for j in range(1, n + 1)]
+    scale, mul = F.pow(a, -n), F.mul
+    return [[mul(scale, c) for c in _substitute_raw(F, (0,) * j + (1,), a, b)[1:]] + [0] * (n - j)
+            for j in range(1, n + 1)]
 
 
 class PolyPermutations:

@@ -42,7 +42,7 @@ MAX_RANGE_LENGTH = 10_000
 MAX_COUNT_DIGITS = 100_000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -307,9 +307,6 @@ def main(argv=None) -> int:
     set_digits(0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET

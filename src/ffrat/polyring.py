@@ -1,17 +1,18 @@
 """Dense univariate polynomials over a ``FieldCtx``.
 
 Coefficients are element indices stored lowest degree first with no trailing
-zeros, so the tuple is a canonical form: two polynomials over the same field
-are equal iff their coefficient tuples are equal.  The zero polynomial has an
-empty tuple and degree ``NEG_INFINITY`` (a float, so ``max`` with ordinary
-integer degrees behaves correctly).
+zeros, which the ``Poly`` constructor strips, so the tuple is a canonical
+form: two polynomials over the same field are equal iff their coefficient
+tuples are equal.  The zero polynomial has an empty tuple and degree
+``NEG_INFINITY`` (a float, so ``max`` with ordinary integer degrees behaves
+correctly).
 
 Beyond ring arithmetic this module provides the substitution and duality
 operators used throughout the package:
 
 * ``compose(f, g)`` is f(g(X)), and ``affine_substitute(f, a, b)`` the
-  specialised f(a*X + b), a wrapper over ``substitute_raw``, the one Horner
-  loop for it on raw coefficient lists;
+  specialised f(a*X + b) by ``substitute_raw``, the one Horner loop for it on
+  raw coefficient lists, which ``classify.affine_matrix`` calls as well;
 * ``conj`` applies the q-power Frobenius of a quadratic extension to every
   coefficient, and ``conj_reverse(g)`` is X**deg(g) * conj(g)(1/X), i.e. the
   conjugated, reversed coefficient vector;
@@ -280,10 +281,7 @@ def affine_substitute(f: Poly, a: int, b: int) -> Poly:
     """f(a*X + b) without building intermediate Poly products."""
     if f.is_zero:
         return f
-    res = substitute_raw(f.field, f.coeffs, a, b)
-    while res and res[-1] == 0:
-        res.pop()
-    return Poly._make(f.field, tuple(res))
+    return Poly(f.field, substitute_raw(f.field, f.coeffs, a, b))
 
 
 def conj(g: Poly, ctx: ExtFieldCtx) -> Poly:
@@ -305,10 +303,7 @@ def conj_reverse(g: Poly, ctx: ExtFieldCtx) -> Poly:
     if g.is_zero:
         raise ValueError("conj_reverse of the zero polynomial is undefined")
     frob = ctx.frob_table
-    rev = [frob[c] for c in reversed(g.coeffs)]
-    while rev and rev[-1] == 0:
-        rev.pop()
-    return Poly._make(ctx.ext, tuple(rev))
+    return Poly(ctx.ext, [frob[c] for c in reversed(g.coeffs)])
 
 
 def self_dual_scalar(g: Poly, ctx: ExtFieldCtx) -> int | None:

@@ -353,11 +353,6 @@ class KeyPermutations:
             shares = {r0: offset + i * len(q_rows) for i, r0 in enumerate(p_rows)}
             self._parts.update((r1, (j, shares)) for j, r1 in enumerate(q_rows))
 
-    @property
-    def keys(self) -> list[Key]:
-        """The listed keys, in listing order (increasing rank)."""
-        return list(enumerate_subfield_keys(self.F, self.n, self._budget))
-
     def _key(self, rank: int) -> Key:
         m = bisect.bisect_right(self._offsets, rank) - 1
         p_rows, q_rows = self._rows[m]
@@ -374,7 +369,7 @@ class KeyPermutations:
         M = substitution_matrix(F, mat, self.n)
         products: dict = {}
         perm = _ints(self._offsets[-1], -1)
-        for key in self.keys:
+        for key in enumerate_subfield_keys(F, self.n, self._budget):
             perm[rank(key)] = rank(key_image(key, M, F, products))
         _closed([perm[j] for j in perm if j >= 0])
         return perm

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
 from ffrat.classify import _normalized_raw, left_normalize
@@ -60,6 +61,14 @@ def canonical_poly_by_substitution(f: Poly) -> Poly:
     return Poly._make(F, min((_normalized_raw(F, substitute_raw(F, base, a, b))
                               for a in F.units for b in F.elements),
                              key=lambda cand: cand[::-1]))
+
+
+def affine_matrix_by_binomials(F: FieldCtx, n: int, a: int, b: int) -> list[list[int]]:
+    """The reference definition of ``classify.affine_matrix``: the rows
+    j = 1..n of M[j][k] = a^(k-n) C(j, k) b^(j-k), 0 for k > j."""
+    # C(j, k) is an integer; the integers below p are the prime field.
+    return [[F.mul(F.pow(a, k - n), F.mul(math.comb(j, k) % F.p, F.pow(b, j - k))) if k <= j
+             else 0 for k in range(1, n + 1)] for j in range(1, n + 1)]
 
 
 def self_dual_polys(ctx: ExtFieldCtx, degree: int) -> Iterator[Poly]:

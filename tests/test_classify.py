@@ -11,17 +11,18 @@ import pytest
 
 from ffrat import classify, counting
 from ffrat.classify import (PolyClassRep, PolyPermutations, _normalized_raw,
-                            _substitute_raw, canonical_poly,
+                            _substitute_raw, affine_matrix, canonical_poly,
                             classify_all, coset_representatives, degree2_rational_reps,
                             least_nonsquare, left_normalize, normalized_polys,
                             table_families, verify_table)
 from ffrat.gf import BudgetExceededError, field_of_order
 from ffrat.oracle import orbit_count_poly
 from ffrat.polyring import Poly, affine_substitute, compose
-from ffrat.ratmap import KeyPermutations, subfield_key
+from ffrat.ratmap import KeyPermutations, subfield_key, substitution_matrix
 
-from enumerators import (SMALL_ORDERS, canonical_poly_by_substitution,
-                         coset_representatives_greedy, perm_product)
+from enumerators import (SMALL_ORDERS, affine_matrix_by_binomials,
+                         canonical_poly_by_substitution, coset_representatives_greedy,
+                         perm_product)
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -276,6 +277,23 @@ def test_classify_all_budget_covers_family_canonical_forms():
 
 
 # -- polynomial permutation engine ------------------------------------------------
+
+
+def test_affine_matrix_matches_binomials_and_the_homogeneous_substitution():
+    # Against the binomial formula, and against a^(-n) times the rows and
+    # columns 1..n of the substitution matrix of (a, b, 0, 1), whose row i is
+    # the descending vector of (aX + b)^(n-i).
+    for q in SMALL_ORDERS:
+        F = field_of_order(q)
+        for n in range(1, 6):
+            for a in F.units:
+                scale = F.pow(a, -n)
+                for b in F.elements:
+                    M = affine_matrix(F, n, a, b)
+                    assert M == affine_matrix_by_binomials(F, n, a, b), (q, n, a, b)
+                    S = substitution_matrix(F, (a, b, 0, 1), n)
+                    assert M == [[F.mul(scale, S[n - j][n - k]) for k in range(1, n + 1)]
+                                 for j in range(1, n + 1)], (q, n, a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -167,7 +167,7 @@ def test_engine_fix_counts_match_scalar_key_images(q, n):
     engine = KeyPermutations(F, n)
     classes = enumerate_classes(F)
     points, fixed = fixed_key_counts(F, n, {rep: rep.matrix for rep in classes})
-    assert points == len(engine.keys)
+    assert points == len(list(enumerate_subfield_keys(F, n)))
     for rep in classes:
         assert fixed[rep] == fixed_points(engine.image_perm(rep.matrix)), rep
 
@@ -184,7 +184,7 @@ def test_plane_fix_counts_match_torus_cycles(q, n):
     engine = KeyPermutations(F, n)
     classes = [rep for rep in enumerate_classes(F) if rep.kind != "central"]
     points, fixed = fixed_key_counts(F, n, {rep: rep.matrix for rep in classes})
-    listed = list(map(engine.rank, engine.keys))
+    listed = list(map(engine.rank, enumerate_subfield_keys(F, n)))
     assert points == len(listed)
     R = oracle._tori(F)[1][3]
     cycles = {"split": (q - 1, cycle_lengths(engine.scaling, listed)),
@@ -205,7 +205,7 @@ def test_engine_perm_matches_key_image_on_all_of_gl2(q):
     mats = _invertible(F)
     for n in (1, 2, 3):
         engine = KeyPermutations(F, n)
-        keys = engine.keys
+        keys = list(enumerate_subfield_keys(F, n))
         points, fixed = fixed_key_counts(F, n, {mat: mat for mat in mats})
         assert points == len(keys)
         for mat in mats:
@@ -262,8 +262,8 @@ def test_power_matches_repeated_products(q):
 
 def test_engine_builds_its_keys_within_the_budget(monkeypatch):
     F, n = F4, 3
-    assert KeyPermutations(F, n).keys == list(enumerate_subfield_keys(F, n))
-    assert len(KeyPermutations(F, n, budget=256).keys) == 256
+    assert (KeyPermutations(F, n, budget=256).bruhat_labels()
+            == KeyPermutations(F, n).bruhat_labels())
     # Refusals come before the row tables are built.
     monkeypatch.setattr(ratmap, "_key_rows", lambda *args: pytest.fail("rows were built"))
     with pytest.raises(BudgetExceededError, match="keys"):
@@ -290,11 +290,30 @@ def test_engine_holds_ranks_not_keys():
         generators = tracemalloc.get_traced_memory()[0] - before - held
     finally:
         tracemalloc.stop()
-    keys, candidates = len(engine.keys), len(engine.scaling)
+    keys, candidates = len(list(enumerate_subfield_keys(F5, 4))), len(engine.scaling)
     assert (keys, candidates) == (15625, 19500)
     assert held <= 7 * keys
     assert generators <= 8.5 * candidates
     assert held + generators <= (20 + 9) * keys
+
+
+def test_image_perm_walks_the_listing_without_holding_it():
+    # image_perm takes each key from the listing as it comes: its traced
+    # peak at (5, 4) is the permutation, 4 bytes per candidate, the closure
+    # check's list of images and the row products, 53 bytes per key, where
+    # a list of the keys made it 78.
+    F, n = F5, 4
+    KeyPermutations(F, 1).image_perm((F.generator, 0, 0, 1))
+    engine = KeyPermutations(F, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.image_perm((F.generator, 0, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * F.q ** (2 * n - 2)
 
 
 def _listing_only(monkeypatch, keys):
@@ -346,8 +365,7 @@ def test_scaling_and_translation_generators_match_key_images(q, n):
     # the degree m of Q reaches 4 and 5.
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
-    keys = engine.keys
-    assert keys == list(enumerate_subfield_keys(F, n))
+    keys = list(enumerate_subfield_keys(F, n))
     ranks = [engine.rank(key) for key in keys]
     assert ranks == sorted(set(ranks))
     assert all(engine._key(r) == key for r, key in zip(ranks, keys))
@@ -363,7 +381,7 @@ def test_scaling_and_translation_generators_match_key_images(q, n):
 def test_orbit_labels_match_scalar_closure():
     F, n = F3, 3
     engine = KeyPermutations(F, n)
-    keys = engine.keys
+    keys = list(enumerate_subfield_keys(F, n))
     mats = [substitution_matrix(F, g, n)
             for g in ((1, 1, 0, 1), (1, 0, 1, 1), (F.generator, 0, 0, 1))]
     orbits: list[set] = []
@@ -398,7 +416,7 @@ def test_bruhat_labels_match_closure_under_all_generators(q, n):
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
     blabels, glabels = engine.bruhat_labels()
-    starts = list(map(engine.rank, engine.keys))
+    starts = list(map(engine.rank, enumerate_subfield_keys(F, n)))
     D, T = engine.scaling, engine.translation
     assert blabels == label_orbits((D, T), starts)[0]
     S = engine.image_perm((0, 1, 1, 0))
@@ -413,7 +431,8 @@ def test_bruhat_labels_reject_a_key_set_not_closed_under_inversion(monkeypatch):
     blabels, glabels = whole.bruhat_labels()
     shared = Counter(glabels)
     gap = next(b for b, g in enumerate(glabels) if shared[g] > 1)
-    _listing_only(monkeypatch, [k for k in whole.keys if blabels[whole.rank(k)] != gap])
+    _listing_only(monkeypatch, [k for k in enumerate_subfield_keys(F, n)
+                                if blabels[whole.rank(k)] != gap])
     engine = KeyPermutations(F, n)
     assert engine.scaling and engine.translation
     with pytest.raises(AssertionError, match="escaped the key set"):
@@ -762,7 +781,7 @@ def test_poly_key_rows_index_the_subfield_key(q, n):
     F = field_of_order(q)
     engine = KeyPermutations(F, n)
     one = Poly.one(F)
-    listed = set(map(engine.rank, engine.keys))
+    listed = set(map(engine.rank, enumerate_subfield_keys(F, n)))
     for f in classify.normalized_polys(F, n):
         want = engine.rank(subfield_key(normalize(Poly(F, f), one)))
         assert want in listed
